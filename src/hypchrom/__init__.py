@@ -17,12 +17,10 @@ from .augment import (
     grow_pipeline,
     intersect_circles,
     phase_augment,
-    reconstruct_module_point,
 )
 from .coloring import (
     ACTIVE_BACKEND,
     AdjacencyGraph,
-    ColorSearchState,
     SearchStats,
     chromatic_number,
     find_coloring_reordered,
@@ -42,8 +40,6 @@ from .field import (
     ZERO,
     FieldElement,
     Rational,
-    RootInterval,
-    fe_arith,
     fe_sign,
     fe_sqrt,
     fe_to_interval,

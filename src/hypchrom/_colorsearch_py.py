@@ -21,15 +21,17 @@ COLORED = 33
 BACKEND = "python"
 
 
-def search(n, indptr, indices, k, preassigned):
-    """Depth-first search for a proper k-coloring, branching saturation-first.
+def make_state(n, indptr, indices, k):
+    """Search state for a k-coloring of the CSR graph (indptr, indices).
 
-    The graph is in CSR form (indptr, indices).  preassigned is a sequence
-    of (vertex, color) pairs applied with full propagation before the
-    search.  Returns (colors_or_None, (nodes_visited, max_depth, forced)):
-    nodes_visited counts search nodes (calls of the recursive walk),
-    max_depth is the largest number of branching decisions on one path,
-    and forced counts feasible sets narrowed to one color by propagation.
+    Returns (feasible, saturation, trail, stats, assign, rollback).
+    feasible[v] is the bitmask of colors v may still take; saturation[v]
+    counts them, or is COLORED once v is colored (feasible[v] is then the
+    single bit of its color).  assign(v, bit) colors v with bit, one of its
+    feasible colors, and propagates, returning False on a conflict.
+    rollback(mark) restores feasible and saturation as they were when
+    len(trail) was mark.  stats holds nodes visited, max depth and forced
+    assignments; only the last is counted here.
     """
     if k < 1 or k > 32:
         raise ValueError("color count must be between 1 and 32")
@@ -77,6 +79,23 @@ def search(n, indptr, indices, k, preassigned):
             feasible[v] = old
             saturation[v] = s
         del trail[trail_mark:]
+
+    return feasible, saturation, trail, stats, assign, rollback
+
+
+def search(n, indptr, indices, k, preassigned):
+    """Depth-first search for a proper k-coloring, branching saturation-first.
+
+    The graph is in CSR form (indptr, indices).  preassigned is a sequence
+    of (vertex, color) pairs applied with full propagation before the
+    search.  Returns (colors_or_None, (nodes_visited, max_depth, forced)):
+    nodes_visited counts search nodes (calls of the recursive walk),
+    max_depth is the largest number of branching decisions on one path,
+    and forced counts feasible sets narrowed to one color by propagation.
+    """
+    feasible, saturation, trail, stats, assign, rollback = make_state(
+        n, indptr, indices, k
+    )
 
     for v, color in preassigned:
         bit = 1 << color

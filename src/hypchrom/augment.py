@@ -9,7 +9,8 @@ the scaled coordinates X = x/R, Y = y/(R*s) every circle has an equation
 with A, B, E in Q(c); the radical line of a pair is linear over Q(c) and the
 substituted quadratic has a discriminant in Q(c).  When the discriminant is
 a square in the field the intersection points are module points, produced
-exactly; otherwise rigorous numeric enclosures are returned.
+exactly; otherwise no candidate is returned, since only module points can
+become vertices.
 
 A phase enumerates all vertex pairs, filters candidates with a vectorized
 floating pass (which only decides what to look at), then certifies every
@@ -21,8 +22,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field as dc_field
-from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -36,16 +36,12 @@ from .field import (
     FieldElement,
     fe_sign,
     fe_sqrt,
-    fe_to_interval,
-    interval_sqrt,
-    root_bounds,
 )
 from .geometry import (
     F_NUMERIC,
     Graph,
     GraphIntegrityError,
     ModulePoint,
-    NumericPoint,
     VertexOrigin,
     is_unit_edge,
     lex_less,
@@ -100,108 +96,27 @@ def point_on_circle(p: ModulePoint, circ: EuclideanCircleRec) -> bool:
 
 @dataclass
 class CandidatePoint:
-    """An intersection candidate, exact or enclosed."""
+    """An exact intersection point and its branch label."""
 
-    point: Union[ModulePoint, NumericPoint]
+    point: ModulePoint
     branch: str
-    module_form: bool
-    source_pair: Optional[tuple[int, int]] = None
-    neighbor_count: int = -1
 
 
 # ---------------------------------------------------------------------------
 # exact intersection
 # ---------------------------------------------------------------------------
 
-def _interval(elem: FieldElement, width: Fraction) -> tuple[Fraction, Fraction]:
-    return fe_to_interval(elem, width)
-
-
-def _imul(a, b):
-    ps = (a[0] * b[0], a[0] * b[1], a[1] * b[0], a[1] * b[1])
-    return (min(ps), max(ps))
-
-
-def _iadd(a, b):
-    return (a[0] + b[0], a[1] + b[1])
-
-
-def _isub(a, b):
-    return (a[0] - b[0], a[1] - b[1])
-
-
-def _idiv(a, b):
-    if b[0] <= 0 <= b[1]:
-        raise ZeroDivisionError("interval divisor straddles zero")
-    inv = (min(1 / b[0], 1 / b[1]), max(1 / b[0], 1 / b[1]))
-    return _imul(a, inv)
-
-
-def _enclose_numeric_pair(
-    alpha: FieldElement,
-    beta: FieldElement,
-    disc: FieldElement,
-    line: tuple[FieldElement, FieldElement, FieldElement],
-    solve_for_x: bool,
-    width: Fraction,
-) -> list[NumericPoint]:
-    """Rigorous enclosures of both intersection points when the discriminant
-    is not a square in the field.  Coordinates are returned unscaled."""
-    lp, lq, lt = line
-    w = width
-    while True:
-        ia = _interval(alpha, w)
-        ib = _interval(beta, w)
-        idisc = _interval(disc, w)
-        if idisc[0] < 0:
-            idisc = (Fraction(0), idisc[1])
-        isq = interval_sqrt(idisc[0], idisc[1], w)
-        two_a = _imul((Fraction(2), Fraction(2)), ia)
-        r_int = interval_sqrt(*_interval(RADIUS_SQ, w), w)
-        s_int = interval_sqrt(*_interval(SIN_SQ, w), w)
-        rs_int = _imul(r_int, s_int)
-        out = []
-        try:
-            for sign_ in (-1, 1):
-                num = _isub((-ib[1], -ib[0]), (Fraction(0), Fraction(0)))
-                term = (isq[0] * sign_, isq[1] * sign_)
-                if sign_ < 0:
-                    term = (term[1], term[0])
-                num = _iadd(num, term)
-                v_main = _idiv(num, two_a)
-                ilt = _interval(lt, w)
-                ilp = _interval(lp, w)
-                ilq = _interval(lq, w)
-                if solve_for_x:
-                    x_s = v_main
-                    y_s = _idiv(_isub(ilt, _imul(ilp, x_s)), ilq)
-                else:
-                    y_s = v_main
-                    x_s = _idiv(_isub(ilt, _imul(ilq, y_s)), ilp)
-                x_u = _imul(r_int, x_s)
-                y_u = _imul(rs_int, y_s)
-                out.append(NumericPoint(x_u[0], x_u[1], y_u[0], y_u[1]))
-        except ZeroDivisionError:
-            w /= 1 << 8
-            continue
-        widths = [max(p.x_hi - p.x_lo, p.y_hi - p.y_lo) for p in out]
-        if max(widths) <= 2 * width:
-            out.sort(key=lambda p: (p.x, p.y))
-            return out
-        w /= 1 << 8
-
-
 def intersect_circles(
-    c1: EuclideanCircleRec,
-    c2: EuclideanCircleRec,
-    enclosure_width: Fraction = Fraction(1, 10**30),
+    c1: EuclideanCircleRec, c2: EuclideanCircleRec
 ) -> list[CandidatePoint]:
-    """Intersection of two distance circles: zero to two candidates.
+    """Module-point intersections of two distance circles: zero to two
+    candidates.
 
-    Module points are returned exactly whenever the substituted quadratic's
-    discriminant is a square in Q(c); otherwise both points are returned as
-    rigorous enclosures flagged non-module.  Branch '-' is the point that is
-    lexicographically smaller in (x, y).
+    The points are returned exactly when the substituted quadratic's
+    discriminant is a square in Q(c); when it is not, the circles meet
+    outside the module and the result is empty, as it is when they do not
+    meet.  Branch '-' is the point that is lexicographically smaller in
+    (x, y).
     """
     a1, b1, e1 = c1.center.x_elem, c1.center.y_elem, c1.e_elem
     a2, b2, e2 = c2.center.x_elem, c2.center.y_elem, c2.e_elem
@@ -243,13 +158,7 @@ def intersect_circles(
 
     root = fe_sqrt(disc) if sgn > 0 else ZERO
     if root is None:
-        pts = _enclose_numeric_pair(
-            alpha, beta, disc, (lp, lq, lt), solve_for_x, enclosure_width
-        )
-        return [
-            CandidatePoint(point=pts[0], branch="-", module_form=False),
-            CandidatePoint(point=pts[1], branch="+", module_form=False),
-        ]
+        return []
 
     inv_two_alpha = ONE / (2 * alpha)
     sols = []
@@ -263,89 +172,13 @@ def intersect_circles(
             x_s = x_fixed_num / lp
         sols.append(ModulePoint(x_s, y_s))
     if sgn == 0:
-        return [CandidatePoint(point=sols[0], branch="-", module_form=True)]
+        return [CandidatePoint(point=sols[0], branch="-")]
     if lex_less(sols[1], sols[0]):
         sols.reverse()
     return [
-        CandidatePoint(point=sols[0], branch="-", module_form=True),
-        CandidatePoint(point=sols[1], branch="+", module_form=True),
+        CandidatePoint(point=sols[0], branch="-"),
+        CandidatePoint(point=sols[1], branch="+"),
     ]
-
-
-# ---------------------------------------------------------------------------
-# reconstruction of module form from numeric coordinates
-# ---------------------------------------------------------------------------
-
-def _scaled_targets(np_point: NumericPoint, dps: int):
-    import mpmath as mp
-
-    with mp.workdps(dps):
-        lo, hi = root_bounds(Fraction(1, 10 ** (dps + 5)))
-        c_val = (mp.mpf(lo.numerator) / lo.denominator + mp.mpf(hi.numerator) / hi.denominator) / 2
-        r_val = mp.sqrt(2 * c_val - 1)
-        s_val = mp.sqrt(1 - c_val * c_val)
-        x_mid = (Fraction(np_point.x_lo) + Fraction(np_point.x_hi)) / 2
-        y_mid = (Fraction(np_point.y_lo) + Fraction(np_point.y_hi)) / 2
-        x_t = mp.mpf(x_mid.numerator) / x_mid.denominator / r_val
-        y_t = mp.mpf(y_mid.numerator) / y_mid.denominator / (r_val * s_val)
-        basis = [mp.mpf(1), c_val, c_val**2, c_val**3]
-        return x_t, y_t, basis
-
-
-def _pslq_coeffs(target, basis, denom_bound: int, tol) -> Optional[FieldElement]:
-    import mpmath as mp
-
-    if abs(target) < tol:
-        return ZERO
-    rel = mp.pslq([target] + basis, tol=tol, maxcoeff=10**14, maxsteps=10**5)
-    if rel is None or rel[0] == 0:
-        return None
-    k = rel[0]
-    coeffs = [Fraction(-rel[i + 1], k) for i in range(4)]
-    if any(q.denominator > denom_bound for q in coeffs):
-        return None
-    return FieldElement(*coeffs)
-
-
-def reconstruct_module_point(
-    np_point: NumericPoint, denom_bound: int = 10_000
-) -> Optional[ModulePoint]:
-    """Try to express an enclosed point in module form with coefficient
-    denominators at most denom_bound.  The result is verified against the
-    enclosure before being returned; absence is a normal outcome."""
-    from .geometry import point_coords_numeric
-
-    err = max(
-        Fraction(np_point.x_hi) - Fraction(np_point.x_lo),
-        Fraction(np_point.y_hi) - Fraction(np_point.y_lo),
-    )
-    if err == 0:
-        digits = 60
-    else:
-        digits = max(20, int(-math.log10(float(err))) - 2)
-    dps = min(digits + 20, 400)
-    x_t, y_t, basis = _scaled_targets(np_point, dps)
-    import mpmath as mp
-
-    with mp.workdps(dps):
-        tol = mp.mpf(10) ** (-(digits - 4))
-        x_elem = _pslq_coeffs(x_t, basis, denom_bound, tol)
-        if x_elem is None:
-            return None
-        y_elem = _pslq_coeffs(y_t, basis, denom_bound, tol)
-        if y_elem is None:
-            return None
-    candidate = ModulePoint(x_elem, y_elem)
-    # verify: the reconstructed point must land inside the enclosure
-    enc = point_coords_numeric(candidate, err_radius=float(err) / 4 if err else 1e-30)
-    if not (
-        enc.x_lo <= Fraction(np_point.x_hi)
-        and enc.x_hi >= Fraction(np_point.x_lo)
-        and enc.y_lo <= Fraction(np_point.y_hi)
-        and enc.y_hi >= Fraction(np_point.y_lo)
-    ):
-        return None
-    return candidate
 
 
 # ---------------------------------------------------------------------------
@@ -480,8 +313,6 @@ def _match_exact_candidate(
     best = None
     best_d = float("inf")
     for cand in cands:
-        if not cand.module_form:
-            return None
         px, py = cand.point.to_floats()
         d = math.hypot(px - x, py - y)
         if d < best_d:

@@ -95,85 +95,6 @@ class SearchStats:
     elapsed: float
 
 
-class ColorSearchState:
-    """Explicit search state: per-vertex colors, feasible-color masks, and a
-    trail that makes assign/rollback exact inverses.
-
-    This is the reference, inspectable form of the state the kernels keep in
-    flat arrays; useful for stepping through propagation in tests or tools.
-    """
-
-    __slots__ = ("graph", "k", "colors", "feasible", "trail", "assigned", "forced")
-
-    def __init__(self, graph: AdjacencyGraph, k: int):
-        if not 1 <= k <= 32:
-            raise ValueError("color count must be between 1 and 32")
-        self.graph = graph
-        self.k = k
-        self.colors = [UNCOLORED] * graph.n
-        self.feasible = [(1 << k) - 1] * graph.n
-        self.trail: list[tuple[int, int]] = []
-        self.assigned: list[int] = []
-        self.forced = 0
-
-    def mark(self) -> tuple[int, int]:
-        return (len(self.trail), len(self.assigned))
-
-    def assign_propagate(self, v: int, color: int) -> bool:
-        """Color v, propagate singleton feasible sets recursively; False on
-        a conflict (some feasible set emptied).  The trail records enough
-        to roll back either way."""
-        if self.colors[v] != UNCOLORED:
-            raise ValueError(f"vertex {v} is already colored")
-        bit = 1 << color
-        if not self.feasible[v] & bit:
-            raise ValueError(f"color {color} not feasible for vertex {v}")
-        colors, feasible = self.colors, self.feasible
-        trail, assigned = self.trail, self.assigned
-        neighbors = self.graph.neighbors
-        queue = [(v, bit)]
-        qi = 0
-        while qi < len(queue):
-            u, b = queue[qi]
-            qi += 1
-            if colors[u] != UNCOLORED:
-                if feasible[u] == b:
-                    continue
-                return False
-            colors[u] = b.bit_length() - 1
-            assigned.append(u)
-            trail.append((u, feasible[u]))
-            feasible[u] = b
-            for w in neighbors[u]:
-                old = feasible[w]
-                if colors[w] != UNCOLORED:
-                    if old == b:
-                        return False
-                    continue
-                if old & b:
-                    new = old & ~b
-                    if new == 0:
-                        return False
-                    trail.append((w, old))
-                    feasible[w] = new
-                    if (new & (new - 1)) == 0:
-                        self.forced += 1
-                        queue.append((w, new))
-        return True
-
-    def rollback(self, mark: tuple[int, int]) -> None:
-        """Restore the state exactly as it was when mark() was taken."""
-        trail_mark, assigned_mark = mark
-        while len(self.assigned) > assigned_mark:
-            self.colors[self.assigned.pop()] = UNCOLORED
-        while len(self.trail) > trail_mark:
-            v, old = self.trail.pop()
-            self.feasible[v] = old
-
-    def snapshot(self) -> tuple:
-        return (tuple(self.colors), tuple(self.feasible))
-
-
 def greedy_seed_clique(g: AdjacencyGraph, limit: int = 12) -> list[int]:
     """Greedy clique among the first vertices, used to break color symmetry."""
     clique: list[int] = []

@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 import threading
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Optional
 
 Rational = Fraction
 
@@ -166,27 +166,8 @@ class FieldElement:
         d = self._d
         return tuple(Fraction(n, d) for n in self._n)
 
-    @property
-    def a0(self) -> Fraction:
-        return Fraction(self._n[0], self._d)
-
-    @property
-    def a1(self) -> Fraction:
-        return Fraction(self._n[1], self._d)
-
-    @property
-    def a2(self) -> Fraction:
-        return Fraction(self._n[2], self._d)
-
-    @property
-    def a3(self) -> Fraction:
-        return Fraction(self._n[3], self._d)
-
     def is_zero(self) -> bool:
         return _raw_is_zero(self._n)
-
-    def is_rational(self) -> bool:
-        return self._n[1] == 0 and self._n[2] == 0 and self._n[3] == 0
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -289,26 +270,17 @@ class FieldElement:
         return hash((self._n, self._d))
 
     def __repr__(self):
-        return f"FieldElement({self.a0}, {self.a1}, {self.a2}, {self.a3})"
+        return "FieldElement({}, {}, {}, {})".format(*self.coeffs)
 
     def __str__(self):
         return " ".join(format_rational(q) for q in self.coeffs)
 
     # -- evaluation ----------------------------------------------------------
 
-    def sign(self) -> int:
-        return fe_sign(self)
-
-    def interval(self, target_width: Union[Fraction, float] = Fraction(1, 10**12)):
-        return fe_to_interval(self, target_width)
-
     def to_float(self) -> float:
         x = generator_float()
         n = self._n
         return (n[0] + x * (n[1] + x * (n[2] + x * n[3]))) / self._d
-
-    def sqrt(self) -> Optional["FieldElement"]:
-        return fe_sqrt(self)
 
     # -- serialization --------------------------------------------------------
 
@@ -369,29 +341,6 @@ def _minpoly_at(x: Fraction) -> Fraction:
     for coef in reversed(MIN_POLY):
         out = out * x + coef
     return out
-
-
-class RootInterval:
-    """Rational interval isolating the designated root of the minimal
-    polynomial; shrinks monotonically under refinement."""
-
-    __slots__ = ("lo", "hi")
-
-    def __init__(self, lo: Fraction, hi: Fraction):
-        if not lo < hi:
-            raise ValueError("need lo < hi")
-        self.lo = Fraction(lo)
-        self.hi = Fraction(hi)
-
-    def width(self) -> Fraction:
-        return self.hi - self.lo
-
-    def bisect(self) -> None:
-        mid = (self.lo + self.hi) / 2
-        if _minpoly_at(self.lo) * _minpoly_at(mid) <= 0:
-            self.hi = mid
-        else:
-            self.lo = mid
 
 
 class _RootCache:
@@ -621,19 +570,6 @@ def fe_sqrt(d: FieldElement) -> Optional[FieldElement]:
         if t * t == d:
             return t if fe_sign(t) >= 0 else -t
     return None
-
-
-def fe_arith(op: str, a: FieldElement, b: FieldElement) -> FieldElement:
-    """Dispatch form of the four field operations ("add", "sub", "mul", "div")."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise ValueError(f"unknown operation {op!r}")
 
 
 # ---------------------------------------------------------------------------

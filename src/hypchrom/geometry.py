@@ -15,6 +15,7 @@ a comparison of canonical field elements, with no rounding anywhere.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -90,10 +91,6 @@ class ModulePoint:
     def k_elem(self) -> FieldElement:
         """1 - x^2 - y^2 as a field element (positive inside the disk)."""
         return FieldElement._from_raw(*self._k_raw())
-
-    def norm_sq_elem(self) -> FieldElement:
-        """x^2 + y^2 as a field element."""
-        return ONE - self.k_elem()
 
     def is_inside_disk(self) -> bool:
         return fe_sign(self.k_elem()) > 0
@@ -189,17 +186,6 @@ def f_of(p: ModulePoint, q: ModulePoint) -> FieldElement:
     return num / den
 
 
-def edge_gap(p: ModulePoint, q: ModulePoint) -> FieldElement:
-    """Zero exactly when P and Q are at the target distance.
-
-    Equal to (f(P,Q) - f) * K_P * K_Q * (1-c) / (2c-1), which shares the
-    zero set of f(P,Q) - f but needs no division.
-    """
-    lhs = _raw_mul(*_delta_raw(p, q), *_RAW_TWO_ONE_MINUS_C)
-    rhs = _raw_mul(*p._k_raw(), *q._k_raw())
-    return FieldElement._from_raw(*_raw_sub(*lhs, *rhs))
-
-
 def is_unit_edge(p: ModulePoint, q: ModulePoint) -> bool:
     """True iff f(P, Q) equals the edge value exactly."""
     lhs = _raw_mul(*_delta_raw(p, q), *_RAW_TWO_ONE_MINUS_C)
@@ -271,15 +257,6 @@ class Graph:
     def edge_set(self) -> set[tuple[int, int]]:
         return set(self.edges)
 
-    def neighbor_lists(self) -> list[list[int]]:
-        adj: list[list[int]] = [[] for _ in range(self.order)]
-        for i, j in self.edges:
-            adj[i].append(j)
-            adj[j].append(i)
-        for lst in adj:
-            lst.sort()
-        return adj
-
     def float_coords(self) -> list[tuple[float, float]]:
         return [v.to_floats() for v in self.vertices]
 
@@ -299,8 +276,8 @@ def certify_graph(
     seed: int = 0,
 ) -> CertificationReport:
     """Exact certification: every recorded edge has f = f_edge, and recorded
-    non-edges fail the test (exhaustively up to the order limit, sampled
-    above it)."""
+    non-edges fail the test (exhaustively up to the order limit; above it,
+    nonedge_samples distinct non-edges drawn at random)."""
     failures = []
     for i, j in g.edges:
         if not is_unit_edge(g.vertices[i], g.vertices[j]):
@@ -323,14 +300,16 @@ def certify_graph(
         rng = random.Random(seed)
         total = n * (n - 1) // 2
         target = min(nonedge_samples, total - len(edge_set))
+        drawn: set[tuple[int, int]] = set()
         while nonedges_checked < target:
             i = rng.randrange(n)
             j = rng.randrange(n)
             if i == j:
                 continue
             i, j = min(i, j), max(i, j)
-            if (i, j) in edge_set:
+            if (i, j) in edge_set or (i, j) in drawn:
                 continue
+            drawn.add((i, j))
             nonedges_checked += 1
             if is_unit_edge(g.vertices[i], g.vertices[j]):
                 failures.append(("nonedge", i, j))
@@ -374,19 +353,17 @@ def build_g9() -> Graph:
     Every listed edge is verified exactly and every non-edge pair is
     verified to fail; any discrepancy raises GraphIntegrityError.
     """
-    vertices = [ModulePoint.from_octuple(o) for o in _SEED_OCTUPLES]
-    edge_set = set(SEED_EDGES)
-    for i in range(9):
-        for j in range(i + 1, 9):
-            ok = is_unit_edge(vertices[i], vertices[j])
-            if ok != ((i, j) in edge_set):
-                raise GraphIntegrityError(
-                    f"seed graph self-check failed on pair ({i + 1}, {j + 1})"
-                )
-    for v in vertices:
+    g = Graph([ModulePoint.from_octuple(o) for o in _SEED_OCTUPLES], SEED_EDGES)
+    report = certify_graph(g)
+    if not report.ok:
+        _, i, j = min(report.failures, key=lambda f: f[1:])
+        raise GraphIntegrityError(
+            f"seed graph self-check failed on pair ({i + 1}, {j + 1})"
+        )
+    for v in g.vertices:
         if not v.is_inside_disk():
             raise GraphIntegrityError("seed vertex outside the unit disk")
-    return Graph(vertices, SEED_EDGES)
+    return g
 
 
 def verify_condition1(g: Graph) -> bool:
@@ -472,9 +449,6 @@ class NumericPoint:
     def err_radius(self) -> float:
         return float(max(self.x_hi - self.x_lo, self.y_hi - self.y_lo) / 2)
 
-    def contains(self, x: Fraction, y: Fraction) -> bool:
-        return self.x_lo <= x <= self.x_hi and self.y_lo <= y <= self.y_hi
-
     def __repr__(self):
         return f"NumericPoint(x~{self.x:.12g}, y~{self.y:.12g}, err={self.err_radius():.3g})"
 
@@ -484,15 +458,22 @@ def _imul(a: tuple[Fraction, Fraction], b: tuple[Fraction, Fraction]):
     return (min(ps), max(ps))
 
 
+@functools.lru_cache(maxsize=16)
+def _scale_enclosures(width: Fraction):
+    """Enclosures of R and R*s at one width; they depend on nothing else."""
+    r_int = interval_sqrt(*fe_to_interval(RADIUS_SQ, width), width)
+    s_int = interval_sqrt(*fe_to_interval(SIN_SQ, width), width)
+    return r_int, _imul(r_int, s_int)
+
+
 def point_coords_numeric(p: ModulePoint, err_radius: float = 1e-12) -> NumericPoint:
     """Rigorous enclosure of the disk coordinates of a module point."""
     target = Fraction(err_radius)
     width = target / 4
     while True:
-        r_int = interval_sqrt(*fe_to_interval(RADIUS_SQ, width), width)
-        s_int = interval_sqrt(*fe_to_interval(SIN_SQ, width), width)
+        r_int, rs_int = _scale_enclosures(width)
         x_int = _imul(r_int, fe_to_interval(p.x_elem, width))
-        y_int = _imul(_imul(r_int, s_int), fe_to_interval(p.y_elem, width))
+        y_int = _imul(rs_int, fe_to_interval(p.y_elem, width))
         if (
             x_int[1] - x_int[0] <= 2 * target
             and y_int[1] - y_int[0] <= 2 * target

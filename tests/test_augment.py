@@ -13,16 +13,9 @@ from hypchrom.augment import (
     intersect_circles,
     phase_augment,
     point_on_circle,
-    reconstruct_module_point,
 )
 from hypchrom.field import EDGE_INVARIANT, RADIUS_SQ, ZERO, fe_sign
-from hypchrom.geometry import (
-    Graph,
-    ModulePoint,
-    NumericPoint,
-    is_unit_edge,
-    point_coords_numeric,
-)
+from hypchrom.geometry import Graph, ModulePoint, is_unit_edge
 from hypchrom.reference_data import reference_exclusion_table
 
 # Published phase-1 data: octuple numerators, common denominator, source pair
@@ -106,7 +99,7 @@ class TestIntersectCircles:
     def test_adjacent_seed_pair_yields_known_points(self, g9):
         cands = intersect_circles(circle_of(g9.vertices[0]), circle_of(g9.vertices[1]))
         assert len(cands) == 2
-        assert all(c.module_form for c in cands)
+        assert all(isinstance(c.point, ModulePoint) for c in cands)
         points = {c.point for c in cands}
         assert g9.vertices[2] in points  # the apex already in the seed graph
         assert table_point(*TABLE1[0][:2]) in points  # its mirror image
@@ -132,6 +125,18 @@ class TestIntersectCircles:
                 if not cands:
                     found_empty += 1
         assert found_empty == 1
+
+    def test_nonmodule_intersection_returns_nothing(self, g28):
+        c1 = circle_of(g28.vertices[1])
+        c2 = circle_of(g28.vertices[23])
+        # the circles do meet: two float intersection points exist
+        (x1, y1), (x2, y2) = c1.center.to_floats(), c2.center.to_floats()
+        r1, r2 = c1.radius_sq.to_float(), c2.radius_sq.to_float()
+        d2 = (x2 - x1) ** 2 + (y2 - y1) ** 2
+        a = (d2 + r1 - r2) / (2 * d2)
+        assert r1 - a * a * d2 > 1e-6
+        # but not in module points, so no candidate comes back
+        assert intersect_circles(c1, c2) == []
 
     def test_identical_circles_error(self, g9):
         circ = circle_of(g9.vertices[4])
@@ -171,28 +176,6 @@ class TestIntersectCircles:
             for (gx, gy), (ex, ey) in zip(got, expected):
                 assert gx == pytest.approx(ex, abs=1e-9)
                 assert gy == pytest.approx(ey, abs=1e-9)
-
-
-class TestReconstruction:
-    def test_recovers_published_mirror_point(self, g9):
-        target = table_point(*TABLE1[0][:2])
-        np_ = point_coords_numeric(target, err_radius=1e-35)
-        rec = reconstruct_module_point(np_, denom_bound=100)
-        assert rec == target
-
-    def test_origin(self):
-        np_ = NumericPoint(0, 0, 0, 0)
-        rec = reconstruct_module_point(np_)
-        assert rec == ModulePoint.from_octuple([0] * 8)
-
-    def test_generic_angle_point_absent(self):
-        # a point on the circle around the origin at a transcendental angle
-        r = math.sqrt(RADIUS_SQ.to_float())
-        x = Fraction(r * math.cos(1.0)).limit_denominator(10**40)
-        y = Fraction(r * math.sin(1.0)).limit_denominator(10**40)
-        eps = Fraction(1, 10**38)
-        np_ = NumericPoint(x - eps, x + eps, y - eps, y + eps)
-        assert reconstruct_module_point(np_, denom_bound=1000) is None
 
 
 class TestPhase1:
@@ -292,6 +275,10 @@ class TestPipeline:
             i, j = rng.sample(range(tail.order), 2)
             expected = (min(i, j), max(i, j)) in tail.edge_set()
             assert is_unit_edge(tail.vertices[i], tail.vertices[j]) == expected
+
+    def test_nonmodule_rejections_per_phase(self, pipeline):
+        counts = [g.phase_report.rejected_nonmodule for g in pipeline]
+        assert counts == [0, 0, 0, 0, 0, 0, 18]
 
     def test_all_vertices_inside_disk(self, pipeline):
         g = pipeline[4]

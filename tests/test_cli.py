@@ -1,5 +1,10 @@
+import os
+import subprocess
+import sys
+
 import pytest
 
+import hypchrom
 from hypchrom.cli import main
 
 
@@ -112,3 +117,33 @@ class TestCli:
             "color", "--in", str(seed_bundle), "--k", "3", "--prefix", "6",
         ]) == 0
         assert "verdict: SAT" in capsys.readouterr().out
+
+
+class TestDeclaredDependencies:
+    # runs the CLI as `python -m hypchrom.cli` with mpmath unimportable, so
+    # the package must need nothing beyond its declared dependencies
+    RUNNER = (
+        "import runpy, sys\n"
+        "sys.modules['mpmath'] = None\n"
+        "runpy.run_module('hypchrom.cli', run_name='__main__', alter_sys=True)\n"
+    )
+
+    def run_cli(self, *argv):
+        src = os.path.dirname(os.path.dirname(hypchrom.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        return subprocess.run(
+            [sys.executable, "-c", self.RUNNER, *argv],
+            env=env, capture_output=True, text=True, timeout=600,
+        )
+
+    def test_cli_runs_without_mpmath(self, tmp_path):
+        seed = tmp_path / "g9.bundle"
+        grown = tmp_path / "g28.bundle"
+        done = self.run_cli("build-g9", "--out", str(seed))
+        assert done.returncode == 0, done.stderr
+        assert "order 9, size 17" in done.stdout
+        done = self.run_cli(
+            "augment", "--in", str(seed), "--out", str(grown), "--phases", "1"
+        )
+        assert done.returncode == 0, done.stderr
+        assert "order 28, size 61" in done.stdout

@@ -7,8 +7,6 @@ from hypchrom import _colorsearch_py
 from hypchrom.coloring import (
     ACTIVE_BACKEND,
     AdjacencyGraph,
-    ColorSearchState,
-    UNCOLORED,
     brute_force_chromatic,
     brute_force_k_colorable,
     chromatic_number,
@@ -66,56 +64,80 @@ class TestAdjacencyGraph:
         assert sub.edges() == [(0, 1)]
 
 
+def kernel_state(g, k):
+    """The pure-Python kernel's search state for g, as search() builds it."""
+    return _colorsearch_py.make_state(g.n, g._indptr, g._indices, k)
+
+
 class TestAssignPropagate:
     def test_isolated_vertex_no_propagation(self):
         g = AdjacencyGraph(3, [(1, 2)])
-        state = ColorSearchState(g, 3)
-        assert state.assign_propagate(0, 1)
-        assert state.colors[0] == 1
-        assert state.forced == 0
-        assert state.feasible[1] == 0b111
+        feasible, saturation, _, stats, assign, _ = kernel_state(g, 3)
+        assert assign(0, 1 << 1)
+        assert feasible[0] == 0b010
+        assert saturation[0] == _colorsearch_py.COLORED
+        assert stats[2] == 0
+        assert feasible[1] == 0b111
+        assert saturation[1] == 3
+
+    def test_neighbor_loses_color_and_saturation(self):
+        g = AdjacencyGraph(3, [(0, 1), (1, 2)])
+        feasible, saturation, _, stats, assign, _ = kernel_state(g, 3)
+        assert assign(1, 1 << 0)
+        assert feasible[0] == feasible[2] == 0b110
+        assert saturation[0] == saturation[2] == 2
+        assert stats[2] == 0
 
     def test_triangle_forces_third_color(self):
         g = AdjacencyGraph(3, [(0, 1), (0, 2), (1, 2)])
-        state = ColorSearchState(g, 3)
-        assert state.assign_propagate(0, 0)
-        assert state.assign_propagate(1, 1)
+        feasible, saturation, _, stats, assign, _ = kernel_state(g, 3)
+        assert assign(0, 1 << 0)
+        assert assign(1, 1 << 1)
         # vertex 2 now has a singleton feasible set and was force-assigned
-        assert state.colors[2] == 2
-        assert state.forced >= 1
+        assert feasible[2] == 1 << 2
+        assert saturation[2] == _colorsearch_py.COLORED
+        assert stats[2] == 1
 
     def test_spindle_conflict_under_three_colors(self):
         g = moser_spindle()
-        state = ColorSearchState(g, 3)
-        assert state.assign_propagate(0, 0)
+        feasible, saturation, _, _, assign, _ = kernel_state(g, 3)
+        assert assign(0, 1 << 0)
         # forces the rest of the first rhombus
-        assert state.assign_propagate(1, 1)
-        assert state.colors[2] == 2 and state.colors[3] == 0
+        assert assign(1, 1 << 1)
+        assert feasible[2] == 1 << 2 and feasible[3] == 1 << 0
+        assert saturation[2] == saturation[3] == _colorsearch_py.COLORED
         # coloring the second rhombus apex empties a feasible set
-        assert not state.assign_propagate(4, 1)
+        assert not assign(4, 1 << 1)
 
-    def test_precondition_violations_reported(self):
+    def test_colored_vertex_keeps_its_color_only(self):
         g = AdjacencyGraph(2, [(0, 1)])
-        state = ColorSearchState(g, 2)
-        assert state.assign_propagate(0, 0)
-        with pytest.raises(ValueError):
-            state.assign_propagate(0, 1)
-        with pytest.raises(ValueError):
-            state.assign_propagate(1, 0)  # stripped by propagation
+        _, _, _, _, assign, _ = kernel_state(g, 2)
+        assert assign(0, 1 << 0)
+        assert assign(0, 1 << 0)
+        assert not assign(0, 1 << 1)
 
     @given(graph_strategy, st.integers(0, 10**6))
     @settings(max_examples=50, deadline=None)
     def test_rollback_restores_bit_exact(self, g, seed):
         rng = random.Random(seed)
-        state = ColorSearchState(g, 4)
-        before = state.snapshot()
-        mark = state.mark()
-        v = rng.randrange(g.n)
-        color = rng.randrange(4)
-        if state.feasible[v] & (1 << color):
-            state.assign_propagate(v, color)
-        state.rollback(mark)
-        assert state.snapshot() == before
+        feasible, saturation, trail, _, assign, rollback = kernel_state(g, 4)
+
+        def assign_random():
+            v = rng.randrange(g.n)
+            bit = 1 << rng.randrange(4)
+            if saturation[v] != _colorsearch_py.COLORED and feasible[v] & bit:
+                return assign(v, bit)
+            return True
+
+        # start from a partial coloring, as the search does below the root
+        for _ in range(rng.randrange(3)):
+            if not assign_random():
+                break
+        mark = len(trail)
+        before = (list(feasible), list(saturation), list(trail))
+        assign_random()
+        rollback(mark)
+        assert (feasible, saturation, trail) == before
 
 
 class TestSearch:

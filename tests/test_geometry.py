@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hypchrom import geometry
 from hypchrom.field import EDGE_INVARIANT, GEN, ONE, fe_sign, fe_to_interval
 from hypchrom.geometry import (
     Graph,
@@ -142,6 +143,30 @@ class TestSeedGraph:
         assert report.ok
         assert report.edges_checked == 17
         assert report.nonedges_checked == 19
+
+    def test_certify_samples_distinct_nonedges(self, g28, monkeypatch):
+        index = {id(v): i for i, v in enumerate(g28.vertices)}
+        pairs = []
+
+        def recording_edge_test(p, q):
+            pairs.append((index[id(p)], index[id(q)]))
+            return is_unit_edge(p, q)
+
+        monkeypatch.setattr(geometry, "is_unit_edge", recording_edge_test)
+        # 300 of the 317 non-edges: drawing with replacement would repeat
+        report = certify_graph(g28, exhaustive_order_limit=27, nonedge_samples=300)
+        assert report.ok
+        assert report.edges_checked == g28.size
+        assert pairs[: g28.size] == g28.edges
+        sampled = pairs[g28.size :]
+        assert len(sampled) == report.nonedges_checked == 300
+        assert len(set(sampled)) == 300
+        assert not set(sampled) & g28.edge_set()
+
+    def test_build_g9_names_first_failing_pair(self, monkeypatch):
+        monkeypatch.setattr(geometry, "SEED_EDGES", SEED_EDGES[1:] + ((1, 6),))
+        with pytest.raises(GraphIntegrityError, match=r"pair \(1, 2\)"):
+            build_g9()
 
     def test_certify_flags_injected_edge(self, g9):
         bad = Graph(g9.vertices, list(g9.edges) + [(1, 6)], g9.origins)
