@@ -14,7 +14,14 @@ become vertices.
 
 A phase enumerates all vertex pairs, filters candidates with a vectorized
 floating pass (which only decides what to look at), then certifies every
-kept vertex and every recorded edge in exact arithmetic.
+kept vertex and every recorded edge in exact arithmetic.  Before any exact
+edge test, each kept candidate is screened against all current vertices,
+and the accepted vertices against each other, by the modular screen of
+geometry.py: the image of the edge residual under c -> r mod p is a ring
+homomorphism as long as p does not divide 16 and p does not divide a
+point's common denominator `_d` (points where it does are always passed
+on).  A nonzero image proves that a pair is not an edge, so only pairs with
+a zero image reach is_unit_edge, which alone decides every edge.
 """
 
 from __future__ import annotations
@@ -45,6 +52,8 @@ from .geometry import (
     VertexOrigin,
     is_unit_edge,
     lex_less,
+    maybe_unit_edge,
+    screen_residues,
 )
 
 
@@ -226,6 +235,10 @@ class PhaseReport:
     accidental_edges: list = dc_field(default_factory=list)
     rejected_detail: list = dc_field(default_factory=list)
     elapsed: float = 0.0
+    # pairs put through the modular screen, and those of them left for the
+    # exact edge test
+    screened_pairs: int = 0
+    exact_edge_tests: int = 0
 
     def summary(self) -> str:
         acc = ",".join(f"{{{i + 1},{j + 1}}}" for i, j in self.accidental_edges)
@@ -236,7 +249,8 @@ class PhaseReport:
             f"denom={self.rejected_denominator} mismatch={self.rejected_neighbor_mismatch} "
             f"excluded={self.excluded_by_selection} "
             f"accepted={self.accepted} new-old-edges={self.new_old_edges} "
-            f"accidental=[{acc}] elapsed={self.elapsed:.2f}s"
+            f"accidental=[{acc}] screened={self.screened_pairs} "
+            f"exact-tests={self.exact_edge_tests} elapsed={self.elapsed:.2f}s"
         )
 
 
@@ -404,6 +418,7 @@ def phase_augment(
             circles[idx] = circle_of(g.vertices[idx])
         return circles[idx]
 
+    old_residues = screen_residues(g.vertices)
     accepted: list[ModulePoint] = []
     accepted_keys: dict[ModulePoint, int] = {}
     accepted_origins: list[VertexOrigin] = []
@@ -430,9 +445,11 @@ def phase_augment(
             continue
         if point in accepted_keys:
             continue
-        neighbors = [
-            t for t, v in enumerate(g.vertices) if is_unit_edge(point, v)
-        ]
+        residues = screen_residues([point])[0]
+        maybe = np.flatnonzero(maybe_unit_edge(residues, old_residues)).tolist()
+        report.screened_pairs += n
+        report.exact_edge_tests += len(maybe)
+        neighbors = [t for t in maybe if is_unit_edge(point, g.vertices[t])]
         if len(neighbors) < min_neighbors:
             report.rejected_neighbor_mismatch += 1
             report.rejected_detail.append(("neighbor-count", i, j, x, y))
@@ -454,8 +471,14 @@ def phase_augment(
 
     # accidental edges among the new vertices, certified exactly
     accidental: list[tuple[int, int]] = []
-    for a_idx in range(len(accepted)):
-        for b_idx in range(a_idx + 1, len(accepted)):
+    new_residues = screen_residues(accepted)
+    for a_idx, residues in enumerate(new_residues):
+        later = new_residues[a_idx + 1 :]
+        maybe = np.flatnonzero(maybe_unit_edge(residues, later)).tolist()
+        report.screened_pairs += len(later)
+        report.exact_edge_tests += len(maybe)
+        for off in maybe:
+            b_idx = a_idx + 1 + off
             if is_unit_edge(accepted[a_idx], accepted[b_idx]):
                 accidental.append((n + a_idx, n + b_idx))
     report.accidental_edges = accidental

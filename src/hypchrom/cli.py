@@ -9,6 +9,8 @@ that order of precedence.
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import json
 import os
 import sys
 
@@ -73,8 +75,15 @@ def _cmd_augment(args) -> int:
             schedule += [3] * (phases - len(DEFAULT_SCHEDULE))
     graphs = grow_pipeline(g, schedule, cfg=cfg)
     for stage in graphs:
-        if stage.phase_report:
-            print(stage.phase_report.summary(), file=sys.stderr)
+        report = stage.phase_report
+        if report is None:
+            continue
+        if args.json:
+            record = dataclasses.asdict(report)
+            del record["rejected_detail"]
+            print(json.dumps(record))
+        else:
+            print(report.summary(), file=sys.stderr)
     final = graphs[-1]
     write_bundle(final, args.out)
     if args.emit_intermediate:
@@ -84,7 +93,10 @@ def _cmd_augment(args) -> int:
                 stage,
                 os.path.join(args.emit_intermediate, f"g{stage.order}.bundle"),
             )
-    print(f"final graph: order {final.order}, size {final.size} -> {args.out}")
+    print(
+        f"final graph: order {final.order}, size {final.size} -> {args.out}",
+        file=sys.stderr if args.json else sys.stdout,
+    )
     return EXIT_OK
 
 
@@ -211,6 +223,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--emit-intermediate", default=None, metavar="DIR")
     p.add_argument("--no-verify", action="store_true")
+    p.add_argument(
+        "--json",
+        action="store_true",
+        help="print one JSON record per phase report on stdout (the final "
+        "graph line goes to stderr)",
+    )
     p.set_defaults(func=_cmd_augment)
 
     p = sub.add_parser("certify", help="re-certify a bundle exactly")

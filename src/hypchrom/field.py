@@ -7,6 +7,7 @@ The generator c is the real root near 0.6778 of
 Elements are polynomials of degree <= 3 in c with rational coefficients,
 stored canonically (four integer numerators over one positive common
 denominator, with overall gcd 1), so equality and hashing are structural.
+Multiplication and inversion work on the integer numerators only.
 
 Sign and interval queries evaluate the element on an isolating interval of
 the root and bisect until the answer is unambiguous; they are exact, never
@@ -70,6 +71,7 @@ _RED_DEN = math.lcm(_C4[4], _C5[4], _C6[4])
 _T4 = tuple(n * (_RED_DEN // _C4[4]) for n in _C4[:4])
 _T5 = tuple(n * (_RED_DEN // _C5[4]) for n in _C5[:4])
 _T6 = tuple(n * (_RED_DEN // _C6[4]) for n in _C6[:4])
+_BASIS = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
 
 
 def _raw_mul(an, ad, bn, bd):
@@ -235,28 +237,36 @@ class FieldElement:
         return out
 
     def inverse(self) -> "FieldElement":
-        """Multiplicative inverse via the extended Euclidean algorithm
-        against the minimal polynomial."""
+        """Multiplicative inverse by the adjugate of the multiplication
+        matrix, in integers only.
+
+        Column j of M is self*c^j, so M v = e0 solves self*v = 1; with
+        the integer matrix B = RED_DEN * M from _raw_mul, v_i is
+        RED_DEN * C_0i / det(B), where C_0i are the cofactors of the first
+        row.  det(B) is RED_DEN^4 times the norm of self's numerator, which
+        is nonzero since the minimal polynomial is irreducible."""
         if self.is_zero():
             raise ZeroDivisionError("division by the zero element of Q(c)")
-        # polynomials as ascending-coefficient Fraction lists
-        a = [Fraction(x) for x in MIN_POLY]
-        b = list(self.coeffs)
-        while b and b[-1] == 0:
-            b.pop()
-        # invariants: s*self + t*minpoly = r  (t never needed)
-        s_prev: list = [Fraction(0)]
-        s_cur: list = [Fraction(1)]
-        r_prev, r_cur = a, b
-        while True:
-            if len(r_cur) == 1:
-                inv = [c / r_cur[0] for c in s_cur]
-                inv += [Fraction(0)] * (4 - len(inv))
-                return FieldElement(*inv[:4])
-            q, rem = _poly_divmod(r_prev, r_cur)
-            r_prev, r_cur = r_cur, rem
-            s_prev, s_cur = s_cur, _poly_sub(s_prev, _poly_mul(q, s_cur))
-            # rem cannot vanish: the minimal polynomial is irreducible
+        cols = [_raw_mul(self._n, 1, e, 1)[0] for e in _BASIS]
+        # rows 1-3 of B, and the 2x2 minors of rows 2-3 on column pairs
+        (b10, b20, b30), (b11, b21, b31), (b12, b22, b32), (b13, b23, b33) = (
+            col[1:] for col in cols
+        )
+        m01 = b20 * b31 - b21 * b30
+        m02 = b20 * b32 - b22 * b30
+        m03 = b20 * b33 - b23 * b30
+        m12 = b21 * b32 - b22 * b31
+        m13 = b21 * b33 - b23 * b31
+        m23 = b22 * b33 - b23 * b32
+        cof = (
+            b11 * m23 - b12 * m13 + b13 * m12,
+            -(b10 * m23 - b12 * m03 + b13 * m02),
+            b10 * m13 - b11 * m03 + b13 * m01,
+            -(b10 * m12 - b11 * m02 + b12 * m01),
+        )
+        det = sum(col[0] * k for col, k in zip(cols, cof))
+        scale = _RED_DEN * self._d
+        return FieldElement._from_raw(tuple(scale * k for k in cof), det)
 
     # -- comparisons / hashing ----------------------------------------------
 
@@ -294,39 +304,6 @@ class FieldElement:
         return cls(*(parse_rational(p) for p in parts))
 
 
-def _poly_divmod(a, b):
-    a = list(a)
-    db, lb = len(b) - 1, b[-1]
-    q = [Fraction(0)] * max(1, len(a) - db)
-    for i in range(len(a) - 1, db - 1, -1):
-        coef = a[i] / lb
-        q[i - db] = coef
-        for j in range(db + 1):
-            a[i - db + j] -= coef * b[j]
-    while len(a) > 1 and a[-1] == 0:
-        a.pop()
-    return q, a
-
-
-def _poly_mul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
-
-
-def _poly_sub(a, b):
-    n = max(len(a), len(b))
-    a = list(a) + [Fraction(0)] * (n - len(a))
-    for i, y in enumerate(b):
-        a[i] -= y
-    while len(a) > 1 and a[-1] == 0:
-        a.pop()
-    return a
-
-
 ZERO = FieldElement(0)
 ONE = FieldElement(1)
 GEN = FieldElement(0, 1)  # the generator c itself
@@ -344,37 +321,61 @@ def _minpoly_at(x: Fraction) -> Fraction:
 
 
 class _RootCache:
-    # seed interval [27/40, 7/10] brackets the designated root and no other
+    """The bisection chain of the designated root: level k is the interval
+    of width 1/(40 * 2^k) reached by k deterministic halvings of the seed
+    interval [27/40, 7/10], which brackets the root and no other.  A level
+    depends only on k, never on which widths were asked for before."""
+
     def __init__(self):
         self._lock = threading.Lock()
-        self._lo = Fraction(27, 40)
-        self._hi = Fraction(7, 10)
-        if not _minpoly_at(self._lo) * _minpoly_at(self._hi) < 0:
+        lo, hi = Fraction(27, 40), Fraction(7, 10)
+        if not _minpoly_at(lo) * _minpoly_at(hi) < 0:
             raise AssertionError("seed interval does not bracket the root")
+        self._chain = [(lo, hi)]
+
+    @staticmethod
+    def level(max_width: Fraction) -> int:
+        """The coarsest level at most max_width wide."""
+        # smallest k with 1/(40 * 2^k) <= a/b, i.e. 2^k >= ceil(b / (40a))
+        need = -(-max_width.denominator // (40 * max_width.numerator))
+        return (need - 1).bit_length()
+
+    def at(self, level: int) -> tuple[Fraction, Fraction]:
+        with self._lock:
+            chain = self._chain
+            while len(chain) <= level:
+                lo, hi = chain[-1]
+                mid = (lo + hi) / 2
+                chain.append((lo, mid) if _minpoly_at(lo) * _minpoly_at(mid) <= 0 else (mid, hi))
+            return chain[level]
 
     def bounds(self, max_width: Fraction) -> tuple[Fraction, Fraction]:
-        with self._lock:
-            while self._hi - self._lo > max_width:
-                mid = (self._lo + self._hi) / 2
-                if _minpoly_at(self._lo) * _minpoly_at(mid) <= 0:
-                    self._hi = mid
-                else:
-                    self._lo = mid
-            return self._lo, self._hi
+        """The coarsest level at most max_width wide."""
+        return self.at(self.level(max_width))
+
+    def finest(self, max_width: Fraction) -> tuple[Fraction, Fraction]:
+        """The deepest level computed so far, at most max_width wide."""
+        return self.at(max(self.level(max_width), len(self._chain) - 1))
 
 
 _ROOT = _RootCache()
 
 
 def root_bounds(max_width=Fraction(1, 10**12)) -> tuple[Fraction, Fraction]:
-    """Rational bounds on the generator value, at most max_width wide."""
+    """Rational bounds on the generator value, at most max_width wide; the
+    same bounds for the same width in every call history."""
     return _ROOT.bounds(Fraction(max_width))
+
+
+# root enclosures at least this narrow carry the root to full double
+# precision; generator_float and fe_to_interval never use wider ones
+_FLOAT_ROOT_WIDTH = Fraction(1, 10**18)
 
 
 def generator_float() -> float:
     global _GEN_FLOAT
     if _GEN_FLOAT is None:
-        lo, hi = _ROOT.bounds(Fraction(1, 10**18))
+        lo, hi = _ROOT.bounds(_FLOAT_ROOT_WIDTH)
         _GEN_FLOAT = float((lo + hi) / 2)
     return _GEN_FLOAT
 
@@ -400,7 +401,8 @@ def fe_sign(a: FieldElement) -> int:
     coeffs = a.coeffs
     width = Fraction(1, 1 << 8)
     while True:
-        lo, hi = _ROOT.bounds(width)
+        # any enclosure of the root decides the sign, so reuse the deepest
+        lo, hi = _ROOT.finest(width)
         vlo, vhi = _interval_eval(coeffs, lo, hi)
         if vlo > 0:
             return 1
@@ -413,20 +415,23 @@ def fe_sign(a: FieldElement) -> int:
 
 def fe_to_interval(a: FieldElement, target_width) -> tuple[Fraction, Fraction]:
     """Rational bounds on the value of a at the root, at most target_width
-    wide.  Bounds shrink monotonically as target_width decreases."""
+    wide.  Bounds shrink monotonically as target_width decreases, and
+    depend only on a and target_width: they are evaluated on the coarsest
+    level of the root's bisection chain that gives a narrow enough value,
+    and never on one coarser than generator_float's, so their midpoint is
+    as accurate as a double can hold."""
     target = Fraction(target_width)
     if target <= 0:
         raise ValueError("target_width must be positive")
     if a.is_zero():
         return Fraction(0), Fraction(0)
     coeffs = a.coeffs
-    width = min(target, Fraction(1, 1 << 8))
+    level = _ROOT.level(min(target, _FLOAT_ROOT_WIDTH))
     while True:
-        lo, hi = _ROOT.bounds(width)
-        vlo, vhi = _interval_eval(coeffs, lo, hi)
+        vlo, vhi = _interval_eval(coeffs, *_ROOT.at(level))
         if vhi - vlo <= target:
             return vlo, vhi
-        width /= 1 << 4
+        level += 1
 
 
 def interval_sqrt(lo: Fraction, hi: Fraction, target_width) -> tuple[Fraction, Fraction]:

@@ -11,6 +11,20 @@ Two points are at the target hyperbolic distance exactly when the quantity
 
 equals (2c-1)/(1-c); for module points f(P, Q) lies in Q(c) and the test is
 a comparison of canonical field elements, with no rounding anywhere.
+
+Most pairs are not edges, and a modular screen proves that cheaply.  Fix a
+prime p and a root r of the minimal polynomial mod p.  Sending c to r and
+reducing mod p is a ring homomorphism from the elements of Q(c) whose
+coefficient denominators are prime to p, provided p does not divide 16
+(the leading coefficient, so reduction by the minimal polynomial keeps
+such elements p-integral).  An element is p-integral exactly when p does
+not divide its common denominator `_d`.  The edge test asks whether the
+residual 2(1-c)*Delta(P, Q) - K_P*K_Q is zero; if both points are
+p-integral, its image mod p is computed from the residues of X, Y and K,
+and a nonzero image proves the residual nonzero, so the pair is not an
+edge.  A zero image proves nothing, and such pairs, with every pair
+involving a point that is not p-integral, go to is_unit_edge, the only test
+that accepts an edge.
 """
 
 from __future__ import annotations
@@ -20,6 +34,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
+
+import numpy as np
 
 from .field import (
     EDGE_INVARIANT,
@@ -192,6 +208,57 @@ def is_unit_edge(p: ModulePoint, q: ModulePoint) -> bool:
     rhs = _raw_mul(*p._k_raw(), *q._k_raw())
     n, _ = _raw_sub(*lhs, *rhs)
     return _raw_is_zero(n)
+
+
+# ---------------------------------------------------------------------------
+# the modular edge screen
+# ---------------------------------------------------------------------------
+
+# the minimal polynomial splits completely mod this prime (which does not
+# divide 16); SCREEN_ROOT is one of its four roots
+SCREEN_PRIME = 2147483549
+SCREEN_ROOT = 39333461
+
+_RES_ONE_MINUS_CSQ = (1 - SCREEN_ROOT * SCREEN_ROOT) % SCREEN_PRIME
+_RES_TWO_ONE_MINUS_C = 2 * (1 - SCREEN_ROOT) % SCREEN_PRIME
+_RES_TWOC_MINUS_ONE = (2 * SCREEN_ROOT - 1) % SCREEN_PRIME
+_NO_IMAGE = (-1, -1, -1)
+
+
+def _residue(a: FieldElement) -> int:
+    p, r = SCREEN_PRIME, SCREEN_ROOT
+    n = a._n
+    return (n[0] + r * (n[1] + r * (n[2] + r * n[3]))) * pow(a._d, -1, p) % p
+
+
+def screen_residues(points: Sequence[ModulePoint]) -> np.ndarray:
+    """Rows (X, Y, K) mod SCREEN_PRIME, one per point, as int64.  A point
+    with a coordinate denominator divisible by the prime has no image and
+    gets the row (-1, -1, -1), which the screen never rules out."""
+    p = SCREEN_PRIME
+    rows = []
+    for pt in points:
+        if pt.x_elem._d % p == 0 or pt.y_elem._d % p == 0:
+            rows.append(_NO_IMAGE)
+            continue
+        x = _residue(pt.x_elem)
+        y = _residue(pt.y_elem)
+        # K = 1 - (2c-1) * (X^2 + (1-c^2) Y^2)
+        k = (1 - _RES_TWOC_MINUS_ONE * (x * x + _RES_ONE_MINUS_CSQ * y * y)) % p
+        rows.append((x, y, k))
+    return np.array(rows, dtype=np.int64).reshape(len(rows), 3)
+
+
+def maybe_unit_edge(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """False where a pair is proven not to be an edge, True ("maybe")
+    elsewhere.  a and b are rows of screen_residues, broadcast against each
+    other; entries stay below 2^62, so int64 never overflows."""
+    p = SCREEN_PRIME
+    dx = (a[..., 0] - b[..., 0]) % p
+    dy = (a[..., 1] - b[..., 1]) % p
+    delta = (dx * dx % p + _RES_ONE_MINUS_CSQ * (dy * dy % p)) % p
+    residual = (_RES_TWO_ONE_MINUS_C * delta - a[..., 2] * b[..., 2] % p) % p
+    return (residual == 0) | (a[..., 0] < 0) | (b[..., 0] < 0)
 
 
 def f_numeric(p: tuple[float, float], q: tuple[float, float]) -> float:

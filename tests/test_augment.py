@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from hypchrom import augment
 from hypchrom.augment import (
     AugmentConfig,
     CandidatePoint,
@@ -279,6 +280,31 @@ class TestPipeline:
     def test_nonmodule_rejections_per_phase(self, pipeline):
         counts = [g.phase_report.rejected_nonmodule for g in pipeline]
         assert counts == [0, 0, 0, 0, 0, 0, 18]
+
+    def test_screen_counters(self, g9, pipeline):
+        n_old = g9.order
+        for g in pipeline:
+            r = g.phase_report
+            # no candidate was rejected on its neighbour count, so every
+            # exact hit is a recorded edge
+            assert r.rejected_neighbor_mismatch == 0
+            tested = r.accepted + r.rejected_neighbor_mismatch
+            assert r.screened_pairs == tested * n_old + r.accepted * (r.accepted - 1) // 2
+            assert r.exact_edge_tests == r.new_old_edges + len(r.accidental_edges)
+            n_old = g.order
+        assert sum(g.phase_report.exact_edge_tests for g in pipeline) == 5430
+
+    def test_exact_edge_tests_counts_calls(self, g28, reference_cfg, monkeypatch):
+        calls = []
+
+        def counting_edge_test(p, q):
+            calls.append(is_unit_edge(p, q))
+            return calls[-1]
+
+        monkeypatch.setattr(augment, "is_unit_edge", counting_edge_test)
+        r = phase_augment(g28, 3, cfg=reference_cfg, phase_index=2).phase_report
+        assert r.exact_edge_tests == len(calls) == sum(calls) == 50
+        assert r.screened_pairs == 14 * 28 + 14 * 13 // 2
 
     def test_all_vertices_inside_disk(self, pipeline):
         g = pipeline[4]

@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import os
 import subprocess
 import sys
@@ -5,6 +7,7 @@ import sys
 import pytest
 
 import hypchrom
+from hypchrom.augment import PhaseReport
 from hypchrom.cli import main
 
 
@@ -117,6 +120,27 @@ class TestCli:
             "color", "--in", str(seed_bundle), "--k", "3", "--prefix", "6",
         ]) == 0
         assert "verdict: SAT" in capsys.readouterr().out
+
+
+class TestAugmentJson:
+    def test_one_record_per_phase(self, seed_bundle, tmp_path):
+        src = os.path.dirname(os.path.dirname(hypchrom.__file__))
+        out = tmp_path / "g42.bundle"
+        done = subprocess.run(
+            [sys.executable, "-m", "hypchrom.cli", "augment", "--in", str(seed_bundle),
+             "--out", str(out), "--phases", "2", "--json"],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=600,
+        )
+        assert done.returncode == 0, done.stderr
+        assert "order 42, size 111" in done.stderr
+        records = [json.loads(line) for line in done.stdout.splitlines()]
+        fields = {f.name for f in dataclasses.fields(PhaseReport)} - {"rejected_detail"}
+        assert [set(r) for r in records] == [fields, fields]
+        assert [r["phase"] for r in records] == [1, 2]
+        assert [r["accepted"] for r in records] == [19, 14]
+        assert [r["screened_pairs"] for r in records] == [342, 483]
+        assert [r["exact_edge_tests"] for r in records] == [44, 50]
+        assert records[1]["accidental_edges"] == [[29, 31], [32, 33], [35, 37], [38, 39]]
 
 
 class TestDeclaredDependencies:

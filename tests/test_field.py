@@ -99,6 +99,31 @@ class TestArithmetic:
             return
         assert a * (ONE / a) == ONE
 
+    def test_inverse_of_generator_from_minimal_polynomial(self):
+        # 1 = -c (16c^3 + 8c^2 - 12c - 2) on the minimal polynomial
+        assert GEN.inverse() == FieldElement(2, 12, -8, -16)
+
+    def test_inverse_with_zero_coefficients(self):
+        c_inv = FieldElement(2, 12, -8, -16)
+        assert (GEN**2).inverse() == c_inv**2
+        assert (GEN**3).inverse() == c_inv**3
+        assert FieldElement(0, 0, 3, 0).inverse() == c_inv**2 * Fraction(1, 3)
+        assert FieldElement(Fraction(-7, 3)).inverse() == FieldElement(Fraction(-3, 7))
+        for a in (
+            FieldElement(0, 1, 0, 1),
+            FieldElement(1, 0, 0, Fraction(1, 5)),
+            FieldElement(0, Fraction(2, 3), Fraction(-1, 2), 0),
+            FieldElement(7, 0, -2, 0),
+        ):
+            assert a * a.inverse() == ONE
+            assert a.inverse().inverse() == a
+
+    def test_constants_roundtrip(self):
+        assert SQRT5.inverse() == SQRT5 * Fraction(1, 5)
+        for a in (SQRT5, EDGE_INVARIANT, SIN_SQ):
+            assert a * a.inverse() == ONE
+            assert a.inverse().inverse() == a
+
     @given(elements, elements, elements)
     @settings(max_examples=40, deadline=None)
     def test_ring_axioms(self, a, b, c):
@@ -156,6 +181,12 @@ class TestIntervals:
             widths.append(hi - lo)
             assert hi - lo <= Fraction(1, 10**exp)
         assert widths[0] >= widths[1] >= widths[2]
+
+    def test_bounds_independent_of_root_refinement(self):
+        a = FieldElement(1, Fraction(2, 3), Fraction(-1, 5), 2)
+        before = [fe_to_interval(a, Fraction(1, 10**exp)) for exp in (6, 30)]
+        root_bounds(Fraction(1, 10**60))
+        assert [fe_to_interval(a, Fraction(1, 10**exp)) for exp in (6, 30)] == before
 
     @given(elements)
     @settings(max_examples=60, deadline=None)

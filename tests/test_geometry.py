@@ -1,12 +1,24 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from hypchrom import geometry
-from hypchrom.field import EDGE_INVARIANT, GEN, ONE, fe_sign, fe_to_interval
+from hypchrom.field import (
+    EDGE_INVARIANT,
+    GEN,
+    MIN_POLY,
+    ONE,
+    FieldElement,
+    fe_sign,
+    fe_to_interval,
+    root_bounds,
+)
 from hypchrom.geometry import (
+    SCREEN_PRIME,
+    SCREEN_ROOT,
     Graph,
     GraphIntegrityError,
     ModulePoint,
@@ -19,7 +31,9 @@ from hypchrom.geometry import (
     f_of,
     is_unit_edge,
     lex_less,
+    maybe_unit_edge,
     point_coords_numeric,
+    screen_residues,
     spindle_numeric,
     verify_condition1,
 )
@@ -261,6 +275,62 @@ class TestNumericCoords:
             x, y = v.to_floats()
             assert float(np_.x_lo) - 1e-12 <= x <= float(np_.x_hi) + 1e-12
             assert float(np_.y_lo) - 1e-12 <= y <= float(np_.y_hi) + 1e-12
+
+    def test_bounds_independent_of_root_refinement(self, g9):
+        # the enclosure is a function of the point and the width only, not
+        # of how far earlier calls refined the root
+        before = point_coords_numeric(g9.vertices[5], err_radius=1e-9)
+        root_bounds(Fraction(1, 10**40))
+        after = point_coords_numeric(g9.vertices[5], err_radius=1e-9)
+        assert (before.x_lo, before.x_hi, before.y_lo, before.y_hi) == (
+            after.x_lo, after.x_hi, after.y_lo, after.y_hi
+        )
+
+
+class TestModularScreen:
+    def test_prime_and_root(self):
+        p, r = SCREEN_PRIME, SCREEN_ROOT
+        assert all(p % q for q in range(2, math.isqrt(p) + 1))
+        assert sum(coef * pow(r, k, p) for k, coef in enumerate(MIN_POLY)) % p == 0
+        assert 16 % p != 0
+        # products of two residues fit in int64 with room for a sum
+        assert 2 * (p - 1) ** 2 < 2**63
+
+    @pytest.fixture(scope="class")
+    def screened_graphs(self, g28, g42, pipeline):
+        assert pipeline[3].order == 119
+        return [g28, g42, pipeline[3]]
+
+    def test_recorded_edges_have_zero_residue(self, screened_graphs):
+        for g in screened_graphs:
+            res = screen_residues(g.vertices)
+            i, j = np.array(g.edges).T
+            assert maybe_unit_edge(res[i], res[j]).all()
+
+    def test_nonzero_residue_pairs_fail_exact_test(self, screened_graphs):
+        for g in screened_graphs:
+            res = screen_residues(g.vertices)
+            maybe = maybe_unit_edge(res[:, None, :], res[None, :, :])
+            assert (maybe == maybe.T).all()
+            ruled_out = 0
+            for i in range(g.order):
+                for j in np.flatnonzero(~maybe[i, i + 1 :]) + i + 1:
+                    assert not is_unit_edge(g.vertices[i], g.vertices[j])
+                    ruled_out += 1
+            # the screen passes on the edges and nothing else here
+            assert ruled_out == g.order * (g.order - 1) // 2 - g.size
+
+    def test_point_without_image_is_never_ruled_out(self, g28):
+        p = SCREEN_PRIME
+        res = screen_residues(g28.vertices)
+        for point in (
+            ModulePoint(FieldElement(Fraction(1, p)), FieldElement(0)),
+            ModulePoint(FieldElement(0), GEN * Fraction(3, 2 * p)),
+        ):
+            row = screen_residues([point])[0]
+            assert row.tolist() == [-1, -1, -1]
+            assert maybe_unit_edge(row, res).all()
+            assert maybe_unit_edge(res, row).all()
 
 
 class TestLexOrder:
