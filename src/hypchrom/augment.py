@@ -54,6 +54,7 @@ from .geometry import (
     lex_less,
     maybe_unit_edge,
     screen_residues,
+    screened_pairs,
 )
 
 
@@ -194,15 +195,17 @@ def intersect_circles(
 # the growth phase
 # ---------------------------------------------------------------------------
 
+# wide enough to survive the coordinate error of near-tangent circle
+# intersections; every survivor is re-verified exactly, and the true
+# f-value spectrum has no other point within ~1e-3 of the edge value
+NEIGHBOR_REL_TOL = 3e-5
+DEDUP_RADIUS = 2e-9
+CHUNK_SIZE = 8192
+
+
 @dataclass
 class AugmentConfig:
     denom_bound: int = 10_000
-    # wide enough to survive the coordinate error of near-tangent circle
-    # intersections; every survivor is re-verified exactly, and the true
-    # f-value spectrum has no other point within ~1e-3 of the edge value
-    neighbor_rel_tol: float = 3e-5
-    dedup_radius: float = 2e-9
-    chunk_size: int = 8192
     # Points dropped whenever the growth produces them, reproducing the
     # published vertex selection (which omits a handful of otherwise valid
     # candidates).  Exclusion is persistent: a suppressed point stays out
@@ -302,20 +305,20 @@ def _pair_intersections(centers: np.ndarray, rad2: np.ndarray):
 
 
 def _numeric_neighbor_counts(
-    xs: np.ndarray, ys: np.ndarray, coords: np.ndarray, rel_tol: float, chunk: int
+    xs: np.ndarray, ys: np.ndarray, coords: np.ndarray
 ) -> np.ndarray:
     vx = coords[:, 0]
     vy = coords[:, 1]
     kv = 1.0 - vx * vx - vy * vy
     counts = np.zeros(len(xs), dtype=np.int32)
-    lo = F_NUMERIC * (1.0 - rel_tol)
-    hi = F_NUMERIC * (1.0 + rel_tol)
-    for start in range(0, len(xs), chunk):
-        cx = xs[start : start + chunk, None]
-        cy = ys[start : start + chunk, None]
+    lo = F_NUMERIC * (1.0 - NEIGHBOR_REL_TOL)
+    hi = F_NUMERIC * (1.0 + NEIGHBOR_REL_TOL)
+    for start in range(0, len(xs), CHUNK_SIZE):
+        cx = xs[start : start + CHUNK_SIZE, None]
+        cy = ys[start : start + CHUNK_SIZE, None]
         kc = 1.0 - cx * cx - cy * cy
         fmat = 2.0 * ((cx - vx) ** 2 + (cy - vy) ** 2) / (kc * kv)
-        counts[start : start + chunk] = np.count_nonzero(
+        counts[start : start + CHUNK_SIZE] = np.count_nonzero(
             (fmat >= lo) & (fmat <= hi), axis=1
         )
     return counts
@@ -370,7 +373,7 @@ def phase_augment(
     pair_i, pair_j, branch, xs, ys = _pair_intersections(centers, rad2)
     report.raw_candidates = len(xs)
 
-    counts = _numeric_neighbor_counts(xs, ys, coords, cfg.neighbor_rel_tol, cfg.chunk_size)
+    counts = _numeric_neighbor_counts(xs, ys, coords)
     keep = counts >= min_neighbors
     pair_i, pair_j, branch, xs, ys = (
         pair_i[keep], pair_j[keep], branch[keep], xs[keep], ys[keep],
@@ -381,7 +384,7 @@ def phase_augment(
     order = np.lexsort((branch, pair_j, pair_i))
 
     # spatial dedup: first occurrence in processing order wins
-    cell = 1.0 / cfg.dedup_radius
+    cell = 1.0 / DEDUP_RADIUS
     existing_cells: dict[tuple[int, int], list[tuple[float, float]]] = {}
     for x, y in coords:
         existing_cells.setdefault((round(x * cell), round(y * cell)), []).append((x, y))
@@ -400,10 +403,10 @@ def phase_augment(
     for idx in order:
         x = float(xs[idx])
         y = float(ys[idx])
-        if near(existing_cells, x, y, cfg.dedup_radius):
+        if near(existing_cells, x, y, DEDUP_RADIUS):
             report.dropped_existing += 1
             continue
-        if near(seen_cells, x, y, cfg.dedup_radius):
+        if near(seen_cells, x, y, DEDUP_RADIUS):
             continue
         seen_cells.setdefault((round(x * cell), round(y * cell)), []).append((x, y))
         survivors.append((int(pair_i[idx]), int(pair_j[idx]), int(branch[idx]), x, y))
@@ -470,17 +473,12 @@ def phase_augment(
     report.new_old_edges = len(new_old_edges)
 
     # accidental edges among the new vertices, certified exactly
-    accidental: list[tuple[int, int]] = []
-    new_residues = screen_residues(accepted)
-    for a_idx, residues in enumerate(new_residues):
-        later = new_residues[a_idx + 1 :]
-        maybe = np.flatnonzero(maybe_unit_edge(residues, later)).tolist()
-        report.screened_pairs += len(later)
-        report.exact_edge_tests += len(maybe)
-        for off in maybe:
-            b_idx = a_idx + 1 + off
-            if is_unit_edge(accepted[a_idx], accepted[b_idx]):
-                accidental.append((n + a_idx, n + b_idx))
+    maybe = screened_pairs(screen_residues(accepted))
+    report.screened_pairs += len(accepted) * (len(accepted) - 1) // 2
+    report.exact_edge_tests += len(maybe)
+    accidental = [
+        (n + a, n + b) for a, b in maybe if is_unit_edge(accepted[a], accepted[b])
+    ]
     report.accidental_edges = accidental
     report.elapsed = time.perf_counter() - started
 

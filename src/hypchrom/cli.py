@@ -2,8 +2,7 @@
 pipeline.
 
 Exit codes: 0 = verdict obtained, 1 = integrity failure, 2 = usage error.
-Numeric bounds may be set by flag, environment variable, or default, in
-that order of precedence.
+Numeric bounds are set by flag, each with a default.
 """
 
 from __future__ import annotations
@@ -32,16 +31,6 @@ EXIT_INTEGRITY = 1
 EXIT_USAGE = 2
 
 
-def _env_int(name: str, default: int) -> int:
-    value = os.environ.get(name)
-    if value is None:
-        return default
-    try:
-        return int(value)
-    except ValueError:
-        raise SystemExit(f"environment variable {name} must be an integer")
-
-
 def _load_adjacency(path: str) -> AdjacencyGraph:
     if path.endswith(".col") or path.endswith(".dimacs"):
         return parse_dimacs(path)
@@ -56,23 +45,22 @@ def _cmd_build_g9(args) -> int:
 
 
 def _cmd_augment(args) -> int:
+    if (args.phases or 0) < 0 or args.denom_bound < 1:
+        print("--phases must be at least 0, --denom-bound at least 1", file=sys.stderr)
+        return EXIT_USAGE
     g = read_bundle(args.input, verify=not args.no_verify)
-    denom_default = _env_int("HYPCHROM_DENOM_BOUND", 10_000)
-    denom = args.denom_bound or denom_default
     if args.no_reference_selection:
-        cfg = AugmentConfig(denom_bound=denom)
+        cfg = AugmentConfig(denom_bound=args.denom_bound)
     else:
-        cfg = AugmentConfig.reference(denom_bound=denom)
+        cfg = AugmentConfig.reference(denom_bound=args.denom_bound)
     if args.min_neighbors:
         schedule = [int(tok) for tok in args.min_neighbors.split(",")]
-        if args.phases and args.phases != len(schedule):
+        if args.phases is not None and args.phases != len(schedule):
             print("--phases disagrees with --min-neighbors list", file=sys.stderr)
             return EXIT_USAGE
     else:
         phases = args.phases if args.phases is not None else len(DEFAULT_SCHEDULE)
-        schedule = list(DEFAULT_SCHEDULE[:phases])
-        if phases > len(DEFAULT_SCHEDULE):
-            schedule += [3] * (phases - len(DEFAULT_SCHEDULE))
+        schedule = (list(DEFAULT_SCHEDULE) + [3] * phases)[:phases]
     graphs = grow_pipeline(g, schedule, cfg=cfg)
     for stage in graphs:
         report = stage.phase_report
@@ -102,7 +90,7 @@ def _cmd_augment(args) -> int:
 
 def _cmd_certify(args) -> int:
     g = read_bundle(args.input, verify=False)
-    report = certify_graph(g, exhaustive_order_limit=args.exhaustive_limit)
+    report = certify_graph(g)
     print(
         f"edges checked: {report.edges_checked}, "
         f"non-edges checked: {report.nonedges_checked}, "
@@ -215,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="comma-separated per-phase minimum neighbor counts",
     )
-    p.add_argument("--denom-bound", type=int, default=None)
+    p.add_argument("--denom-bound", type=int, default=10_000)
     p.add_argument(
         "--no-reference-selection",
         action="store_true",
@@ -231,9 +219,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=_cmd_augment)
 
-    p = sub.add_parser("certify", help="re-certify a bundle exactly")
+    p = sub.add_parser("certify", help="re-certify every pair of a bundle exactly")
     p.add_argument("--in", dest="input", required=True)
-    p.add_argument("--exhaustive-limit", type=int, default=119)
     p.set_defaults(func=_cmd_certify)
 
     p = sub.add_parser("color", help="decide k-colorability")

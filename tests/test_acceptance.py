@@ -130,14 +130,14 @@ def test_criterion_06_pipeline_milestones(pipeline, final_graph, final_adjacency
     # documented fallback: the selection rule is under-specified beyond the
     # published tables; the final graph must still be a fully certified
     # distance graph that fails 4-coloring
-    cert = certify_graph(final_graph, exhaustive_order_limit=119, nonedge_samples=4000)
+    cert = certify_graph(final_graph)
     coloring, _ = search_k_coloring(final_adjacency, 4)
     ok = cert.ok and coloring is None and matched >= 5
     report(6, ok,
            f"fallback engaged: {matched}/7 milestones exact ({got[:5]}...), "
            f"final order {final_graph.order} size {final_graph.size} fully "
            f"certified ({cert.edges_checked} edges, {cert.nonedges_checked} "
-           f"non-edge samples), 4-coloring UNSAT")
+           f"non-edges), 4-coloring UNSAT")
 
 
 def test_criterion_07_final_graph_not_four_colorable(final_adjacency):

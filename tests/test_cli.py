@@ -8,6 +8,7 @@ import pytest
 
 import hypchrom
 from hypchrom.augment import PhaseReport
+from hypchrom.bundle import write_bundle
 from hypchrom.cli import main
 
 
@@ -106,6 +107,26 @@ class TestCli:
             "--phases", "1", "--no-reference-selection",
         ]) == 0
         assert "order 31, size 67" in capsys.readouterr().out
+
+    def test_certify_checks_every_pair(self, pipeline, tmp_path, capsys):
+        path = tmp_path / "g226.bundle"
+        write_bundle(pipeline[4], str(path))
+        assert main(["certify", "--in", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "edges checked: 786, non-edges checked: 24639, failures: 0" in out
+        with pytest.raises(SystemExit) as err:
+            main(["certify", "--in", str(path), "--exhaustive-limit", "119"])
+        assert err.value.code == 2
+
+    @pytest.mark.parametrize("flags", [
+        ["--phases", "-5"],
+        ["--phases", "1", "--denom-bound", "0"],
+        ["--phases", "0", "--min-neighbors", "2,3"],
+    ])
+    def test_augment_rejects_bad_phase_or_bound_flags(self, seed_bundle, tmp_path, flags):
+        out = tmp_path / "grown.bundle"
+        assert main(["augment", "--in", str(seed_bundle), "--out", str(out), *flags]) == 2
+        assert not out.exists()
 
     def test_missing_file_usage_error(self, tmp_path):
         assert main(["certify", "--in", str(tmp_path / "nope.bundle")]) == 2

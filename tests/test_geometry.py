@@ -34,6 +34,7 @@ from hypchrom.geometry import (
     maybe_unit_edge,
     point_coords_numeric,
     screen_residues,
+    screened_pairs,
     spindle_numeric,
     verify_condition1,
 )
@@ -158,24 +159,40 @@ class TestSeedGraph:
         assert report.edges_checked == 17
         assert report.nonedges_checked == 19
 
-    def test_certify_samples_distinct_nonedges(self, g28, monkeypatch):
-        index = {id(v): i for i, v in enumerate(g28.vertices)}
-        pairs = []
+    def test_certify_finds_dropped_and_false_edges(self, pipeline):
+        g = pipeline[4]
+        assert (g.order, g.size) == (226, 786)
+        dropped = g.edges[400]
+        report = certify_graph(
+            Graph(g.vertices, [e for e in g.edges if e != dropped], g.origins)
+        )
+        assert report.failures == [("nonedge", *dropped)]
+        edges = g.edge_set()
+        false_pair = next(
+            (i, j) for i in range(100, g.order) for j in range(i + 1, g.order)
+            if (i, j) not in edges
+        )
+        report = certify_graph(Graph(g.vertices, g.edges + [false_pair], g.origins))
+        assert report.failures == [("edge", *false_pair)]
 
-        def recording_edge_test(p, q):
-            pairs.append((index[id(p)], index[id(q)]))
+    def test_certify_tests_exactly_the_screened_pairs(self, pipeline, monkeypatch):
+        calls = []
+
+        def counting_edge_test(p, q):
+            calls.append((p, q))
             return is_unit_edge(p, q)
 
-        monkeypatch.setattr(geometry, "is_unit_edge", recording_edge_test)
-        # 300 of the 317 non-edges: drawing with replacement would repeat
-        report = certify_graph(g28, exhaustive_order_limit=27, nonedge_samples=300)
+        monkeypatch.setattr(geometry, "is_unit_edge", counting_edge_test)
+        report = certify_graph(pipeline[4])
         assert report.ok
-        assert report.edges_checked == g28.size
-        assert pairs[: g28.size] == g28.edges
-        sampled = pairs[g28.size :]
-        assert len(sampled) == report.nonedges_checked == 300
-        assert len(set(sampled)) == 300
-        assert not set(sampled) & g28.edge_set()
+        assert len(calls) == report.edges_checked == 786
+        assert report.nonedges_checked == 226 * 225 // 2 - 786 == 24639
+
+    def test_graph_rejects_repeated_pair_and_self_loop(self, g9):
+        with pytest.raises(ValueError, match=r"duplicate edge \(0, 1\)"):
+            Graph(g9.vertices, list(g9.edges) + [(1, 0)])
+        with pytest.raises(ValueError, match=r"edge \(3, 3\) out of range"):
+            Graph(g9.vertices, list(g9.edges) + [(3, 3)])
 
     def test_build_g9_names_first_failing_pair(self, monkeypatch):
         monkeypatch.setattr(geometry, "SEED_EDGES", SEED_EDGES[1:] + ((1, 6),))
@@ -319,6 +336,40 @@ class TestModularScreen:
                     ruled_out += 1
             # the screen passes on the edges and nothing else here
             assert ruled_out == g.order * (g.order - 1) // 2 - g.size
+
+    def test_expanded_residual_matches_direct_form(self):
+        # 2(1-c)*Delta - K_P*K_Q computed directly with Python integers
+        p, r = SCREEN_PRIME, SCREEN_ROOT
+        rng = np.random.default_rng(5)
+        a = rng.integers(1, p, size=(200, 3))
+        b = rng.integers(0, p, size=(200, 3))
+        # the largest residues bound the screen's uint64 sums
+        a[:3] = p - 1
+        b[:3, :2] = p - 1
+        for ra, rb in zip(a.tolist(), b.tolist()):
+            delta = (ra[0] - rb[0]) ** 2 + (1 - r * r) * (ra[1] - rb[1]) ** 2
+            rb[2] = 2 * (1 - r) * delta * pow(ra[2], -1, p) % p
+            on = np.array(rb, dtype=np.int64)
+            off = np.array(rb[:2] + [(rb[2] + 1) % p], dtype=np.int64)
+            row = np.array(ra, dtype=np.int64)
+            assert maybe_unit_edge(row, on) and maybe_unit_edge(on, row)
+            assert not maybe_unit_edge(row, off) and not maybe_unit_edge(off, row)
+
+    def test_screened_pairs_match_brute_force(self, screened_graphs):
+        no_image = ModulePoint(FieldElement(Fraction(1, SCREEN_PRIME)), FieldElement(0))
+        # past the first block, so the point's pairs straddle a block boundary
+        at = geometry._SCAN_BLOCK + 1
+        for g in screened_graphs:
+            verts = list(g.vertices)
+            for points in (verts, verts[:at] + [no_image] + verts[at:]):
+                res = screen_residues(points)
+                maybe = maybe_unit_edge(res[:, None, :], res[None, :, :])
+                n = len(points)
+                brute = [(i, j) for i in range(n) for j in range(i + 1, n) if maybe[i, j]]
+                assert screened_pairs(res) == brute
+        # the last case: the order-119 graph's edges and the inserted point's pairs
+        assert len(brute) == g.size + n - 1
+        assert screened_pairs(screen_residues([])) == []
 
     def test_point_without_image_is_never_ruled_out(self, g28):
         p = SCREEN_PRIME
