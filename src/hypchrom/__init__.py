@@ -19,12 +19,10 @@ from .augment import (
     phase_augment,
 )
 from .coloring import (
-    ACTIVE_BACKEND,
     AdjacencyGraph,
     SearchStats,
     chromatic_number,
     find_coloring_reordered,
-    minimal_non4_prefix,
     minimal_non_k_prefix,
     moser_spindle,
     search_k_coloring,

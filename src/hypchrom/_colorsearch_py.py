@@ -1,8 +1,5 @@
-"""Pure-Python backtracking color search with unit propagation.
-
-Reference implementation of the kernel; the compiled extension mirrors
-these semantics exactly (same visit order, same witness, same statistics),
-so either can back the public API.
+"""Backtracking color search with unit propagation: the kernel behind
+coloring.search_k_coloring.
 
 Branching is saturation-first (DSATUR, Brélaz 1979): each decision colors
 the uncolored vertex with the fewest feasible colors, the lowest index
@@ -13,16 +10,13 @@ from __future__ import annotations
 
 import sys
 
-UNCOLORED = -1
-
 #: saturation entry of a colored vertex; exceeds any feasible-color count
 COLORED = 33
 
-BACKEND = "python"
 
-
-def make_state(n, indptr, indices, k):
-    """Search state for a k-coloring of the CSR graph (indptr, indices).
+def make_state(neighbors, k):
+    """Search state for a k-coloring of the graph with adjacency lists
+    neighbors (neighbors[v] holds the neighbors of vertex v).
 
     Returns (feasible, saturation, trail, stats, assign, rollback).
     feasible[v] is the bitmask of colors v may still take; saturation[v]
@@ -35,8 +29,8 @@ def make_state(n, indptr, indices, k):
     """
     if k < 1 or k > 32:
         raise ValueError("color count must be between 1 and 32")
+    n = len(neighbors)
     full_mask = (1 << k) - 1
-    neighbors = [indices[indptr[u]:indptr[u + 1]] for u in range(n)]
     feasible = [full_mask] * n
     # number of feasible colors of each uncolored vertex, COLORED once it is
     # colored (its feasible mask is then the single bit of its color)
@@ -83,18 +77,18 @@ def make_state(n, indptr, indices, k):
     return feasible, saturation, trail, stats, assign, rollback
 
 
-def search(n, indptr, indices, k, preassigned):
+def search(neighbors, k, preassigned):
     """Depth-first search for a proper k-coloring, branching saturation-first.
 
-    The graph is in CSR form (indptr, indices).  preassigned is a sequence
-    of (vertex, color) pairs applied with full propagation before the
-    search.  Returns (colors_or_None, (nodes_visited, max_depth, forced)):
+    The graph is given by its adjacency lists, as for make_state.
+    preassigned is a sequence of (vertex, color) pairs applied with full
+    propagation before the search.  Returns (colors_or_None, (nodes_visited, max_depth, forced)):
     nodes_visited counts search nodes (calls of the recursive walk),
     max_depth is the largest number of branching decisions on one path,
     and forced counts feasible sets narrowed to one color by propagation.
     """
     feasible, saturation, trail, stats, assign, rollback = make_state(
-        n, indptr, indices, k
+        neighbors, k
     )
 
     for v, color in preassigned:
@@ -137,7 +131,7 @@ def search(n, indptr, indices, k, preassigned):
         return False
 
     old_limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old_limit, n + 512))
+    sys.setrecursionlimit(max(old_limit, len(neighbors) + 512))
     try:
         found = walk(0)
     finally:

@@ -16,8 +16,8 @@ import sys
 from .augment import AugmentConfig, grow_pipeline, DEFAULT_SCHEDULE
 from .bundle import BundleFormatError, read_bundle, write_bundle
 from .coloring import (
-    ACTIVE_BACKEND,
     AdjacencyGraph,
+    find_coloring_reordered,
     minimal_non_k_prefix,
     search_k_coloring,
     verify_coloring,
@@ -106,8 +106,6 @@ def _cmd_color(args) -> int:
     if args.prefix is not None:
         g = g.induced_prefix(args.prefix)
     if args.degeneracy_order:
-        from .coloring import find_coloring_reordered
-
         coloring, stats = find_coloring_reordered(g, args.k)
     else:
         coloring, stats = search_k_coloring(
@@ -116,7 +114,7 @@ def _cmd_color(args) -> int:
     verdict = "SAT" if coloring is not None else "UNSAT"
     print(f"verdict: {verdict}")
     print(
-        f"stats: backend={ACTIVE_BACKEND} nodes={stats.nodes_visited} "
+        f"stats: nodes={stats.nodes_visited} "
         f"max-depth={stats.max_depth} forced={stats.forced_assignments} "
         f"elapsed={stats.elapsed:.3f}s"
     )
@@ -227,8 +225,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--prefix", type=int, default=None)
-    p.add_argument("--no-symmetry-break", action="store_true")
-    p.add_argument(
+    # the reordered search always pre-colors a clique, so it cannot honor
+    # --no-symmetry-break
+    order = p.add_mutually_exclusive_group()
+    order.add_argument("--no-symmetry-break", action="store_true")
+    order.add_argument(
         "--degeneracy-order",
         action="store_true",
         help="search over a smallest-last order (witness mapped back)",

@@ -3,10 +3,8 @@
 The search branches saturation-first (DSATUR, Brélaz 1979): each decision
 colors the uncolored vertex with the fewest feasible colors, the lowest
 index among ties, trying its feasible colors in increasing order; vertices
-whose color is forced by propagation are never branched on.  A compiled
-kernel is used when available, with a pure-Python twin selected at import
-time otherwise; the two produce identical verdicts, witnesses and
-statistics.
+whose color is forced by propagation are never branched on.  The search
+itself is the pure-Python kernel in _colorsearch_py.
 """
 
 from __future__ import annotations
@@ -17,23 +15,16 @@ from typing import Iterable, Optional, Sequence
 
 from . import _colorsearch_py
 
-try:
-    from . import _colorsearch  # compiled extension
-
-    _KERNEL = _colorsearch
-except ImportError:  # pragma: no cover - depends on build environment
-    _KERNEL = _colorsearch_py
-
 UNCOLORED = -1
 
-#: name of the kernel backing search_k_coloring ("compiled" or "python")
-ACTIVE_BACKEND = _KERNEL.BACKEND
+#: name of the search kernel; perfbench/run.py imports it and records it
+ACTIVE_BACKEND = "python"
 
 
 class AdjacencyGraph:
     """Symmetric adjacency structure with a fixed vertex order."""
 
-    __slots__ = ("n", "neighbors", "_indptr", "_indices")
+    __slots__ = ("n", "neighbors")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         self.n = n
@@ -51,17 +42,10 @@ class AdjacencyGraph:
             adj[i].append(j)
             adj[j].append(i)
         self.neighbors = tuple(tuple(sorted(lst)) for lst in adj)
-        indptr = [0]
-        indices: list[int] = []
-        for lst in self.neighbors:
-            indices.extend(lst)
-            indptr.append(len(indices))
-        self._indptr = indptr
-        self._indices = indices
 
     @property
     def size(self) -> int:
-        return len(self._indices) // 2
+        return sum(map(len, self.neighbors)) // 2
 
     def edges(self) -> list[tuple[int, int]]:
         return [(i, j) for i in range(self.n) for j in self.neighbors[i] if i < j]
@@ -108,7 +92,6 @@ def search_k_coloring(
     g: AdjacencyGraph,
     k: int,
     symmetry_break: bool = True,
-    backend=None,
 ) -> tuple[Optional[list[int]], SearchStats]:
     """Find a proper k-coloring or decide that none exists.
 
@@ -120,15 +103,12 @@ def search_k_coloring(
     """
     if k < 1:
         raise ValueError("k must be positive")
-    kernel = backend if backend is not None else _KERNEL
     pre: list[tuple[int, int]] = []
     if symmetry_break and g.n:
         clique = greedy_seed_clique(g)
         pre = [(v, c) for c, v in enumerate(clique[: min(k, len(clique))])]
     started = time.perf_counter()
-    coloring, (nodes, depth, forced) = kernel.search(
-        g.n, g._indptr, g._indices, k, pre
-    )
+    coloring, (nodes, depth, forced) = _colorsearch_py.search(g.neighbors, k, pre)
     elapsed = time.perf_counter() - started
     stats = SearchStats(nodes, depth, forced, elapsed)
     if coloring is not None and not verify_coloring(g, coloring):
@@ -181,7 +161,7 @@ def chromatic_number(g: AdjacencyGraph, upper_bound: int = 16) -> Optional[int]:
     if upper_bound < 1:
         raise ValueError("upper_bound must be positive")
     if g.n == 0:
-        return 0 if upper_bound >= 0 else None
+        return 0
     for k in range(1, upper_bound + 1):
         coloring, _ = search_k_coloring(g, k)
         if coloring is not None:
@@ -205,10 +185,6 @@ def minimal_non_k_prefix(g: AdjacencyGraph, k: int) -> int:
         else:
             lo = mid + 1
     return hi
-
-
-def minimal_non4_prefix(g: AdjacencyGraph) -> int:
-    return minimal_non_k_prefix(g, 4)
 
 
 def smallest_last_order(g: AdjacencyGraph) -> list[int]:

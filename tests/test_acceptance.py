@@ -18,7 +18,7 @@ from hypchrom.coloring import (
     brute_force_k_colorable,
     chromatic_number,
     find_coloring_reordered,
-    minimal_non4_prefix,
+    minimal_non_k_prefix,
     search_k_coloring,
     verify_coloring,
 )
@@ -157,7 +157,7 @@ def test_criterion_07_final_graph_not_four_colorable(final_adjacency):
 
 
 def test_criterion_08_minimal_prefix(final_adjacency):
-    m = minimal_non4_prefix(final_adjacency)
+    m = minimal_non_k_prefix(final_adjacency, 4)
     started = time.perf_counter()
     below, _ = search_k_coloring(final_adjacency.induced_prefix(m - 1), 4)
     sat_time = time.perf_counter() - started

@@ -5,7 +5,6 @@ from hypothesis import given, settings, strategies as st
 
 from hypchrom import _colorsearch_py
 from hypchrom.coloring import (
-    ACTIVE_BACKEND,
     AdjacencyGraph,
     brute_force_chromatic,
     brute_force_k_colorable,
@@ -18,13 +17,6 @@ from hypchrom.coloring import (
     smallest_last_order,
     verify_coloring,
 )
-
-try:
-    from hypchrom import _colorsearch
-
-    HAVE_COMPILED = True
-except ImportError:
-    HAVE_COMPILED = False
 
 
 def random_graph(rng, n, p):
@@ -66,7 +58,7 @@ class TestAdjacencyGraph:
 
 def kernel_state(g, k):
     """The pure-Python kernel's search state for g, as search() builds it."""
-    return _colorsearch_py.make_state(g.n, g._indptr, g._indices, k)
+    return _colorsearch_py.make_state(g.neighbors, k)
 
 
 class TestAssignPropagate:
@@ -221,30 +213,6 @@ class TestStats:
         g = moser_spindle()
         _, stats = search_k_coloring(g, 3, symmetry_break=False)
         assert stats.max_depth <= g.n
-
-
-@pytest.mark.skipif(not HAVE_COMPILED, reason="compiled kernel unavailable")
-class TestKernelParity:
-    def test_backends_agree_bitwise(self):
-        rng = random.Random(31337)
-        for _ in range(60):
-            g = random_graph(rng, rng.randint(1, 10), rng.choice([0.3, 0.5, 0.7]))
-            for k in (2, 3, 4):
-                fast, fstats = search_k_coloring(g, k, backend=_colorsearch)
-                slow, sstats = search_k_coloring(g, k, backend=_colorsearch_py)
-                assert fast == slow
-                assert (
-                    fstats.nodes_visited,
-                    fstats.max_depth,
-                    fstats.forced_assignments,
-                ) == (
-                    sstats.nodes_visited,
-                    sstats.max_depth,
-                    sstats.forced_assignments,
-                )
-
-    def test_active_backend_is_compiled(self):
-        assert ACTIVE_BACKEND == "compiled"
 
 
 class TestPrefix:
