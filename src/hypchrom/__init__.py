@@ -6,7 +6,13 @@ coordinates in a fixed quartic number field and whose edges join pairs at
 one exact hyperbolic distance; every edge is certified in exact arithmetic.
 A backtracking search with unit propagation decides k-colorability; the
 final graph of the default growth schedule admits no proper 4-coloring.
+
+Progress is logged under the "hypchrom" logger (for example one INFO line
+per probe of the prefix search); nothing is printed unless the caller
+configures logging.
 """
+
+import logging
 
 from .augment import (
     AugmentConfig,
@@ -60,3 +66,5 @@ from .geometry import (
 )
 
 __version__ = "0.1.0"
+
+logging.getLogger(__name__).addHandler(logging.NullHandler())

@@ -2,8 +2,10 @@
 coloring.search_k_coloring.
 
 Branching is saturation-first (DSATUR, Brélaz 1979): each decision colors
-the uncolored vertex with the fewest feasible colors, the lowest index
-among ties, trying its feasible colors in increasing order.
+the uncolored vertex with the fewest feasible colors, the lowest index of
+the graph it is given among ties, trying its feasible colors in increasing
+order.  coloring.search_k_coloring hands it the graph relabeled by
+decreasing degree, so ties go to the highest degree first.
 """
 
 from __future__ import annotations
@@ -24,8 +26,8 @@ def make_state(neighbors, k):
     single bit of its color).  assign(v, bit) colors v with bit, one of its
     feasible colors, and propagates, returning False on a conflict.
     rollback(mark) restores feasible and saturation as they were when
-    len(trail) was mark.  stats holds nodes visited, max depth and forced
-    assignments; only the last is counted here.
+    len(trail) was mark.  stats holds nodes visited, max depth, forced
+    assignments and conflicts; only forced assignments are counted here.
     """
     if k < 1 or k > 32:
         raise ValueError("color count must be between 1 and 32")
@@ -37,7 +39,7 @@ def make_state(neighbors, k):
     saturation = [k] * n
     trail: list = []      # (vertex, previous mask, previous saturation)
     log = trail.append
-    stats = [0, 0, 0]     # nodes visited, max depth, forced assignments
+    stats = [0, 0, 0, 0]  # nodes visited, max depth, forced, conflicts
 
     def assign(v, color_bit):
         # colors v, strips the color from uncolored neighbors, and keeps
@@ -82,10 +84,12 @@ def search(neighbors, k, preassigned):
 
     The graph is given by its adjacency lists, as for make_state.
     preassigned is a sequence of (vertex, color) pairs applied with full
-    propagation before the search.  Returns (colors_or_None, (nodes_visited, max_depth, forced)):
-    nodes_visited counts search nodes (calls of the recursive walk),
-    max_depth is the largest number of branching decisions on one path,
-    and forced counts feasible sets narrowed to one color by propagation.
+    propagation before the search.  Returns (colors_or_None,
+    (nodes_visited, max_depth, forced, conflicts)): nodes_visited counts
+    search nodes (calls of the recursive walk), max_depth is the largest
+    number of branching decisions on one path, forced counts feasible sets
+    narrowed to one color by propagation, and conflicts counts branching
+    assignments that propagation refuted.
     """
     feasible, saturation, trail, stats, assign, rollback = make_state(
         neighbors, k
@@ -127,6 +131,8 @@ def search(neighbors, k, preassigned):
             if assign(vertex, bit):
                 if walk(depth):
                     return True
+            else:
+                stats[3] += 1
             rollback(t_mark)
         return False
 

@@ -17,6 +17,7 @@ from .augment import AugmentConfig, grow_pipeline, DEFAULT_SCHEDULE
 from .bundle import BundleFormatError, read_bundle, write_bundle
 from .coloring import (
     AdjacencyGraph,
+    ColorableGraphError,
     find_coloring_reordered,
     minimal_non_k_prefix,
     search_k_coloring,
@@ -116,7 +117,7 @@ def _cmd_color(args) -> int:
     print(
         f"stats: nodes={stats.nodes_visited} "
         f"max-depth={stats.max_depth} forced={stats.forced_assignments} "
-        f"elapsed={stats.elapsed:.3f}s"
+        f"conflicts={stats.conflicts} elapsed={stats.elapsed:.3f}s"
     )
     if coloring is not None:
         assert verify_coloring(g, coloring)
@@ -133,7 +134,7 @@ def _cmd_prefix_search(args) -> int:
     g = _load_adjacency(args.input)
     try:
         m = minimal_non_k_prefix(g, args.k)
-    except ValueError as exc:
+    except ColorableGraphError as exc:
         print(str(exc))
         return EXIT_OK
     print(f"minimal non-{args.k}-colorable prefix: {m}")

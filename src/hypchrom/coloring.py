@@ -1,14 +1,17 @@
 """Proper-coloring decisions by backtracking search with unit propagation.
 
 The search branches saturation-first (DSATUR, Brélaz 1979): each decision
-colors the uncolored vertex with the fewest feasible colors, the lowest
-index among ties, trying its feasible colors in increasing order; vertices
-whose color is forced by propagation are never branched on.  The search
-itself is the pure-Python kernel in _colorsearch_py.
+colors the uncolored vertex with the fewest feasible colors, the highest
+degree among ties and then the lowest index, trying its feasible colors in
+increasing order; vertices whose color is forced by propagation are never
+branched on.  The search itself is the pure-Python kernel in
+_colorsearch_py, which breaks ties by index alone; search_k_coloring hands
+it the graph relabeled by decreasing degree and maps the coloring back.
 """
 
 from __future__ import annotations
 
+import logging
 import time
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
@@ -16,6 +19,8 @@ from typing import Iterable, Optional, Sequence
 from . import _colorsearch_py
 
 UNCOLORED = -1
+
+logger = logging.getLogger(__name__)
 
 #: name of the search kernel; perfbench/run.py imports it and records it
 ACTIVE_BACKEND = "python"
@@ -70,13 +75,20 @@ class SearchStats:
     nodes_visited: search nodes (calls of the kernel's recursive walk);
     max_depth: the largest number of branching decisions on one path;
     forced_assignments: feasible sets narrowed to one color by propagation;
+    conflicts: branching assignments that propagation refuted;
     elapsed: wall-clock seconds spent in the kernel.
     """
 
     nodes_visited: int
     max_depth: int
     forced_assignments: int
+    conflicts: int
     elapsed: float
+
+
+class ColorableGraphError(ValueError):
+    """The graph is k-colorable, so no prefix of it is a non-k-colorable
+    witness."""
 
 
 def greedy_seed_clique(g: AdjacencyGraph, limit: int = 12) -> list[int]:
@@ -88,6 +100,31 @@ def greedy_seed_clique(g: AdjacencyGraph, limit: int = 12) -> list[int]:
     return clique
 
 
+def degree_order(g: AdjacencyGraph) -> list[int]:
+    """Vertices by decreasing degree, ties by increasing index."""
+    neighbors = g.neighbors
+    return sorted(range(g.n), key=lambda v: (-len(neighbors[v]), v))
+
+
+def _relabeled(
+    g: AdjacencyGraph, order: Sequence[int]
+) -> tuple[AdjacencyGraph, list[int]]:
+    """The graph with vertex order[i] renamed i, and pos, where pos[v] is
+    the new name of vertex v."""
+    pos = [0] * g.n
+    for i, v in enumerate(order):
+        pos[v] = i
+    # g's lists are already symmetric and free of repeats, so the
+    # constructor's edge list and dedup set (about 8 ms at order 1378) are
+    # skipped
+    h = AdjacencyGraph.__new__(AdjacencyGraph)
+    h.n = g.n
+    h.neighbors = tuple(
+        tuple(sorted([pos[w] for w in g.neighbors[v]])) for v in order
+    )
+    return h, pos
+
+
 def search_k_coloring(
     g: AdjacencyGraph,
     k: int,
@@ -95,23 +132,37 @@ def search_k_coloring(
 ) -> tuple[Optional[list[int]], SearchStats]:
     """Find a proper k-coloring or decide that none exists.
 
-    Returns (coloring, stats); the coloring is verified before being
-    returned.  With symmetry_break, a greedy clique among the first
-    vertices is pre-colored (sound: any proper coloring can be permuted to
-    agree on a clique); disable it to make depth statistics comparable
-    across runs.
+    The kernel runs on g relabeled by degree_order, so saturation ties go
+    to the highest degree, then the lowest index.  Returns (coloring,
+    stats); the coloring is mapped back to g's numbering and verified
+    against g before being returned.  With symmetry_break, a greedy clique
+    among the highest-degree vertices (the first of degree_order) is
+    pre-colored (sound: any proper coloring can be permuted to agree on a
+    clique); disable it to make depth statistics comparable across runs.
     """
     if k < 1:
         raise ValueError("k must be positive")
+    h, pos = _relabeled(g, degree_order(g))
     pre: list[tuple[int, int]] = []
-    if symmetry_break and g.n:
-        clique = greedy_seed_clique(g)
+    if symmetry_break and h.n:
+        clique = greedy_seed_clique(h)
         pre = [(v, c) for c, v in enumerate(clique[: min(k, len(clique))])]
     started = time.perf_counter()
-    coloring, (nodes, depth, forced) = _colorsearch_py.search(g.neighbors, k, pre)
+    relabeled, (nodes, depth, forced, conflicts) = _colorsearch_py.search(
+        h.neighbors, k, pre
+    )
     elapsed = time.perf_counter() - started
-    stats = SearchStats(nodes, depth, forced, elapsed)
-    if coloring is not None and not verify_coloring(g, coloring):
+    stats = SearchStats(
+        nodes_visited=nodes,
+        max_depth=depth,
+        forced_assignments=forced,
+        conflicts=conflicts,
+        elapsed=elapsed,
+    )
+    if relabeled is None:
+        return None, stats
+    coloring = [relabeled[p] for p in pos]
+    if not verify_coloring(g, coloring):
         raise AssertionError("search returned an improper coloring")
     return coloring, stats
 
@@ -172,18 +223,30 @@ def chromatic_number(g: AdjacencyGraph, upper_bound: int = 16) -> Optional[int]:
 def minimal_non_k_prefix(g: AdjacencyGraph, k: int) -> int:
     """Smallest m such that the first m vertices induce no k-colorable
     subgraph.  Binary search; sound because non-colorability of a prefix is
-    inherited by every longer prefix."""
-    coloring, _ = search_k_coloring(g, k)
-    if coloring is not None:
-        raise ValueError(f"graph is {k}-colorable; no prefix is a witness")
+    inherited by every longer prefix.  Logs one INFO line per probe.
+
+    Raises ColorableGraphError if g itself is k-colorable."""
+
+    def colorable(prefix: AdjacencyGraph) -> bool:
+        coloring, stats = search_k_coloring(prefix, k)
+        logger.info(
+            "prefix %d: %s, %d nodes, %.3f s",
+            prefix.n,
+            "SAT" if coloring is not None else "UNSAT",
+            stats.nodes_visited,
+            stats.elapsed,
+        )
+        return coloring is not None
+
+    if colorable(g):
+        raise ColorableGraphError(f"graph is {k}-colorable; no prefix is a witness")
     lo, hi = 1, g.n  # invariant: prefix hi is not k-colorable
     while lo < hi:
         mid = (lo + hi) // 2
-        coloring, _ = search_k_coloring(g.induced_prefix(mid), k)
-        if coloring is None:
-            hi = mid
-        else:
+        if colorable(g.induced_prefix(mid)):
             lo = mid + 1
+        else:
+            hi = mid
     return hi
 
 
@@ -217,22 +280,19 @@ def find_coloring_reordered(
     """Witness finder: run the search over a degeneracy order and map the
     coloring back to the original vertex numbering.
 
-    The search breaks saturation ties by the lowest index, so the vertex
-    numbering steers it.  In smallest-last order every vertex has at most
-    degeneracy-many earlier neighbors, which favors a short, greedy-like
-    descent on satisfiable instances.  Verdicts agree with
-    search_k_coloring on the original numbering; only the tie-breaking
-    (and hence the witness) differs.
+    search_k_coloring breaks saturation ties by degree and then by index,
+    so on the graph renumbered in smallest-last order the degeneracy order
+    breaks the ties among equal degrees.  In smallest-last order every
+    vertex has at most degeneracy-many earlier neighbors, which favors a
+    short, greedy-like descent on satisfiable instances.  Verdicts agree
+    with search_k_coloring on the original numbering; only the
+    tie-breaking (and hence the witness) differs.
     """
-    order = smallest_last_order(g)
-    pos = {v: i for i, v in enumerate(order)}
-    permuted = AdjacencyGraph(g.n, [(pos[i], pos[j]) for i, j in g.edges()])
+    permuted, pos = _relabeled(g, smallest_last_order(g))
     coloring, stats = search_k_coloring(permuted, k)
     if coloring is None:
         return None, stats
-    back = [0] * g.n
-    for v in range(g.n):
-        back[v] = coloring[pos[v]]
+    back = [coloring[p] for p in pos]
     if not verify_coloring(g, back):
         raise AssertionError("permuted witness failed verification")
     return back, stats

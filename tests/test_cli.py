@@ -58,6 +58,16 @@ class TestCli:
         out = capsys.readouterr().out
         assert "prefix: 7" in out
 
+    @pytest.mark.parametrize("k", ["0", "-1", "33"])
+    def test_prefix_search_bad_k_usage_error(self, seed_bundle, k):
+        assert main(["prefix-search", "--in", str(seed_bundle), "--k", k]) == 2
+
+    def test_color_stats_line_counts_conflicts(self, seed_bundle, capsys):
+        assert main(["color", "--in", str(seed_bundle), "--k", "3"]) == 0
+        stats = [l for l in capsys.readouterr().out.splitlines() if l.startswith("stats:")]
+        assert len(stats) == 1
+        assert " conflicts=" in stats[0]
+
     def test_prefix_search_on_colorable_graph(self, seed_bundle, capsys):
         assert main(["prefix-search", "--in", str(seed_bundle), "--k", "4"]) == 0
         out = capsys.readouterr().out

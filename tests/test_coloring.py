@@ -1,3 +1,4 @@
+import logging
 import random
 
 import pytest
@@ -9,6 +10,7 @@ from hypchrom.coloring import (
     brute_force_chromatic,
     brute_force_k_colorable,
     chromatic_number,
+    degree_order,
     find_coloring_reordered,
     greedy_seed_clique,
     minimal_non_k_prefix,
@@ -214,6 +216,56 @@ class TestStats:
         _, stats = search_k_coloring(g, 3, symmetry_break=False)
         assert stats.max_depth <= g.n
 
+    def test_spindle_three_coloring_meets_conflicts(self):
+        _, stats = search_k_coloring(moser_spindle(), 3)
+        assert stats.conflicts >= 1
+
+    def test_path_has_no_conflicts(self):
+        g = AdjacencyGraph(6, [(i, i + 1) for i in range(5)])
+        for k in (2, 3):
+            coloring, stats = search_k_coloring(g, k)
+            assert coloring is not None
+            assert stats.conflicts == 0
+
+
+def wheel(rim):
+    """A rim cycle on vertices 0..rim-1 and a hub, the highest index, joined
+    to every rim vertex."""
+    edges = [(i, (i + 1) % rim) for i in range(rim)]
+    edges += [(i, rim) for i in range(rim)]
+    return AdjacencyGraph(rim + 1, edges)
+
+
+class TestDegreeRelabel:
+    @pytest.mark.parametrize("rim", [5, 6, 7, 8])
+    def test_wheel_coloring_in_caller_numbering(self, rim):
+        g = wheel(rim)
+        assert degree_order(g)[0] == rim
+        for k in (3, 4):
+            for symmetry_break in (True, False):
+                coloring, _ = search_k_coloring(g, k, symmetry_break=symmetry_break)
+                assert (coloring is not None) == brute_force_k_colorable(g, k)
+                if coloring is not None:
+                    assert verify_coloring(g, coloring)
+
+    def test_degree_order_is_permutation_ties_by_index(self, g42):
+        adj = AdjacencyGraph.from_graph(g42)
+        order = degree_order(adj)
+        assert sorted(order) == list(range(adj.n))
+        for u, v in zip(order, order[1:]):
+            du, dv = len(adj.neighbors[u]), len(adj.neighbors[v])
+            assert du > dv or (du == dv and u < v)
+
+    def test_order_226_four_coloring_counters(self, pipeline):
+        # pins the tie-break rule: ties by index alone take 117 nodes and
+        # 1,365 forced assignments here
+        (g226,) = [g for g in pipeline if g.order == 226]
+        adj = AdjacencyGraph.from_graph(g226)
+        coloring, stats = search_k_coloring(adj, 4)
+        assert coloring is not None and verify_coloring(adj, coloring)
+        assert stats.nodes_visited == 57
+        assert stats.forced_assignments == 300
+
 
 class TestPrefix:
     def test_odd_cycle_completed_by_last_vertex(self):
@@ -222,6 +274,20 @@ class TestPrefix:
         edges = [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (4, 5), (5, 6)]
         g = AdjacencyGraph(7, edges)
         assert minimal_non_k_prefix(g, 2) == 5
+
+    def test_logs_one_line_per_probe(self, caplog):
+        edges = [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (4, 5), (5, 6)]
+        g = AdjacencyGraph(7, edges)
+        with caplog.at_level(logging.INFO, logger="hypchrom"):
+            assert minimal_non_k_prefix(g, 2) == 5
+        records = [r for r in caplog.records if r.name == "hypchrom.coloring"]
+        # the full graph, then the binary search over [1, 7]: 4, 6, 5
+        probes = [r.getMessage().split(",")[0] for r in records]
+        assert probes == [
+            "prefix 7: UNSAT", "prefix 4: SAT", "prefix 6: UNSAT", "prefix 5: UNSAT",
+        ]
+        assert all(r.levelno == logging.INFO for r in records)
+        assert all(" nodes, " in r.getMessage() for r in records)
 
     def test_rejects_colorable_graph(self):
         g = AdjacencyGraph(3, [(0, 1), (1, 2)])
