@@ -200,7 +200,11 @@ def intersect_circles(
 # f-value spectrum has no other point within ~1e-3 of the edge value
 NEIGHBOR_REL_TOL = 3e-5
 DEDUP_RADIUS = 2e-9
-CHUNK_SIZE = 8192
+# candidates per block of the neighbour prefilter; each block makes a few
+# float64 temporaries of CHUNK_SIZE x (vertices) entries, about 8 MB each
+# against the 501 vertices of the last default phase; larger blocks make
+# these temporaries the peak memory of growth
+CHUNK_SIZE = 2048
 
 
 @dataclass

@@ -113,19 +113,26 @@ def _cmd_color(args) -> int:
             g, args.k, symmetry_break=not args.no_symmetry_break
         )
     verdict = "SAT" if coloring is not None else "UNSAT"
-    print(f"verdict: {verdict}")
-    print(
-        f"stats: nodes={stats.nodes_visited} "
-        f"max-depth={stats.max_depth} forced={stats.forced_assignments} "
-        f"conflicts={stats.conflicts} elapsed={stats.elapsed:.3f}s"
-    )
+    if args.json:
+        print(json.dumps({"verdict": verdict, "k": args.k, **dataclasses.asdict(stats)}))
+    else:
+        print(f"verdict: {verdict}")
+        print(
+            f"stats: nodes={stats.nodes_visited} "
+            f"max-depth={stats.max_depth} forced={stats.forced_assignments} "
+            f"conflicts={stats.conflicts} core={stats.core_order} "
+            f"elapsed={stats.elapsed:.3f}s"
+        )
     if coloring is not None:
         assert verify_coloring(g, coloring)
         if args.witness_out:
             with open(args.witness_out, "w") as fh:
                 fh.write(" ".join(str(c + 1) for c in coloring) + "\n")
-            print(f"witness -> {args.witness_out}")
-        else:
+            print(
+                f"witness -> {args.witness_out}",
+                file=sys.stderr if args.json else sys.stdout,
+            )
+        elif not args.json:
             print("witness:", " ".join(str(c + 1) for c in coloring))
     return EXIT_OK
 
@@ -236,6 +243,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="search over a smallest-last order (witness mapped back)",
     )
     p.add_argument("--witness-out", default=None)
+    p.add_argument(
+        "--json",
+        action="store_true",
+        help="print one JSON object on stdout: the verdict, k and every "
+        "search counter (a --witness-out line goes to stderr)",
+    )
     p.set_defaults(func=_cmd_color)
 
     p = sub.add_parser("prefix-search", help="minimal non-k-colorable vertex prefix")

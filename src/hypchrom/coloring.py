@@ -1,12 +1,16 @@
 """Proper-coloring decisions by backtracking search with unit propagation.
 
-The search branches saturation-first (DSATUR, Brélaz 1979): each decision
-colors the uncolored vertex with the fewest feasible colors, the highest
-degree among ties and then the lowest index, trying its feasible colors in
-increasing order; vertices whose color is forced by propagation are never
-branched on.  The search itself is the pure-Python kernel in
-_colorsearch_py, which breaks ties by index alone; search_k_coloring hands
-it the graph relabeled by decreasing degree and maps the coloring back.
+A vertex with fewer than k neighbours can always be colored after the rest
+of the graph, so search_k_coloring first peels such vertices until only the
+k-core is left (Matula & Beck 1983), searches the core, and colors the
+peeled vertices greedily afterwards.  The search branches saturation-first
+(DSATUR, Brélaz 1979): each decision colors the uncolored vertex with the
+fewest feasible colors, the highest degree within the core among ties and
+then the lowest index, trying its feasible colors in increasing order;
+vertices whose color is forced by propagation are never branched on.  The
+search itself is the pure-Python kernel in _colorsearch_py, which breaks
+ties by index alone; search_k_coloring hands it the core relabeled by
+decreasing core degree and maps the coloring back.
 """
 
 from __future__ import annotations
@@ -76,6 +80,7 @@ class SearchStats:
     max_depth: the largest number of branching decisions on one path;
     forced_assignments: feasible sets narrowed to one color by propagation;
     conflicts: branching assignments that propagation refuted;
+    core_order: vertices the kernel searched (the order of the k-core);
     elapsed: wall-clock seconds spent in the kernel.
     """
 
@@ -83,6 +88,7 @@ class SearchStats:
     max_depth: int
     forced_assignments: int
     conflicts: int
+    core_order: int
     elapsed: float
 
 
@@ -100,27 +106,54 @@ def greedy_seed_clique(g: AdjacencyGraph, limit: int = 12) -> list[int]:
     return clique
 
 
-def degree_order(g: AdjacencyGraph) -> list[int]:
-    """Vertices by decreasing degree, ties by increasing index."""
+def k_core(g: AdjacencyGraph, k: int) -> tuple[list[int], list[int]]:
+    """Peel g down to its k-core; returns (core, peeled).
+
+    core lists the vertices of the k-core by decreasing degree within the
+    core, ties by increasing index.  peeled lists the other vertices in the
+    order they were removed: each has fewer than k neighbours among the
+    core and the vertices peeled after it.
+    """
     neighbors = g.neighbors
-    return sorted(range(g.n), key=lambda v: (-len(neighbors[v]), v))
+    deg = [len(nbrs) for nbrs in neighbors]
+    removed = [d < k for d in deg]
+    peeled = [v for v in range(g.n) if removed[v]]
+    for v in peeled:  # grows while it is walked
+        for w in neighbors[v]:
+            if not removed[w]:
+                deg[w] -= 1
+                if deg[w] < k:
+                    removed[w] = True
+                    peeled.append(w)
+    core = sorted(
+        (v for v in range(g.n) if not removed[v]), key=lambda v: (-deg[v], v)
+    )
+    return core, peeled
+
+
+def degree_order(g: AdjacencyGraph) -> list[int]:
+    """Vertices by decreasing degree, ties by increasing index: the order
+    k_core gives the whole graph, which is its own 0-core."""
+    return k_core(g, 0)[0]
 
 
 def _relabeled(
     g: AdjacencyGraph, order: Sequence[int]
 ) -> tuple[AdjacencyGraph, list[int]]:
-    """The graph with vertex order[i] renamed i, and pos, where pos[v] is
-    the new name of vertex v."""
-    pos = [0] * g.n
+    """The subgraph induced by the vertices in order, with vertex order[i]
+    renamed i, and pos, where pos[v] is the new name of vertex v, or -1 if
+    v is not in order."""
+    pos = [-1] * g.n
     for i, v in enumerate(order):
         pos[v] = i
     # g's lists are already symmetric and free of repeats, so the
     # constructor's edge list and dedup set (about 8 ms at order 1378) are
     # skipped
     h = AdjacencyGraph.__new__(AdjacencyGraph)
-    h.n = g.n
+    h.n = len(order)
     h.neighbors = tuple(
-        tuple(sorted([pos[w] for w in g.neighbors[v]])) for v in order
+        tuple(sorted([pos[w] for w in g.neighbors[v] if pos[w] >= 0]))
+        for v in order
     )
     return h, pos
 
@@ -132,17 +165,22 @@ def search_k_coloring(
 ) -> tuple[Optional[list[int]], SearchStats]:
     """Find a proper k-coloring or decide that none exists.
 
-    The kernel runs on g relabeled by degree_order, so saturation ties go
-    to the highest degree, then the lowest index.  Returns (coloring,
-    stats); the coloring is mapped back to g's numbering and verified
-    against g before being returned.  With symmetry_break, a greedy clique
-    among the highest-degree vertices (the first of degree_order) is
+    g is k-colorable exactly when its k-core is: a vertex with fewer than k
+    neighbours always has a color left once they are colored.  So the
+    kernel searches only the k-core (see k_core), relabeled by decreasing
+    degree within the core, and saturation ties go to the highest core
+    degree, then the lowest index.  The kernel runs even when the core is
+    empty, so its range check on k is the only one.  On success the peeled
+    vertices are colored greedily in reverse peel order, each with the
+    smallest color its neighbours do not use.  Returns (coloring, stats);
+    the coloring is in g's numbering and verified against the whole of g
+    before being returned.  With symmetry_break, a greedy clique among the
+    highest-core-degree vertices (the first of the core order) is
     pre-colored (sound: any proper coloring can be permuted to agree on a
     clique); disable it to make depth statistics comparable across runs.
     """
-    if k < 1:
-        raise ValueError("k must be positive")
-    h, pos = _relabeled(g, degree_order(g))
+    core, peeled = k_core(g, k)
+    h, pos = _relabeled(g, core)
     pre: list[tuple[int, int]] = []
     if symmetry_break and h.n:
         clique = greedy_seed_clique(h)
@@ -157,11 +195,15 @@ def search_k_coloring(
         max_depth=depth,
         forced_assignments=forced,
         conflicts=conflicts,
+        core_order=h.n,
         elapsed=elapsed,
     )
     if relabeled is None:
         return None, stats
-    coloring = [relabeled[p] for p in pos]
+    coloring = [UNCOLORED if p < 0 else relabeled[p] for p in pos]
+    for v in reversed(peeled):
+        used = {coloring[w] for w in g.neighbors[v]}
+        coloring[v] = next(c for c in range(k) if c not in used)
     if not verify_coloring(g, coloring):
         raise AssertionError("search returned an improper coloring")
     return coloring, stats
@@ -230,10 +272,11 @@ def minimal_non_k_prefix(g: AdjacencyGraph, k: int) -> int:
     def colorable(prefix: AdjacencyGraph) -> bool:
         coloring, stats = search_k_coloring(prefix, k)
         logger.info(
-            "prefix %d: %s, %d nodes, %.3f s",
+            "prefix %d: %s, %d nodes, core %d, %.3f s",
             prefix.n,
             "SAT" if coloring is not None else "UNSAT",
             stats.nodes_visited,
+            stats.core_order,
             stats.elapsed,
         )
         return coloring is not None
@@ -280,13 +323,14 @@ def find_coloring_reordered(
     """Witness finder: run the search over a degeneracy order and map the
     coloring back to the original vertex numbering.
 
-    search_k_coloring breaks saturation ties by degree and then by index,
-    so on the graph renumbered in smallest-last order the degeneracy order
-    breaks the ties among equal degrees.  In smallest-last order every
-    vertex has at most degeneracy-many earlier neighbors, which favors a
-    short, greedy-like descent on satisfiable instances.  Verdicts agree
-    with search_k_coloring on the original numbering; only the
-    tie-breaking (and hence the witness) differs.
+    search_k_coloring searches the k-core and breaks saturation ties by
+    degree within the core and then by index, so on the graph renumbered
+    in smallest-last order the degeneracy order breaks the ties among equal
+    core degrees.  In smallest-last order every vertex has at most
+    degeneracy-many earlier neighbors, which favors a short, greedy-like
+    descent on satisfiable instances.  Verdicts agree with
+    search_k_coloring on the original numbering; only the tie-breaking (and
+    hence the witness) differs.
     """
     permuted, pos = _relabeled(g, smallest_last_order(g))
     coloring, stats = search_k_coloring(permuted, k)

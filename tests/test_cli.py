@@ -10,7 +10,8 @@ import hypchrom
 from hypchrom.augment import PhaseReport
 from hypchrom.bundle import read_bundle, write_bundle
 from hypchrom.cli import main
-from hypchrom.coloring import AdjacencyGraph, verify_coloring
+from hypchrom.coloring import AdjacencyGraph, SearchStats, moser_spindle, verify_coloring
+from hypchrom.dimacs import emit_dimacs
 
 
 @pytest.fixture()
@@ -67,6 +68,19 @@ class TestCli:
         stats = [l for l in capsys.readouterr().out.splitlines() if l.startswith("stats:")]
         assert len(stats) == 1
         assert " conflicts=" in stats[0]
+        # every seed vertex has at least three neighbours, so its 3-core is
+        # the whole graph
+        assert " core=9 " in stats[0]
+
+    def test_color_json(self, seed_bundle, tmp_path, capsys):
+        spindle = tmp_path / "spindle.col"
+        emit_dimacs(moser_spindle(), str(spindle))
+        fields = {f.name for f in dataclasses.fields(SearchStats)}
+        for path, k, verdict, core in ((seed_bundle, 4, "SAT", 0), (spindle, 3, "UNSAT", 7)):
+            assert main(["color", "--in", str(path), "--k", str(k), "--json"]) == 0
+            record = json.loads(capsys.readouterr().out)
+            assert set(record) == {"verdict", "k"} | fields
+            assert (record["verdict"], record["k"], record["core_order"]) == (verdict, k, core)
 
     def test_prefix_search_on_colorable_graph(self, seed_bundle, capsys):
         assert main(["prefix-search", "--in", str(seed_bundle), "--k", "4"]) == 0

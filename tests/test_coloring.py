@@ -13,6 +13,7 @@ from hypchrom.coloring import (
     degree_order,
     find_coloring_reordered,
     greedy_seed_clique,
+    k_core,
     minimal_non_k_prefix,
     moser_spindle,
     search_k_coloring,
@@ -201,15 +202,27 @@ class TestSearch:
                     assert j in adj.neighbors[i]
 
 
+def octahedron():
+    """K(2,2,2): every vertex has degree 4, so the graph is its own 4-core."""
+    return AdjacencyGraph(
+        6, [(i, j) for i in range(6) for j in range(i + 1, 6) if j != i + 3]
+    )
+
+
 class TestStats:
     def test_stats_sanity(self):
-        g = moser_spindle()
+        g = octahedron()
         coloring, stats = search_k_coloring(g, 4, symmetry_break=False)
         assert coloring is not None
+        assert stats.core_order == g.n
         assert stats.max_depth <= g.n
         assert stats.nodes_visited >= g.n
         assert stats.forced_assignments >= 0
         assert stats.elapsed >= 0
+        # the spindle has no vertex of degree 4 or more, so its 4-core is
+        # empty and nothing is searched
+        _, stats = search_k_coloring(moser_spindle(), 4, symmetry_break=False)
+        assert stats.core_order == 0
 
     def test_unsat_depth_below_order(self):
         g = moser_spindle()
@@ -257,14 +270,79 @@ class TestDegreeRelabel:
             assert du > dv or (du == dv and u < v)
 
     def test_order_226_four_coloring_counters(self, pipeline):
-        # pins the tie-break rule: ties by index alone take 117 nodes and
-        # 1,365 forced assignments here
+        # pins the tie-break rule: the 4-core in core-degree order takes 37
+        # nodes and 189 forced assignments here; the whole graph in
+        # whole-graph degree order took 57 and 300, and ties by index alone
+        # 117 and 1,365
         (g226,) = [g for g in pipeline if g.order == 226]
         adj = AdjacencyGraph.from_graph(g226)
         coloring, stats = search_k_coloring(adj, 4)
         assert coloring is not None and verify_coloring(adj, coloring)
-        assert stats.nodes_visited == 57
-        assert stats.forced_assignments == 300
+        assert stats.nodes_visited == 37
+        assert stats.forced_assignments == 189
+
+
+def with_pendants(rng, base):
+    """base with pendant paths and trees hung on it, vertices shuffled."""
+    n = base.n
+    edges = base.edges()
+    for _ in range(rng.randint(1, 4)):
+        edges.append((rng.randrange(n), n))  # the anchor may be a new vertex
+        n += 1
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return AdjacencyGraph(n, [(perm[i], perm[j]) for i, j in edges])
+
+
+class TestCorePeeling:
+    def test_verdict_matches_exhaustive_enumeration(self):
+        rng = random.Random(31)
+        for _ in range(40):
+            base = random_graph(rng, rng.randint(1, 7), rng.choice([0.3, 0.5, 0.7]))
+            g = with_pendants(rng, base)
+            for k in (2, 3, 4):
+                coloring, stats = search_k_coloring(g, k)
+                assert (coloring is not None) == brute_force_k_colorable(g, k)
+                assert stats.core_order <= base.n
+                if coloring is not None:
+                    assert verify_coloring(g, coloring)
+
+    def test_peel_order_leaves_fewer_than_k_later_neighbours(self):
+        rng = random.Random(32)
+        for _ in range(20):
+            g = with_pendants(rng, random_graph(rng, rng.randint(1, 9), 0.5))
+            for k in (2, 3, 4):
+                core, peeled = k_core(g, k)
+                assert sorted(core + peeled) == list(range(g.n))
+                later = set(core)
+                for v in reversed(peeled):
+                    assert len(later.intersection(g.neighbors[v])) < k
+                    later.add(v)
+                for v in core:
+                    assert len(set(core).intersection(g.neighbors[v])) >= k
+
+    @pytest.mark.parametrize("g, k", [
+        (AdjacencyGraph(6, [(i, i + 1) for i in range(5)]), 2),
+        (AdjacencyGraph(7, [(0, 1), (0, 2), (1, 3), (1, 4), (2, 5), (2, 6)]), 2),
+        (moser_spindle(), 4),
+    ])
+    def test_empty_core_is_colored_greedily(self, g, k):
+        for symmetry_break in (True, False):
+            coloring, stats = search_k_coloring(g, k, symmetry_break=symmetry_break)
+            assert coloring is not None and verify_coloring(g, coloring)
+            assert max(coloring) < k
+            assert stats.core_order == 0
+
+    def test_bad_k_rejected_when_core_is_empty(self):
+        path = AdjacencyGraph(4, [(0, 1), (1, 2), (2, 3)])
+        for g, k in ((path, 33), (path, 0), (AdjacencyGraph(0, []), 0)):
+            with pytest.raises(ValueError):
+                search_k_coloring(g, k)
+
+    def test_order_226_four_core(self, pipeline):
+        (g226,) = [g for g in pipeline if g.order == 226]
+        _, stats = search_k_coloring(AdjacencyGraph.from_graph(g226), 4)
+        assert stats.core_order == 194
 
 
 class TestPrefix:
@@ -288,6 +366,9 @@ class TestPrefix:
         ]
         assert all(r.levelno == logging.INFO for r in records)
         assert all(" nodes, " in r.getMessage() for r in records)
+        # the 2-core is the pentagon whenever the prefix closes it
+        cores = [r.getMessage().split(", ")[2] for r in records]
+        assert cores == ["core 5", "core 0", "core 5", "core 5"]
 
     def test_rejects_colorable_graph(self):
         g = AdjacencyGraph(3, [(0, 1), (1, 2)])
