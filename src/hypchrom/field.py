@@ -11,10 +11,13 @@ Multiplication and inversion work on the integer numerators only.
 
 Sign and interval queries evaluate the element on an isolating interval of
 the root and bisect until the answer is unambiguous; they are exact, never
-floating point.  Square roots are decided exactly through the tower
-Q < Q(sqrt5) < Q(c): the quartic factors over Q(sqrt5), so a field square
-root reduces to square roots in Q(sqrt5) and ultimately to integer square
-roots.
+floating point.  The bisection levels have power-of-two denominators, so
+the evaluation is integer interval Horner, and only the bounds handed out
+by root_bounds and fe_to_interval become Fractions.  Square roots are
+decided exactly through the tower Q < Q(sqrt5) < Q(c): the quartic factors
+over Q(sqrt5), so a field square root reduces to square roots in Q(sqrt5)
+and ultimately to integer square roots; Q(sqrt5) elements are integer
+triples.  Sign, interval and square-root arithmetic is integer-only.
 """
 
 from __future__ import annotations
@@ -176,7 +179,9 @@ class FieldElement:
     def _coerce(self, other):
         if isinstance(other, FieldElement):
             return other
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
+            return FieldElement._from_raw((other, 0, 0, 0), 1)
+        if isinstance(other, Fraction):
             return FieldElement(other)
         return NotImplemented
 
@@ -313,25 +318,28 @@ GEN = FieldElement(0, 1)  # the generator c itself
 # root isolation and interval evaluation
 # ---------------------------------------------------------------------------
 
-def _minpoly_at(x: Fraction) -> Fraction:
-    out = Fraction(0)
+def _minpoly_at(num: int, den: int) -> int:
+    """den^4 times the minimal polynomial at num/den: the same sign."""
+    out = 0
+    scale = 1
     for coef in reversed(MIN_POLY):
-        out = out * x + coef
+        out = out * num + coef * scale
+        scale *= den
     return out
 
 
 class _RootCache:
     """The bisection chain of the designated root: level k is the interval
-    of width 1/(40 * 2^k) reached by k deterministic halvings of the seed
-    interval [27/40, 7/10], which brackets the root and no other.  A level
-    depends only on k, never on which widths were asked for before."""
+    [L_k, L_k + 1] / (40 * 2^k), of width 1/(40 * 2^k), reached by k
+    deterministic halvings of the seed interval [27/40, 28/40], which
+    brackets the root and no other.  A level depends only on k, never on
+    which widths were asked for before."""
 
     def __init__(self):
         self._lock = threading.Lock()
-        lo, hi = Fraction(27, 40), Fraction(7, 10)
-        if not _minpoly_at(lo) * _minpoly_at(hi) < 0:
+        if not _minpoly_at(27, 40) * _minpoly_at(28, 40) < 0:
             raise AssertionError("seed interval does not bracket the root")
-        self._chain = [(lo, hi)]
+        self._lows = [27]  # L_k; the chain only grows
 
     @staticmethod
     def level(max_width: Fraction) -> int:
@@ -340,22 +348,27 @@ class _RootCache:
         need = -(-max_width.denominator // (40 * max_width.numerator))
         return (need - 1).bit_length()
 
-    def at(self, level: int) -> tuple[Fraction, Fraction]:
-        with self._lock:
-            chain = self._chain
-            while len(chain) <= level:
-                lo, hi = chain[-1]
-                mid = (lo + hi) / 2
-                chain.append((lo, mid) if _minpoly_at(lo) * _minpoly_at(mid) <= 0 else (mid, hi))
-            return chain[level]
+    @property
+    def depth(self) -> int:
+        """The deepest level computed so far."""
+        return len(self._lows) - 1
+
+    def at(self, level: int) -> tuple[int, int]:
+        """Level `level` as (L, D): the interval [L, L + 1] / D."""
+        lows = self._lows
+        if level >= len(lows):
+            with self._lock:
+                while len(lows) <= level:
+                    # halve [lo, lo + 2] / den at its midpoint lo + 1
+                    lo, den = 2 * lows[-1], 40 << len(lows)
+                    left = _minpoly_at(lo, den) * _minpoly_at(lo + 1, den) <= 0
+                    lows.append(lo if left else lo + 1)
+        return lows[level], 40 << level
 
     def bounds(self, max_width: Fraction) -> tuple[Fraction, Fraction]:
-        """The coarsest level at most max_width wide."""
-        return self.at(self.level(max_width))
-
-    def finest(self, max_width: Fraction) -> tuple[Fraction, Fraction]:
-        """The deepest level computed so far, at most max_width wide."""
-        return self.at(max(self.level(max_width), len(self._chain) - 1))
+        """The coarsest level at most max_width wide, as rationals."""
+        lo, den = self.at(self.level(max_width))
+        return Fraction(lo, den), Fraction(lo + 1, den)
 
 
 _ROOT = _RootCache()
@@ -383,33 +396,40 @@ def generator_float() -> float:
 _GEN_FLOAT: Optional[float] = None
 
 
-def _interval_eval(coeffs, lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:
-    # Horner with interval arithmetic; 0 < lo < hi always holds here but the
-    # intermediate intervals can span zero, so multiply conservatively.
-    acc_lo = acc_hi = Fraction(0)
-    for coef in reversed(coeffs):
-        ps = (acc_lo * lo, acc_lo * hi, acc_hi * lo, acc_hi * hi)
-        acc_lo, acc_hi = min(ps) + coef, max(ps) + coef
+def _interval_eval(n, lo: int, den: int) -> tuple[int, int]:
+    """Bounds on n0 + n1 x + n2 x^2 + n3 x^3 over x in [lo, lo + 1] / den,
+    as numerators over den^3: Horner in interval arithmetic.  x > 0, so
+    each step multiplies a lower bound by the end of the interval that
+    keeps it lowest, and an upper bound by the one that keeps it highest."""
+    hi = lo + 1
+    acc_lo = acc_hi = n[3]
+    scale = 1
+    for coef in (n[2], n[1], n[0]):
+        scale *= den
+        acc_lo = acc_lo * (lo if acc_lo >= 0 else hi) + coef * scale
+        acc_hi = acc_hi * (hi if acc_hi >= 0 else lo) + coef * scale
     return acc_lo, acc_hi
 
 
 def fe_sign(a: FieldElement) -> int:
     """Sign of a at the designated root: 0 exactly when a is the zero
     element, otherwise decided by interval refinement."""
-    if a.is_zero():
+    n = a._n
+    if _raw_is_zero(n):
         return 0
-    coeffs = a.coeffs
-    width = Fraction(1, 1 << 8)
+    # the bounds are numerators over a._d * den^3 > 0, so they carry the
+    # sign; any enclosure of the root decides it, so start from the deepest
+    # level computed so far and go 8 levels (256 times narrower) deeper per
+    # round
+    level = _ROOT.depth
     while True:
-        # any enclosure of the root decides the sign, so reuse the deepest
-        lo, hi = _ROOT.finest(width)
-        vlo, vhi = _interval_eval(coeffs, lo, hi)
+        vlo, vhi = _interval_eval(n, *_ROOT.at(level))
         if vlo > 0:
             return 1
         if vhi < 0:
             return -1
-        width /= 1 << 8
-        if width < Fraction(1, 1 << 20000):
+        level += 8
+        if level > 20000:
             raise ArithmeticError("sign refinement failed to terminate")
 
 
@@ -425,12 +445,15 @@ def fe_to_interval(a: FieldElement, target_width) -> tuple[Fraction, Fraction]:
         raise ValueError("target_width must be positive")
     if a.is_zero():
         return Fraction(0), Fraction(0)
-    coeffs = a.coeffs
+    n, d = a._n, a._d
+    tn, td = target.numerator, target.denominator
     level = _ROOT.level(min(target, _FLOAT_ROOT_WIDTH))
     while True:
-        vlo, vhi = _interval_eval(coeffs, *_ROOT.at(level))
-        if vhi - vlo <= target:
-            return vlo, vhi
+        lo, den = _ROOT.at(level)
+        vlo, vhi = _interval_eval(n, lo, den)
+        scale = d * den**3
+        if (vhi - vlo) * td <= tn * scale:
+            return Fraction(vlo, scale), Fraction(vhi, scale)
         level += 1
 
 
@@ -455,90 +478,95 @@ def interval_sqrt(lo: Fraction, hi: Fraction, target_width) -> tuple[Fraction, F
 #
 # sqrt5 = 16c^3 + 8c^2 - 8c - 1 lies in Q(c), and the generator satisfies
 # c^2 = u*c + 1/4 over Q(sqrt5) with u = (-1 + sqrt5)/4.  Elements of
-# Q(sqrt5) are handled as (r, s) meaning r + s*sqrt5.
+# Q(sqrt5) are integer triples (a, b, d), d > 0, meaning (a + b*sqrt5)/d.
 
 SQRT5 = FieldElement(-1, -8, 8, 16)
 
-_Q5_U = (Fraction(-1, 4), Fraction(1, 4))  # u
+
+def _q5_reduce(a: int, b: int, d: int):
+    g = math.gcd(a, b, d)
+    return (a // g, b // g, d // g) if g > 1 else (a, b, d)
 
 
-def _q5_add(a, b):
-    return (a[0] + b[0], a[1] + b[1])
+def _q5_add(x, y):
+    (a, b, d), (e, f, h) = x, y
+    if d == h:
+        return _q5_reduce(a + e, b + f, d)
+    return _q5_reduce(a * h + e * d, b * h + f * d, d * h)
 
 
-def _q5_sub(a, b):
-    return (a[0] - b[0], a[1] - b[1])
+def _q5_sub(x, y):
+    return _q5_add(x, (-y[0], -y[1], y[2]))
 
 
-def _q5_mul(a, b):
-    return (a[0] * b[0] + 5 * a[1] * b[1], a[0] * b[1] + a[1] * b[0])
+def _q5_mul(x, y):
+    (a, b, d), (e, f, h) = x, y
+    return _q5_reduce(a * e + 5 * b * f, a * f + b * e, d * h)
 
 
-def _q5_scale(a, q):
-    return (a[0] * q, a[1] * q)
-
-
-def _q5_div(a, b):
-    nrm = b[0] * b[0] - 5 * b[1] * b[1]
+def _q5_div(x, y):
+    # x / y = x * conj(y) / N(y), N(y) = (e^2 - 5f^2) / h^2
+    (a, b, d), (e, f, h) = x, y
+    nrm = e * e - 5 * f * f
     if nrm == 0:
         raise ZeroDivisionError("zero element of Q(sqrt5)")
-    return ((a[0] * b[0] - 5 * a[1] * b[1]) / nrm, (a[1] * b[0] - a[0] * b[1]) / nrm)
+    if nrm < 0:
+        nrm, h = -nrm, -h
+    return _q5_reduce(h * (a * e - 5 * b * f), h * (b * e - a * f), d * nrm)
 
 
-def _rat_sqrt(q: Fraction) -> Optional[Fraction]:
-    if q < 0:
+def _rat_sqrt(n: int, d: int) -> Optional[int]:
+    """r with sqrt(n/d) = r/d when n/d (d > 0) is a rational square, else
+    None: n/d = n*d / d^2."""
+    if n < 0:
         return None
-    if q == 0:
-        return Fraction(0)
-    rn = math.isqrt(q.numerator)
-    rd = math.isqrt(q.denominator)
-    if rn * rn == q.numerator and rd * rd == q.denominator:
-        return Fraction(rn, rd)
-    return None
+    r = math.isqrt(n * d)
+    return r if r * r == n * d else None
 
 
-def _q5_sqrt(g) -> Optional[tuple[Fraction, Fraction]]:
-    g0, g1 = g
-    if g1 == 0:
-        r = _rat_sqrt(g0)
+def _q5_sqrt(g):
+    """A square root of g in Q(sqrt5), or None when g is not a square."""
+    a, b, d = g
+    if b == 0:
+        r = _rat_sqrt(a, d)
         if r is not None:
-            return (r, Fraction(0))
-        r = _rat_sqrt(g0 / 5)
+            return (r, 0, d)
+        r = _rat_sqrt(a, 5 * d)  # a/d = 5 (r / 5d)^2
         if r is not None:
-            return (Fraction(0), r)
+            return (0, r, 5 * d)
         return None
-    n = _rat_sqrt(g0 * g0 - 5 * g1 * g1)
-    if n is None:
+    # a square's norm (a^2 - 5b^2)/d^2 is a rational square m^2/d^2
+    m = _rat_sqrt(a * a - 5 * b * b, 1)
+    if m is None:
         return None
-    for nn in (n, -n):
-        t0 = _rat_sqrt((g0 + nn) / 2)
-        if t0 is None or t0 == 0:
+    for mm in (m, -m):
+        # rational part t0 = sqrt((a + mm) / 2d) = r/2d, then t1 = b/r
+        r = _rat_sqrt(a + mm, 2 * d)
+        if not r:
             continue
-        t1 = g1 / (2 * t0)
-        if t0 * t0 + 5 * t1 * t1 == g0:
-            return (t0, t1)
+        if r**4 + 20 * d * d * b * b == 4 * a * d * r * r:  # t0^2 + 5 t1^2 = a/d
+            return _q5_reduce(r * r, 2 * d * b, 2 * d * r)
     return None
 
 
-def _to_quad_basis(a: FieldElement):
-    # rewrite a0 + a1 c + a2 c^2 + a3 c^3 as d0 + d1 c with d0, d1 in Q(sqrt5),
-    # using c^2 = u c + 1/4 and c^3 = ((5 - sqrt5)/8) c + (-1 + sqrt5)/16
-    a0, a1, a2, a3 = a.coeffs
-    d0 = (
-        a0 + a2 * Fraction(1, 4) + a3 * Fraction(-1, 16),
-        a3 * Fraction(1, 16),
-    )
-    d1 = (
-        a1 + a2 * _Q5_U[0] + a3 * Fraction(5, 8),
-        a2 * _Q5_U[1] + a3 * Fraction(-1, 8),
-    )
-    return d0, d1
+_Q5_U = (-1, 1, 4)               # u
+_Q5_TWO_U = (-1, 1, 2)           # 2u
+_Q5_FOUR_QA = (11, -1, 2)        # 4(u^2 + 1)
+_Q5_INV_TWO_QA = (11, 1, 29)     # 1 / (2(u^2 + 1))
 
 
 def _from_quad_basis(t0, t1) -> FieldElement:
-    out = FieldElement(t0[0]) + SQRT5 * FieldElement(t0[1])
-    out = out + GEN * (FieldElement(t1[0]) + SQRT5 * FieldElement(t1[1]))
-    return out
+    # t0 + t1 c, with sqrt5 = -1 - 8c + 8c^2 + 16c^3 and sqrt5 c = -1 + c + 4c^2
+    (a0, b0, e0), (a1, b1, e1) = t0, t1
+    return FieldElement._from_raw(
+        (
+            (a0 - b0) * e1 - b1 * e0,
+            -8 * b0 * e1 + (a1 + b1) * e0,
+            8 * b0 * e1 + 4 * b1 * e0,
+            16 * b0 * e1,
+        ),
+        e0 * e1,
+    )
 
 
 def fe_sqrt(d: FieldElement) -> Optional[FieldElement]:
@@ -549,28 +577,30 @@ def fe_sqrt(d: FieldElement) -> Optional[FieldElement]:
         raise ValueError("square root of a negative element")
     if s == 0:
         return ZERO
-    d0, d1 = _to_quad_basis(d)
-    u = _Q5_U
-    qa = _q5_add(_q5_mul(u, u), (Fraction(1), Fraction(0)))  # u^2 + 1
-    qb = _q5_add(_q5_scale(_q5_mul(u, d1), 2), _q5_scale(d0, 4))
-    qc = _q5_mul(d1, d1)
-    disc = _q5_sub(_q5_mul(qb, qb), _q5_scale(_q5_mul(qa, qc), 4))
+    # d = d0 + d1 c with d0, d1 in Q(sqrt5), by c^2 = u c + 1/4 and
+    # c^3 = ((5 - sqrt5)/8) c + (-1 + sqrt5)/16
+    n0, n1, n2, n3 = d._n
+    den = 16 * d._d
+    d0 = _q5_reduce(16 * n0 + 4 * n2 - n3, n3, den)
+    d1 = _q5_reduce(16 * n1 - 4 * n2 + 10 * n3, 4 * n2 - 2 * n3, den)
+    # a root t0 + t1 c has w = t1^2 solving qa w^2 - qb w + qc = 0 with
+    # qa = u^2 + 1 = (11 - sqrt5)/8, qb = 2 u d1 + 4 d0, qc = d1^2
+    qb = _q5_add(_q5_mul(_Q5_TWO_U, d1), _q5_mul((4, 0, 1), d0))
+    disc = _q5_sub(_q5_mul(qb, qb), _q5_mul(_Q5_FOUR_QA, _q5_mul(d1, d1)))
     sq = _q5_sqrt(disc)
     if sq is None:
         return None
-    for w in (
-        _q5_div(_q5_add(qb, sq), _q5_scale(qa, 2)),
-        _q5_div(_q5_sub(qb, sq), _q5_scale(qa, 2)),
-    ):
-        t1 = _q5_sqrt(w)
+    for qb_pm_sq in (_q5_add(qb, sq), _q5_sub(qb, sq)):
+        t1 = _q5_sqrt(_q5_mul(qb_pm_sq, _Q5_INV_TWO_QA))
         if t1 is None:
             continue
-        if t1 == (0, 0):
+        if t1[0] == 0 and t1[1] == 0:
             t0 = _q5_sqrt(d0)
             if t0 is None:
                 continue
         else:
-            t0 = _q5_scale(_q5_sub(_q5_div(d1, t1), _q5_mul(u, t1)), Fraction(1, 2))
+            # t0 = (d1/t1 - u t1) / 2
+            t0 = _q5_mul(_q5_sub(_q5_div(d1, t1), _q5_mul(_Q5_U, t1)), (1, 0, 2))
         t = _from_quad_basis(t0, t1)
         if t * t == d:
             return t if fe_sign(t) >= 0 else -t

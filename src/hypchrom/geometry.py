@@ -253,29 +253,39 @@ def screen_residues(points: Sequence[ModulePoint]) -> np.ndarray:
     return np.array(rows, dtype=np.int64).reshape(len(rows), 3)
 
 
-def _self_term(r: np.ndarray) -> np.ndarray:
-    # A = 2(1-c) * (X^2 + (1-c^2) Y^2) mod p
-    p, x, y = SCREEN_PRIME, r[..., 0], r[..., 1]
-    return _RES_TWO_ONE_MINUS_C * ((x * x % p + _RES_ONE_MINUS_CSQ * (y * y % p)) % p) % p
+def screen_operands(residues: np.ndarray) -> np.ndarray:
+    """screen_residues rows in the form maybe_unit_edge reads, made once
+    per point set: uint64 columns X, Y, K, then A = 2(1-c)(X^2 + (1-c^2)Y^2),
+    U*X and V*Y mod p (U = 4(1-c), V = 4(1-c)(1-c^2)), and last 1 for a
+    row without image, whose other columns are 0."""
+    p = SCREEN_PRIME
+    r = residues.clip(0).astype(np.uint64)
+    x, y = r[..., 0], r[..., 1]
+    out = np.empty(r.shape[:-1] + (7,), dtype=np.uint64)
+    out[..., :3] = r
+    out[..., 3] = _RES_TWO_ONE_MINUS_C * ((x * x % p + _RES_ONE_MINUS_CSQ * (y * y % p)) % p) % p
+    out[..., 4] = _RES_U * x % p
+    out[..., 5] = _RES_V * y % p
+    out[..., 6] = residues[..., 0] < 0
+    return out
 
 
 def maybe_unit_edge(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """False where a pair is proven not to be an edge, True ("maybe")
-    elsewhere.  a and b are rows of screen_residues, broadcast against each
+    elsewhere.  a and b are rows of screen_operands, broadcast against each
     other.  Expanded, the residual 2(1-c)*Delta - K_P*K_Q is
-    A_P + A_Q - U_P*X_Q - V_P*Y_Q - K_P*K_Q with U = 4(1-c)X and
-    V = 4(1-c)(1-c^2)Y; it is zero mod p exactly when U_P*X_Q + V_P*Y_Q
-    + K_P*K_Q + (p - A_P) = A_Q mod p.  That sum is below 3p^2 + p < 2^64,
-    so it takes one uint64 reduction per pair and never overflows."""
+    A_P + A_Q - U*X_P*X_Q - V*Y_P*Y_Q - K_P*K_Q; it is zero mod p exactly
+    when (U*X_P)*X_Q + (V*Y_P)*Y_Q + K_P*K_Q + (p - A_P) = A_Q mod p.  That
+    sum is below 3p^2 + p < 2^64, so it takes one uint64 reduction per pair
+    and never overflows."""
     p = SCREEN_PRIME
-    ua, ub = a.clip(0).astype(np.uint64), b.clip(0).astype(np.uint64)
     total = (
-        _RES_U * ua[..., 0] % p * ub[..., 0]
-        + _RES_V * ua[..., 1] % p * ub[..., 1]
-        + ua[..., 2] * ub[..., 2]
-        + (p - _self_term(ua))
+        a[..., 4] * b[..., 0]
+        + a[..., 5] * b[..., 1]
+        + a[..., 2] * b[..., 2]
+        + (p - a[..., 3])
     )
-    return (total % p == _self_term(ub)) | (a[..., 0] < 0) | (b[..., 0] < 0)
+    return (total % p == b[..., 3]) | (a[..., 6] > 0) | (b[..., 6] > 0)
 
 
 def screened_pairs(residues: np.ndarray) -> list[tuple[int, int]]:
@@ -283,10 +293,11 @@ def screened_pairs(residues: np.ndarray) -> list[tuple[int, int]]:
     rule out, in lexicographic order; every other pair is proven not to be
     an edge."""
     n = len(residues)
+    ops = screen_operands(residues)
     pairs: list[tuple[int, int]] = []
     for start in range(0, n, _SCAN_BLOCK):
-        rows = residues[start : start + _SCAN_BLOCK]
-        maybe = maybe_unit_edge(rows[:, None, :], residues[None, start:, :])
+        rows = ops[start : start + _SCAN_BLOCK]
+        maybe = maybe_unit_edge(rows[:, None, :], ops[None, start:, :])
         # keep only the columns right of the diagonal
         maybe &= np.arange(n - start)[None, :] > np.arange(len(rows))[:, None]
         i, j = np.nonzero(maybe)

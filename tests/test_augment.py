@@ -6,6 +6,7 @@ import pytest
 
 from hypchrom import augment
 from hypchrom.augment import (
+    PHASE_LAYERS,
     AugmentConfig,
     CandidatePoint,
     IdenticalCirclesError,
@@ -305,6 +306,13 @@ class TestPipeline:
         r = phase_augment(g28, 3, cfg=reference_cfg, phase_index=2).phase_report
         assert r.exact_edge_tests == len(calls) == sum(calls) == 50
         assert r.screened_pairs == 14 * 28 + 14 * 13 // 2
+
+    def test_phase_timings(self, pipeline):
+        for g in pipeline:
+            r = g.phase_report
+            assert list(r.timings) == list(PHASE_LAYERS)
+            assert all(t >= 0 for t in r.timings.values())
+            assert sum(r.timings.values()) <= r.elapsed
 
     def test_all_vertices_inside_disk(self, pipeline):
         g = pipeline[4]

@@ -7,7 +7,7 @@ import sys
 import pytest
 
 import hypchrom
-from hypchrom.augment import PhaseReport
+from hypchrom.augment import PHASE_LAYERS, PhaseReport
 from hypchrom.bundle import read_bundle, write_bundle
 from hypchrom.cli import main
 from hypchrom.coloring import AdjacencyGraph, SearchStats, moser_spindle, verify_coloring
@@ -207,6 +207,7 @@ class TestAugmentJson:
         records = [json.loads(line) for line in done.stdout.splitlines()]
         fields = {f.name for f in dataclasses.fields(PhaseReport)} - {"rejected_detail"}
         assert [set(r) for r in records] == [fields, fields]
+        assert [list(r["timings"]) for r in records] == [list(PHASE_LAYERS)] * 2
         assert [r["phase"] for r in records] == [1, 2]
         assert [r["accepted"] for r in records] == [19, 14]
         assert [r["screened_pairs"] for r in records] == [342, 483]

@@ -136,6 +136,15 @@ class TestSign:
     def test_sign_of_zero(self):
         assert fe_sign(ZERO) == 0
 
+    def test_sign_refines_below_cached_levels(self):
+        # c - lo and c - hi are smaller than every enclosure computed before
+        # root_bounds reached their level, so the sign needs deeper ones
+        for exp in (20, 40, 80):
+            lo, hi = root_bounds(Fraction(1, 10**exp))
+            assert hi - lo <= Fraction(1, 10**exp)
+            assert fe_sign(GEN - lo) == 1
+            assert fe_sign(GEN - hi) == -1
+
     def test_sign_examples(self):
         assert fe_sign(2 * GEN - ONE) == 1
         assert fe_sign(GEN - ONE) == -1
@@ -157,7 +166,42 @@ class TestSign:
                 assert (a.to_float() > 0) == (s > 0)
 
 
+def interval_reference(a, target):
+    """fe_to_interval from its specification, in Fractions: Horner in
+    interval arithmetic on the coarsest level of the root's bisection chain
+    (level k is 1/(40 * 2^k) wide) that is at most 1e-18 wide and gives a
+    value at most target wide."""
+    k = 0
+    while Fraction(1, 40 << k) > min(target, Fraction(1, 10**18)):
+        k += 1
+    while True:
+        lo, hi = root_bounds(Fraction(1, 40 << k))
+        assert hi - lo == Fraction(1, 40 << k)
+        acc_lo = acc_hi = Fraction(0)
+        for coef in reversed(a.coeffs):
+            ps = (acc_lo * lo, acc_lo * hi, acc_hi * lo, acc_hi * hi)
+            acc_lo, acc_hi = min(ps) + coef, max(ps) + coef
+        if acc_hi - acc_lo <= target:
+            return acc_lo, acc_hi
+        k += 1
+
+
 class TestIntervals:
+    def test_bounds_equal_fraction_reference(self):
+        assert fe_to_interval(GEN, Fraction(1, 10**6)) == (
+            Fraction(488433139615636109, 720575940379279360),
+            Fraction(976866279231272219, 1441151880758558720),
+        )
+        for a in (
+            GEN,
+            FieldElement(1, Fraction(2, 3), Fraction(-1, 5), 2),
+            FieldElement(Fraction(-7, 3), 5, Fraction(1, 9), Fraction(-13, 2)),
+            EDGE_INVARIANT,
+        ):
+            for exp in (6, 12, 30):
+                target = Fraction(1, 10**exp)
+                assert fe_to_interval(a, target) == interval_reference(a, target)
+
     def test_root_interval_brackets_published_value(self):
         # the published decimal is rounded to ten digits, so compare at 1e-9
         lo, hi = fe_to_interval(GEN, Fraction(1, 10**9))
@@ -208,6 +252,10 @@ class TestIntervals:
 class TestSqrt:
     def test_sqrt_of_generator_squared(self):
         assert fe_sqrt(GEN * GEN) == GEN
+        # roots t1*c whose t1^2 is, in Q(sqrt5), a rational square, five
+        # times a rational square, and a square that is not rational
+        for t1 in (FieldElement(Fraction(3, 2)), SQRT5, ONE + SQRT5):
+            assert fe_sqrt((t1 * GEN) ** 2) == t1 * GEN
 
     def test_sqrt_takes_nonnegative_branch(self):
         one_minus = ONE - GEN
@@ -225,6 +273,11 @@ class TestSqrt:
     def test_sqrt_absent_for_nonsquares(self):
         assert fe_sqrt(FieldElement(2)) is None
         assert fe_sqrt(FieldElement(3)) is None
+        assert fe_sqrt(GEN) is None
+        # 1 + sqrt5 has norm -4, not a square; 3 + sqrt5 has norm 4, a
+        # square, and is still no square in Q(sqrt5) or Q(c)
+        assert fe_sqrt(ONE + SQRT5) is None
+        assert fe_sqrt(3 + SQRT5) is None
 
     def test_sqrt_of_five_is_the_embedded_radical(self):
         assert fe_sqrt(FieldElement(5)) == SQRT5

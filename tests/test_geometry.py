@@ -33,6 +33,7 @@ from hypchrom.geometry import (
     lex_less,
     maybe_unit_edge,
     point_coords_numeric,
+    screen_operands,
     screen_residues,
     screened_pairs,
     spindle_numeric,
@@ -320,13 +321,13 @@ class TestModularScreen:
 
     def test_recorded_edges_have_zero_residue(self, screened_graphs):
         for g in screened_graphs:
-            res = screen_residues(g.vertices)
+            res = screen_operands(screen_residues(g.vertices))
             i, j = np.array(g.edges).T
             assert maybe_unit_edge(res[i], res[j]).all()
 
     def test_nonzero_residue_pairs_fail_exact_test(self, screened_graphs):
         for g in screened_graphs:
-            res = screen_residues(g.vertices)
+            res = screen_operands(screen_residues(g.vertices))
             maybe = maybe_unit_edge(res[:, None, :], res[None, :, :])
             assert (maybe == maybe.T).all()
             ruled_out = 0
@@ -349,9 +350,9 @@ class TestModularScreen:
         for ra, rb in zip(a.tolist(), b.tolist()):
             delta = (ra[0] - rb[0]) ** 2 + (1 - r * r) * (ra[1] - rb[1]) ** 2
             rb[2] = 2 * (1 - r) * delta * pow(ra[2], -1, p) % p
-            on = np.array(rb, dtype=np.int64)
-            off = np.array(rb[:2] + [(rb[2] + 1) % p], dtype=np.int64)
-            row = np.array(ra, dtype=np.int64)
+            on = screen_operands(np.array(rb, dtype=np.int64))
+            off = screen_operands(np.array(rb[:2] + [(rb[2] + 1) % p], dtype=np.int64))
+            row = screen_operands(np.array(ra, dtype=np.int64))
             assert maybe_unit_edge(row, on) and maybe_unit_edge(on, row)
             assert not maybe_unit_edge(row, off) and not maybe_unit_edge(off, row)
 
@@ -363,7 +364,8 @@ class TestModularScreen:
             verts = list(g.vertices)
             for points in (verts, verts[:at] + [no_image] + verts[at:]):
                 res = screen_residues(points)
-                maybe = maybe_unit_edge(res[:, None, :], res[None, :, :])
+                ops = screen_operands(res)
+                maybe = maybe_unit_edge(ops[:, None, :], ops[None, :, :])
                 n = len(points)
                 brute = [(i, j) for i in range(n) for j in range(i + 1, n) if maybe[i, j]]
                 assert screened_pairs(res) == brute
@@ -373,13 +375,14 @@ class TestModularScreen:
 
     def test_point_without_image_is_never_ruled_out(self, g28):
         p = SCREEN_PRIME
-        res = screen_residues(g28.vertices)
+        res = screen_operands(screen_residues(g28.vertices))
         for point in (
             ModulePoint(FieldElement(Fraction(1, p)), FieldElement(0)),
             ModulePoint(FieldElement(0), GEN * Fraction(3, 2 * p)),
         ):
             row = screen_residues([point])[0]
             assert row.tolist() == [-1, -1, -1]
+            row = screen_operands(row)
             assert maybe_unit_edge(row, res).all()
             assert maybe_unit_edge(res, row).all()
 

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from hypchrom.bundle import BundleFormatError, read_bundle, write_bundle
@@ -5,6 +7,30 @@ from hypchrom.coloring import AdjacencyGraph, chromatic_number
 from hypchrom.dimacs import emit_dimacs, parse_dimacs
 from hypchrom.geometry import Graph, GraphIntegrityError
 from hypchrom.svg import emit_svg
+
+
+# SHA-256 of the bundle and of the default SVG of the order-226 graph
+# (phases 1-5) and the order-1378 graph (all seven phases); any change to a
+# vertex, an edge, the order or a drawn coordinate changes them
+PINNED_DIGESTS = {
+    226: (
+        "b24f573d2c7720352b261e7087a3a95019ddab49eb8d527afbc329545077f462",
+        "82105df9b17becd958ee64548a4bccb35e8c7808bdc10692e180f889ee663659",
+    ),
+    1378: (
+        "0d639e0669fa98973fb04b70013a097c18cfa70fb977e7442e97d5c0432be1d8",
+        "1560f68d5a338b733c7606e4020ac5e5e4489fb3669df46c6f4e0e1b24c3aaa1",
+    ),
+}
+
+
+def test_pinned_bundle_and_svg_digests(pipeline, tmp_path):
+    for g in (pipeline[4], pipeline[6]):
+        bundle, svg = tmp_path / f"{g.order}.bundle", tmp_path / f"{g.order}.svg"
+        write_bundle(g, str(bundle))
+        emit_svg(g, str(svg))
+        digests = tuple(hashlib.sha256(p.read_bytes()).hexdigest() for p in (bundle, svg))
+        assert digests == PINNED_DIGESTS[g.order]
 
 
 class TestBundle:
