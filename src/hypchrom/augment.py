@@ -365,6 +365,13 @@ def _match_exact_candidate(
     return None
 
 
+def _max_denominator(point: ModulePoint) -> int:
+    """The largest denominator of the point's octuple in lowest terms."""
+    return max(
+        e._d // math.gcd(n, e._d) for e in (point.x_elem, point.y_elem) for n in e._n
+    )
+
+
 def phase_augment(
     g: Graph,
     min_neighbors: int,
@@ -474,7 +481,7 @@ def phase_augment(
             report.rejected_detail.append(("nonmodule", i, j, x, y))
             continue
         point = exact.point
-        if any(q.denominator > cfg.denom_bound for q in point.octuple):
+        if _max_denominator(point) > cfg.denom_bound:
             report.rejected_denominator += 1
             report.rejected_detail.append(("denominator", i, j, x, y))
             continue

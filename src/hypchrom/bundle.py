@@ -3,6 +3,13 @@
 The format is versioned, diffable, and round-trips bit-exactly: rationals
 are serialized as num/den strings, vertices carry their provenance, and
 reading re-certifies every edge in exact arithmetic unless told not to.
+
+Coefficients are read into integer (num, den) pairs and written from the
+reduced integer numerators and denominators of each element; neither
+read_bundle nor write_bundle builds a Fraction.  Fractions appear only
+where the API returns them (FieldElement.coeffs, ModulePoint.octuple,
+root_bounds, fe_to_interval, interval_sqrt, parse_rational and the bounds
+of NumericPoint).
 """
 
 from __future__ import annotations

@@ -12,6 +12,7 @@ import dataclasses
 import json
 import os
 import sys
+import time
 
 from .augment import AugmentConfig, grow_pipeline, DEFAULT_SCHEDULE
 from .bundle import BundleFormatError, read_bundle, write_bundle
@@ -90,8 +91,18 @@ def _cmd_augment(args) -> int:
 
 
 def _cmd_certify(args) -> int:
+    started = time.perf_counter()
     g = read_bundle(args.input, verify=False)
+    loaded = time.perf_counter()
     report = certify_graph(g)
+    done = time.perf_counter()
+    if args.json:
+        record = dataclasses.asdict(report)
+        record["failures"] = [[kind, i + 1, j + 1] for kind, i, j in report.failures]
+        record["load_elapsed"] = loaded - started
+        record["certify_elapsed"] = done - loaded
+        print(json.dumps(record))
+        return EXIT_OK if report.ok else EXIT_INTEGRITY
     print(
         f"edges checked: {report.edges_checked}, "
         f"non-edges checked: {report.nonedges_checked}, "
@@ -227,6 +238,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("certify", help="re-certify every pair of a bundle exactly")
     p.add_argument("--in", dest="input", required=True)
+    p.add_argument(
+        "--json",
+        action="store_true",
+        help="print one JSON object on stdout: the certification report "
+        "(failures as 1-based [kind, i, j]) and the load and certification "
+        "seconds",
+    )
     p.set_defaults(func=_cmd_certify)
 
     p = sub.add_parser("color", help="decide k-colorability")

@@ -265,11 +265,15 @@ def chromatic_number(g: AdjacencyGraph, upper_bound: int = 16) -> Optional[int]:
 def minimal_non_k_prefix(g: AdjacencyGraph, k: int) -> int:
     """Smallest m such that the first m vertices induce no k-colorable
     subgraph.  Binary search; sound because non-colorability of a prefix is
-    inherited by every longer prefix.  Logs one INFO line per probe.
+    inherited by every longer prefix.  After an UNSAT probe the upper end
+    drops to the highest index in the probe's k-core, plus one: that core is
+    an induced subgraph of the shorter prefix and has no k-coloring itself.
+    Logs one INFO line per probe.
 
     Raises ColorableGraphError if g itself is k-colorable."""
 
-    def colorable(prefix: AdjacencyGraph) -> bool:
+    def upper_end(prefix: AdjacencyGraph) -> Optional[int]:
+        """None if prefix is k-colorable, else its k-core's last index + 1."""
         coloring, stats = search_k_coloring(prefix, k)
         logger.info(
             "prefix %d: %s, %d nodes, core %d, %.3f s",
@@ -279,17 +283,21 @@ def minimal_non_k_prefix(g: AdjacencyGraph, k: int) -> int:
             stats.core_order,
             stats.elapsed,
         )
-        return coloring is not None
+        if coloring is not None:
+            return None
+        return max(k_core(prefix, k)[0]) + 1
 
-    if colorable(g):
+    hi = upper_end(g)  # invariant: prefix hi is not k-colorable
+    if hi is None:
         raise ColorableGraphError(f"graph is {k}-colorable; no prefix is a witness")
-    lo, hi = 1, g.n  # invariant: prefix hi is not k-colorable
+    lo = 1
     while lo < hi:
         mid = (lo + hi) // 2
-        if colorable(g.induced_prefix(mid)):
+        end = upper_end(g.induced_prefix(mid))
+        if end is None:
             lo = mid + 1
         else:
-            hi = mid
+            hi = end
     return hi
 
 

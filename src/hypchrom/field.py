@@ -18,6 +18,13 @@ decided exactly through the tower Q < Q(sqrt5) < Q(c): the quartic factors
 over Q(sqrt5), so a field square root reduces to square roots in Q(sqrt5)
 and ultimately to integer square roots; Q(sqrt5) elements are integer
 triples.  Sign, interval and square-root arithmetic is integer-only.
+
+Text is parsed into integer (num, den) pairs and elements are built from
+them directly; as_strings writes the reduced pairs back.  Fractions are
+made only where the API returns one: here FieldElement.coeffs,
+root_bounds, fe_to_interval, interval_sqrt and parse_rational (and, in
+geometry.py, ModulePoint.octuple and the bounds of NumericPoint).
+Nothing else on the load, growth or export paths builds one.
 """
 
 from __future__ import annotations
@@ -33,13 +40,23 @@ Rational = Fraction
 MIN_POLY = (1, -2, -12, 8, 16)
 
 
+def _parse_ratio(text: str) -> tuple[int, int]:
+    """Parse "num/den" (or a bare integer) into an integer pair (num, den),
+    not reduced, den nonzero.  int() raises ValueError on a malformed part;
+    a zero denominator raises ZeroDivisionError."""
+    num, sep, den = text.partition("/")
+    n = int(num)
+    if not sep:
+        return n, 1
+    d = int(den)
+    if d == 0:
+        raise ZeroDivisionError(f"zero denominator in {text.strip()!r}")
+    return n, d
+
+
 def parse_rational(text: str) -> Fraction:
     """Parse "num/den" (or a bare integer) into a Fraction."""
-    text = text.strip()
-    if "/" in text:
-        num, den = text.split("/", 1)
-        return Fraction(int(num), int(den))
-    return Fraction(int(text))
+    return Fraction(*_parse_ratio(text))
 
 
 def format_rational(q: Fraction) -> str:
@@ -128,6 +145,14 @@ def _raw_sub(an, ad, bn, bd):
 
 def _raw_is_zero(an) -> bool:
     return an[0] == 0 and an[1] == 0 and an[2] == 0 and an[3] == 0
+
+
+def _raw_from_ratios(ratios):
+    """(n0, n1, n2, n3), den of four (num, den) pairs: the numerators scaled
+    to the lcm of the denominators, not reduced."""
+    (a0, d0), (a1, d1), (a2, d2), (a3, d3) = ratios
+    den = math.lcm(d0, d1, d2, d3)
+    return (a0 * (den // d0), a1 * (den // d1), a2 * (den // d2), a3 * (den // d3)), den
 
 
 def _normalize(an, ad):
@@ -288,7 +313,7 @@ class FieldElement:
         return "FieldElement({}, {}, {}, {})".format(*self.coeffs)
 
     def __str__(self):
-        return " ".join(format_rational(q) for q in self.coeffs)
+        return " ".join(self.as_strings())
 
     # -- evaluation ----------------------------------------------------------
 
@@ -300,13 +325,19 @@ class FieldElement:
     # -- serialization --------------------------------------------------------
 
     def as_strings(self) -> tuple[str, str, str, str]:
-        return tuple(format_rational(q) for q in self.coeffs)
+        """The coefficients as format_rational writes them, reduced."""
+        d = self._d
+        out = []
+        for n in self._n:
+            g = math.gcd(n, d)
+            out.append(f"{n // g}/{d // g}")
+        return tuple(out)
 
     @classmethod
     def from_strings(cls, parts) -> "FieldElement":
         if len(parts) != 4:
             raise ValueError("expected four coefficient strings")
-        return cls(*(parse_rational(p) for p in parts))
+        return cls._from_raw(*_raw_from_ratios([_parse_ratio(p) for p in parts]))
 
 
 ZERO = FieldElement(0)
@@ -342,10 +373,10 @@ class _RootCache:
         self._lows = [27]  # L_k; the chain only grows
 
     @staticmethod
-    def level(max_width: Fraction) -> int:
-        """The coarsest level at most max_width wide."""
-        # smallest k with 1/(40 * 2^k) <= a/b, i.e. 2^k >= ceil(b / (40a))
-        need = -(-max_width.denominator // (40 * max_width.numerator))
+    def level(num: int, den: int) -> int:
+        """The coarsest level at most num/den wide (num, den > 0)."""
+        # smallest k with 1/(40 * 2^k) <= num/den, i.e. 2^k >= ceil(den / (40 num))
+        need = -(-den // (40 * num))
         return (need - 1).bit_length()
 
     @property
@@ -367,7 +398,7 @@ class _RootCache:
 
     def bounds(self, max_width: Fraction) -> tuple[Fraction, Fraction]:
         """The coarsest level at most max_width wide, as rationals."""
-        lo, den = self.at(self.level(max_width))
+        lo, den = self.at(self.level(max_width.numerator, max_width.denominator))
         return Fraction(lo, den), Fraction(lo + 1, den)
 
 
@@ -383,6 +414,7 @@ def root_bounds(max_width=Fraction(1, 10**12)) -> tuple[Fraction, Fraction]:
 # root enclosures at least this narrow carry the root to full double
 # precision; generator_float and fe_to_interval never use wider ones
 _FLOAT_ROOT_WIDTH = Fraction(1, 10**18)
+_FLOAT_ROOT_LEVEL = _RootCache.level(1, 10**18)
 
 
 def generator_float() -> float:
@@ -433,6 +465,23 @@ def fe_sign(a: FieldElement) -> int:
             raise ArithmeticError("sign refinement failed to terminate")
 
 
+def _interval_raw(a: FieldElement, tn: int, td: int) -> tuple[int, int, int]:
+    """fe_to_interval's bounds as integers (lo, hi, den), den > 0, for a
+    target width tn/td > 0."""
+    n = a._n
+    if _raw_is_zero(n):
+        return 0, 0, 1
+    d = a._d
+    level = max(_RootCache.level(tn, td), _FLOAT_ROOT_LEVEL)
+    while True:
+        lo, den = _ROOT.at(level)
+        vlo, vhi = _interval_eval(n, lo, den)
+        scale = d * den**3
+        if (vhi - vlo) * td <= tn * scale:
+            return vlo, vhi, scale
+        level += 1
+
+
 def fe_to_interval(a: FieldElement, target_width) -> tuple[Fraction, Fraction]:
     """Rational bounds on the value of a at the root, at most target_width
     wide.  Bounds shrink monotonically as target_width decreases, and
@@ -443,18 +492,8 @@ def fe_to_interval(a: FieldElement, target_width) -> tuple[Fraction, Fraction]:
     target = Fraction(target_width)
     if target <= 0:
         raise ValueError("target_width must be positive")
-    if a.is_zero():
-        return Fraction(0), Fraction(0)
-    n, d = a._n, a._d
-    tn, td = target.numerator, target.denominator
-    level = _ROOT.level(min(target, _FLOAT_ROOT_WIDTH))
-    while True:
-        lo, den = _ROOT.at(level)
-        vlo, vhi = _interval_eval(n, lo, den)
-        scale = d * den**3
-        if (vhi - vlo) * td <= tn * scale:
-            return Fraction(vlo, scale), Fraction(vhi, scale)
-        level += 1
+    lo, hi, den = _interval_raw(a, target.numerator, target.denominator)
+    return Fraction(lo, den), Fraction(hi, den)
 
 
 def interval_sqrt(lo: Fraction, hi: Fraction, target_width) -> tuple[Fraction, Fraction]:

@@ -282,6 +282,21 @@ class TestPipeline:
         counts = [g.phase_report.rejected_nonmodule for g in pipeline]
         assert counts == [0, 0, 0, 0, 0, 0, 18]
 
+    def test_max_denominator_matches_octuple(self):
+        rng = random.Random(11)
+        for _ in range(200):
+            octuple = [Fraction(rng.randint(-50, 50), rng.randint(1, 40)) for _ in range(8)]
+            p = ModulePoint.from_octuple(octuple)
+            assert augment._max_denominator(p) == max(q.denominator for q in p.octuple)
+
+    @pytest.mark.parametrize("bound, rejected", [(4, [8, 8, 10]), (30, [6, 5, 11])])
+    def test_denominator_bound(self, g9, bound, rejected):
+        cfg = AugmentConfig.reference(denom_bound=bound)
+        graphs = grow_pipeline(g9, [2, 3, 3], cfg=cfg)
+        assert [g.phase_report.rejected_denominator for g in graphs] == rejected
+        # every kept vertex is within the bound, in lowest terms
+        assert all(q.denominator <= bound for v in graphs[-1].vertices for q in v.octuple)
+
     def test_screen_counters(self, g9, pipeline):
         n_old = g9.order
         for g in pipeline:

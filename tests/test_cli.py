@@ -82,6 +82,27 @@ class TestCli:
             assert set(record) == {"verdict", "k"} | fields
             assert (record["verdict"], record["k"], record["core_order"]) == (verdict, k, core)
 
+    def test_certify_json(self, seed_bundle, capsys):
+        assert main(["certify", "--in", str(seed_bundle), "--json"]) == 0
+        record = json.loads(capsys.readouterr().out)
+        assert set(record) == {
+            "ok", "edges_checked", "nonedges_checked", "failures",
+            "load_elapsed", "certify_elapsed",
+        }
+        assert (record["ok"], record["edges_checked"], record["nonedges_checked"]) == (
+            True, 17, 19,
+        )
+        assert record["failures"] == []
+        assert record["load_elapsed"] >= 0 and record["certify_elapsed"] >= 0
+        # a recorded non-edge {2,7} and a dropped edge {1,2}, 1-based
+        lines = seed_bundle.read_text().splitlines()
+        lines = [l for l in lines if l != "e 1 2"] + ["e 2 7"]
+        seed_bundle.write_text("\n".join(lines) + "\n")
+        assert main(["certify", "--in", str(seed_bundle), "--json"]) == 1
+        record = json.loads(capsys.readouterr().out)
+        assert record["ok"] is False
+        assert record["failures"] == [["nonedge", 1, 2], ["edge", 2, 7]]
+
     def test_prefix_search_on_colorable_graph(self, seed_bundle, capsys):
         assert main(["prefix-search", "--in", str(seed_bundle), "--k", "4"]) == 0
         out = capsys.readouterr().out

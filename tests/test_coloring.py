@@ -359,16 +359,28 @@ class TestPrefix:
         with caplog.at_level(logging.INFO, logger="hypchrom"):
             assert minimal_non_k_prefix(g, 2) == 5
         records = [r for r in caplog.records if r.name == "hypchrom.coloring"]
-        # the full graph, then the binary search over [1, 7]: 4, 6, 5
+        # the full graph, whose 2-core (the pentagon 0-4) puts the upper
+        # end at 5, then the binary search over [1, 5]: 3, 4
         probes = [r.getMessage().split(",")[0] for r in records]
-        assert probes == [
-            "prefix 7: UNSAT", "prefix 4: SAT", "prefix 6: UNSAT", "prefix 5: UNSAT",
-        ]
+        assert probes == ["prefix 7: UNSAT", "prefix 3: SAT", "prefix 4: SAT"]
         assert all(r.levelno == logging.INFO for r in records)
         assert all(" nodes, " in r.getMessage() for r in records)
         # the 2-core is the pentagon whenever the prefix closes it
         cores = [r.getMessage().split(", ")[2] for r in records]
-        assert cores == ["core 5", "core 0", "core 5", "core 5"]
+        assert cores == ["core 5", "core 0", "core 0"]
+
+    def test_unsat_probe_lowers_upper_end_to_its_core(self, caplog):
+        # a triangle at 0-2, a path 2-3-4-5-6-7, and nothing odd after it:
+        # the 2-core of every UNSAT prefix is the triangle, so after the
+        # whole graph only prefixes below 3 are probed
+        edges = [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7)]
+        g = AdjacencyGraph(8, edges)
+        with caplog.at_level(logging.INFO, logger="hypchrom"):
+            assert minimal_non_k_prefix(g, 2) == 3
+        probes = [
+            r.getMessage().split(",")[0] for r in caplog.records if r.name == "hypchrom.coloring"
+        ]
+        assert probes == ["prefix 8: UNSAT", "prefix 2: SAT"]
 
     def test_rejects_colorable_graph(self):
         g = AdjacencyGraph(3, [(0, 1), (1, 2)])

@@ -298,10 +298,46 @@ class TestSerialization:
         assert parse_rational("-3/7") == Fraction(-3, 7)
         assert parse_rational("5") == Fraction(5)
 
+    def test_parse_edge_cases(self):
+        assert parse_rational("6/4") == Fraction(3, 2)
+        assert parse_rational("3/-7") == Fraction(-3, 7)
+        assert parse_rational("12") == Fraction(12)
+        with pytest.raises(ZeroDivisionError):
+            parse_rational("1/0")
+        for bad in ("x/2", "1/y", "1/2/3", "3/", "", "1.5"):
+            with pytest.raises(ValueError):
+                parse_rational(bad)
+
+    def test_element_from_unreduced_strings(self):
+        a = FieldElement.from_strings(["6/4", "3/-7", "12", "0/9"])
+        ref = FieldElement(Fraction(3, 2), Fraction(-3, 7), 12, 0)
+        assert (a._n, a._d) == (ref._n, ref._d)
+        assert a.coeffs == (Fraction(3, 2), Fraction(-3, 7), 12, 0)
+        assert a.as_strings() == ("3/2", "-3/7", "12/1", "0/1")
+
     @given(elements)
     @settings(max_examples=40, deadline=None)
     def test_element_string_roundtrip(self, a):
-        assert FieldElement.from_strings(a.as_strings()) == a
+        back = FieldElement.from_strings(a.as_strings())
+        assert back == a
+        assert (back._n, back._d) == (a._n, a._d)
+        assert a.as_strings() == tuple(format_rational(q) for q in a.coeffs)
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(-10**6, 10**6),
+                st.integers(-10**4, 10**4).filter(lambda d: d != 0),
+            ),
+            min_size=4,
+            max_size=4,
+        )
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_from_strings_matches_fraction_reference(self, ratios):
+        a = FieldElement.from_strings([f"{n}/{d}" for n, d in ratios])
+        ref = FieldElement(*(Fraction(n, d) for n, d in ratios))
+        assert (a._n, a._d) == (ref._n, ref._d)
 
     def test_element_strings_shape(self):
         assert len(GEN.as_strings()) == 4

@@ -11,9 +11,12 @@ from hypchrom.field import (
     GEN,
     MIN_POLY,
     ONE,
+    RADIUS_SQ,
+    SIN_SQ,
     FieldElement,
     fe_sign,
     fe_to_interval,
+    interval_sqrt,
     root_bounds,
 )
 from hypchrom.geometry import (
@@ -62,6 +65,15 @@ class TestModulePoint:
         p = ModulePoint.from_octuple(oct_)
         assert p.octuple == tuple(Fraction(v) for v in oct_)
         assert ModulePoint.from_strings(p.as_strings()) == p
+
+    @given(disk_points)
+    @settings(max_examples=40, deadline=None)
+    def test_string_roundtrip_keeps_raw_form(self, p):
+        back = ModulePoint.from_strings(p.as_strings())
+        assert back == p
+        for e, f in ((back.x_elem, p.x_elem), (back.y_elem, p.y_elem)):
+            assert (e._n, e._d) == (f._n, f._d)
+        assert p.as_strings() == tuple(f"{q.numerator}/{q.denominator}" for q in p.octuple)
 
     def test_rejects_wrong_length(self):
         with pytest.raises(ValueError):
@@ -303,6 +315,47 @@ class TestNumericCoords:
         assert (before.x_lo, before.x_hi, before.y_lo, before.y_hi) == (
             after.x_lo, after.x_hi, after.y_lo, after.y_hi
         )
+
+
+def coords_reference(p, err_radius):
+    """point_coords_numeric in Fractions, as it was written before its
+    integer form: the scale enclosures and the coordinate enclosures at
+    width target/4, 16 times narrower per round, until both products are
+    at most 2 * target wide.  Returns the bounds (x_lo, x_hi, y_lo, y_hi)."""
+
+    def imul(a, b):
+        ps = (a[0] * b[0], a[0] * b[1], a[1] * b[0], a[1] * b[1])
+        return (min(ps), max(ps))
+
+    target = Fraction(err_radius)
+    width = target / 4
+    while True:
+        r_int = interval_sqrt(*fe_to_interval(RADIUS_SQ, width), width)
+        s_int = interval_sqrt(*fe_to_interval(SIN_SQ, width), width)
+        x_int = imul(r_int, fe_to_interval(p.x_elem, width))
+        y_int = imul(imul(r_int, s_int), fe_to_interval(p.y_elem, width))
+        if x_int[1] - x_int[0] <= 2 * target and y_int[1] - y_int[0] <= 2 * target:
+            return x_int + y_int
+        width /= 16
+
+
+class TestNumericCoordsReference:
+    @pytest.mark.parametrize("err", [1e-9, 1e-12, 1e-13])
+    def test_equal_to_fraction_reference(self, g9, pipeline, err):
+        for g in (g9, pipeline[4]):
+            for v in g.vertices:
+                got = point_coords_numeric(v, err_radius=err)
+                ref = coords_reference(v, err)
+                assert (got.x_lo, got.x_hi, got.y_lo, got.y_hi) == ref
+                x_lo, x_hi, y_lo, y_hi = ref
+                assert got.x == float((x_lo + x_hi) / 2)
+                assert got.y == float((y_lo + y_hi) / 2)
+                assert got.err_radius() == float(max(x_hi - x_lo, y_hi - y_lo) / 2)
+
+    def test_rejects_nonpositive_radius(self, g9):
+        for err in (0, -1e-9):
+            with pytest.raises(ValueError):
+                point_coords_numeric(g9.vertices[3], err_radius=err)
 
 
 class TestModularScreen:

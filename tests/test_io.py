@@ -91,6 +91,37 @@ class TestBundle:
             read_bundle(str(path))
         assert f"line {idx + 1}" in str(err.value)
 
+    @pytest.mark.parametrize("token", ["x/2", "2/", "1/2/3"])
+    def test_bad_coefficient_reports_line(self, g9, tmp_path, token):
+        path = tmp_path / "g9.bundle"
+        write_bundle(g9, str(path))
+        lines = path.read_text().splitlines()
+        idx = next(i for i, l in enumerate(lines) if l.startswith("v 5 "))
+        parts = lines[idx].split()
+        parts[6] = token
+        lines[idx] = " ".join(parts)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(BundleFormatError, match=f"^line {idx + 1}: malformed rational"):
+            read_bundle(str(path), verify=False)
+
+    def test_unreduced_and_bare_coefficients_parse(self, g9, tmp_path):
+        # 6/4 for 3/2, 8/-1 for -8/1 and a bare 1 for 1/1 give the same
+        # point, and a second write gives the canonical text back
+        path = tmp_path / "g9.bundle"
+        write_bundle(g9, str(path))
+        canonical = path.read_text()
+        lines = canonical.splitlines()
+        idx = next(i for i, l in enumerate(lines) if l.startswith("v 4 "))
+        parts = lines[idx].split()
+        assert (parts[5], parts[6], parts[9]) == ("3/2", "-8/1", "1/1")
+        parts[5], parts[6], parts[9] = "6/4", "8/-1", "1"
+        lines[idx] = " ".join(parts)
+        path.write_text("\n".join(lines) + "\n")
+        back = read_bundle(str(path))
+        assert back.vertices == g9.vertices
+        write_bundle(back, str(path))
+        assert path.read_text() == canonical
+
     def test_duplicate_vertex_reported(self, g9, tmp_path):
         path = tmp_path / "g9.bundle"
         write_bundle(g9, str(path))
