@@ -196,20 +196,26 @@ def intersect_circles(
 # the growth phase
 # ---------------------------------------------------------------------------
 
-# wide enough to survive the coordinate error of near-tangent circle
-# intersections; every survivor is re-verified exactly.  The tolerance has
-# no proof yet: it rests on a measured gap.  Over all raw candidates and
-# vertices of the default schedule, the true edges deviate from the edge
-# value by a relative 5e-12 at most, but non-edges come within 1.5e-4 from
-# phase 3 on and within 4.5e-6 in phase 7, which has 18 pairs inside the
-# tolerance, told apart from edges only by exact arithmetic, and 6,518
-# between 3e-5 and 1e-3
+# the neighbour prefilter keeps a vertex when the float cosh d = 1 + f lies
+# in [1 + f_e (1 - tol), 1 + f_e (1 + tol)], f_e the edge value of f, a
+# window of relative width tol on f.  It is wide enough to survive the
+# coordinate error of near-tangent circle intersections; every survivor is
+# re-verified exactly.  The tolerance has no proof yet: it rests on a
+# measured gap.  Over all raw candidates and vertices of the default
+# schedule, the true edges deviate from the edge value by a relative 5e-12
+# at most, but non-edges come within 1.5e-4 from phase 3 on and within
+# 4.5e-6 in phase 7, which has 18 pairs inside the tolerance, told apart
+# from edges only by exact arithmetic, and 6,518 between 3e-5 and 1e-3.  The
+# 3-term product that forms cosh d rounds with an error that grows like
+# 1/(k_c k_v), k = 1 - |p|^2; on the default schedule min k_c is about
+# 0.0093 and min k_v about 0.019, and the error near the window measured
+# 4.5e-12 of f_e, far inside it, but no bound on it is proven either
 NEIGHBOR_REL_TOL = 3e-5
 DEDUP_RADIUS = 2e-9
-# candidates per block of the neighbour prefilter; each block makes a few
-# float64 temporaries of CHUNK_SIZE x (vertices) entries, about 8 MB each
+# candidates per block of the neighbour prefilter; each block makes one
+# float64 buffer of CHUNK_SIZE x (vertices) entries for cosh d, about 8 MB
 # against the 501 vertices of the last default phase; larger blocks make
-# these temporaries the peak memory of growth
+# this buffer the peak memory of growth
 CHUNK_SIZE = 2048
 
 
@@ -330,22 +336,32 @@ def _pair_intersections(centers: np.ndarray, rad2: np.ndarray):
     return pair_i, pair_j, branch, xs, ys
 
 
+def _hyperboloid(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """Disk points lifted to the hyperboloid, one row (t, X, Y) per point,
+    with t = (2 - k)/k, X = 2x/k, Y = 2y/k and k = 1 - x^2 - y^2, so that
+    cosh d = t t' - X X' - Y Y'.  A point outside the disk (k < 0) lands on
+    the lower sheet, where the form against any disk point is <= -1."""
+    k = 1.0 - xs * xs - ys * ys
+    return np.stack([(2.0 - k) / k, 2.0 * xs / k, 2.0 * ys / k], axis=1)
+
+
 def _numeric_neighbor_counts(
     xs: np.ndarray, ys: np.ndarray, coords: np.ndarray
 ) -> np.ndarray:
-    vx = coords[:, 0]
-    vy = coords[:, 1]
-    kv = 1.0 - vx * vx - vy * vy
+    """For each candidate (xs[i], ys[i]), the number of vertices (rows of
+    coords) whose float cosh d lies in the window of NEIGHBOR_REL_TOL."""
+    cand = _hyperboloid(xs, ys)
+    # the vertex side signed (+, -, -), so one product gives cosh d
+    vt = (_hyperboloid(coords[:, 0], coords[:, 1]) * [1, -1, -1]).T
+    lo = 1.0 + F_NUMERIC * (1.0 - NEIGHBOR_REL_TOL)
+    hi = 1.0 + F_NUMERIC * (1.0 + NEIGHBOR_REL_TOL)
     counts = np.zeros(len(xs), dtype=np.int32)
-    lo = F_NUMERIC * (1.0 - NEIGHBOR_REL_TOL)
-    hi = F_NUMERIC * (1.0 + NEIGHBOR_REL_TOL)
+    buf = np.empty((min(CHUNK_SIZE, len(xs)), vt.shape[1]))
     for start in range(0, len(xs), CHUNK_SIZE):
-        cx = xs[start : start + CHUNK_SIZE, None]
-        cy = ys[start : start + CHUNK_SIZE, None]
-        kc = 1.0 - cx * cx - cy * cy
-        fmat = 2.0 * ((cx - vx) ** 2 + (cy - vy) ** 2) / (kc * kv)
-        counts[start : start + CHUNK_SIZE] = np.count_nonzero(
-            (fmat >= lo) & (fmat <= hi), axis=1
+        block = cand[start : start + CHUNK_SIZE]
+        cosh_d = np.matmul(block, vt, out=buf[: len(block)])
+        counts[start : start + len(block)] = np.count_nonzero(
+            (cosh_d >= lo) & (cosh_d <= hi), axis=1
         )
     return counts
 

@@ -150,12 +150,18 @@ def _cmd_color(args) -> int:
 
 def _cmd_prefix_search(args) -> int:
     g = _load_adjacency(args.input)
+    started = time.perf_counter()
     try:
         m = minimal_non_k_prefix(g, args.k)
     except ColorableGraphError as exc:
-        print(str(exc))
-        return EXIT_OK
-    print(f"minimal non-{args.k}-colorable prefix: {m}")
+        m, colorable = None, str(exc)
+    elapsed = time.perf_counter() - started
+    if args.json:
+        print(json.dumps({"k": args.k, "prefix": m, "elapsed": elapsed}))
+    elif m is None:
+        print(colorable)
+    else:
+        print(f"minimal non-{args.k}-colorable prefix: {m}")
     return EXIT_OK
 
 
@@ -191,9 +197,20 @@ def _cmd_stats(args) -> int:
     for i, j in g.edges:
         degs[i] += 1
         degs[j] += 1
+    degree_min, degree_max = (min(degs), max(degs)) if degs else (0, 0)
+    if args.json:
+        record = {
+            "order": g.order,
+            "size": g.size,
+            "degree_min": degree_min,
+            "degree_max": degree_max,
+            "vertices_per_phase": dict(sorted(phases.items())),
+        }
+        print(json.dumps(record))
+        return EXIT_OK
     print(f"order: {g.order}")
     print(f"size: {g.size}")
-    print(f"degree: min {min(degs) if degs else 0} max {max(degs) if degs else 0}")
+    print(f"degree: min {degree_min} max {degree_max}")
     for phase in sorted(phases):
         label = "seed" if phase == 0 else f"phase {phase}"
         print(f"{label}: {phases[phase]} vertices")
@@ -272,6 +289,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("prefix-search", help="minimal non-k-colorable vertex prefix")
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--k", type=int, default=4)
+    p.add_argument(
+        "--json",
+        action="store_true",
+        help="print one JSON object on stdout: k, the minimal prefix (null "
+        "when the graph is k-colorable) and the search seconds",
+    )
     p.set_defaults(func=_cmd_prefix_search)
 
     p = sub.add_parser("export", help="export a bundle to other formats")
@@ -286,6 +309,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("stats", help="summarize a bundle")
     p.add_argument("--in", dest="input", required=True)
+    p.add_argument(
+        "--json",
+        action="store_true",
+        help="print one JSON object on stdout: order, size, the least and "
+        "greatest degree, and the vertices per phase (phase 0 is the seed)",
+    )
     p.set_defaults(func=_cmd_stats)
 
     return parser

@@ -262,34 +262,65 @@ def chromatic_number(g: AdjacencyGraph, upper_bound: int = 16) -> Optional[int]:
     return None
 
 
+def _greedy_extension(
+    g: AdjacencyGraph, coloring: Sequence[int], k: int
+) -> Optional[list[int]]:
+    """Extend a k-coloring of g's first len(coloring) vertices to all of g,
+    giving each further vertex the smallest color its earlier neighbours do
+    not use; None when some vertex finds all k colors used."""
+    out = list(coloring)
+    for v in range(len(out), g.n):
+        used = {out[w] for w in g.neighbors[v] if w < v}
+        c = next((c for c in range(k) if c not in used), None)
+        if c is None:
+            return None
+        out.append(c)
+    return out
+
+
 def minimal_non_k_prefix(g: AdjacencyGraph, k: int) -> int:
     """Smallest m such that the first m vertices induce no k-colorable
     subgraph.  Binary search; sound because non-colorability of a prefix is
     inherited by every longer prefix.  After an UNSAT probe the upper end
     drops to the highest index in the probe's k-core, plus one: that core is
     an induced subgraph of the shorter prefix and has no k-coloring itself.
-    Logs one INFO line per probe.
+    The whole graph is always searched, which also checks k.  Before
+    searching a shorter probe, the coloring of the last SAT prefix (the
+    empty one at first) is extended greedily; when verify_coloring accepts
+    the extension, the probe is SAT without a search.  Logs one INFO line
+    per probe; a probe decided greedily logs 0 nodes and core 0, as no
+    vertex was searched.
 
     Raises ColorableGraphError if g itself is k-colorable."""
+    witness: Optional[list[int]] = None  # a k-coloring of the last SAT prefix
 
     def upper_end(prefix: AdjacencyGraph) -> Optional[int]:
         """None if prefix is k-colorable, else its k-core's last index + 1."""
-        coloring, stats = search_k_coloring(prefix, k)
+        nonlocal witness
+        started = time.perf_counter()
+        coloring = None if witness is None else _greedy_extension(prefix, witness, k)
+        if coloring is not None and verify_coloring(prefix, coloring):
+            nodes, core, elapsed = 0, 0, time.perf_counter() - started
+        else:
+            coloring, stats = search_k_coloring(prefix, k)
+            nodes, core, elapsed = stats.nodes_visited, stats.core_order, stats.elapsed
         logger.info(
             "prefix %d: %s, %d nodes, core %d, %.3f s",
             prefix.n,
             "SAT" if coloring is not None else "UNSAT",
-            stats.nodes_visited,
-            stats.core_order,
-            stats.elapsed,
+            nodes,
+            core,
+            elapsed,
         )
         if coloring is not None:
+            witness = coloring
             return None
         return max(k_core(prefix, k)[0]) + 1
 
     hi = upper_end(g)  # invariant: prefix hi is not k-colorable
     if hi is None:
         raise ColorableGraphError(f"graph is {k}-colorable; no prefix is a witness")
+    witness = []
     lo = 1
     while lo < hi:
         mid = (lo + hi) // 2

@@ -2,6 +2,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from hypchrom import augment
@@ -17,7 +18,7 @@ from hypchrom.augment import (
     point_on_circle,
 )
 from hypchrom.field import EDGE_INVARIANT, RADIUS_SQ, ZERO, fe_sign
-from hypchrom.geometry import Graph, ModulePoint, is_unit_edge
+from hypchrom.geometry import F_NUMERIC, Graph, ModulePoint, is_unit_edge
 from hypchrom.reference_data import reference_exclusion_table
 
 # Published phase-1 data: octuple numerators, common denominator, source pair
@@ -242,6 +243,63 @@ class TestPhase2:
         for idx in range(28, 42):
             nbrs = [t for t in range(28) if is_unit_edge(g42.vertices[idx], g42.vertices[t])]
             assert len(nbrs) >= 3
+
+
+def counts_reference(xs, ys, coords):
+    """The neighbour prefilter as it was written before cosh d was formed on
+    the hyperboloid: f = 2|c - v|^2 / (k_c k_v) elementwise per block,
+    against the window f_e (1 -/+ NEIGHBOR_REL_TOL)."""
+    vx = coords[:, 0]
+    vy = coords[:, 1]
+    kv = 1.0 - vx * vx - vy * vy
+    counts = np.zeros(len(xs), dtype=np.int32)
+    lo = F_NUMERIC * (1.0 - augment.NEIGHBOR_REL_TOL)
+    hi = F_NUMERIC * (1.0 + augment.NEIGHBOR_REL_TOL)
+    for start in range(0, len(xs), augment.CHUNK_SIZE):
+        cx = xs[start : start + augment.CHUNK_SIZE, None]
+        cy = ys[start : start + augment.CHUNK_SIZE, None]
+        kc = 1.0 - cx * cx - cy * cy
+        fmat = 2.0 * ((cx - vx) ** 2 + (cy - vy) ** 2) / (kc * kv)
+        counts[start : start + augment.CHUNK_SIZE] = np.count_nonzero(
+            (fmat >= lo) & (fmat <= hi), axis=1
+        )
+    return counts
+
+
+def float_coords(g):
+    return np.array(g.float_coords(), dtype=np.float64)
+
+
+class TestNeighborPrefilter:
+    def test_equal_to_reference_on_every_phase_input(self, g9, pipeline):
+        for g in [g9] + pipeline[:6]:
+            coords = float_coords(g)
+            _, _, _, xs, ys = augment._pair_intersections(*augment._euclidean_circles(coords))
+            got = augment._numeric_neighbor_counts(xs, ys, coords)
+            assert got.dtype == np.int32
+            assert np.array_equal(got, counts_reference(xs, ys, coords)), g.order
+
+    def test_edge_endpoints_count_each_other(self, pipeline):
+        g = pipeline[3]
+        coords = float_coords(g)
+        for i, j in g.edges:
+            for a, b in ((i, j), (j, i)):
+                got = augment._numeric_neighbor_counts(
+                    coords[a : a + 1, 0], coords[a : a + 1, 1], coords[b : b + 1]
+                )
+                assert got.tolist() == [1], (a, b)
+
+    def test_candidate_outside_disk_counts_zero(self, g42):
+        coords = float_coords(g42)
+        # the mirror image z / |z|^2 of every vertex in the unit circle, and
+        # points on the circles of radius 1.5 and 3
+        rsq = (coords**2).sum(axis=1)
+        mirror = coords[rsq > 0] / rsq[rsq > 0, None]
+        angle = np.linspace(0.0, 2 * np.pi, 50)
+        xs = np.concatenate([mirror[:, 0], 1.5 * np.cos(angle), 3.0 * np.sin(angle)])
+        ys = np.concatenate([mirror[:, 1], 1.5 * np.sin(angle), 3.0 * np.cos(angle)])
+        assert (xs * xs + ys * ys > 1.0).all()
+        assert not augment._numeric_neighbor_counts(xs, ys, coords).any()
 
 
 class TestPipeline:

@@ -103,6 +103,32 @@ class TestCli:
         assert record["ok"] is False
         assert record["failures"] == [["nonedge", 1, 2], ["edge", 2, 7]]
 
+    def test_prefix_search_json(self, seed_bundle, capsys):
+        for k, prefix in ((3, 7), (4, None)):
+            assert main(["prefix-search", "--in", str(seed_bundle), "--k", str(k), "--json"]) == 0
+            record = json.loads(capsys.readouterr().out)
+            assert set(record) == {"k", "prefix", "elapsed"}
+            assert (record["k"], record["prefix"]) == (k, prefix)
+            assert record["elapsed"] >= 0
+
+    def test_stats_json(self, seed_bundle, tmp_path, capsys):
+        grown = tmp_path / "g28.bundle"
+        assert main([
+            "augment", "--in", str(seed_bundle), "--out", str(grown), "--phases", "1",
+        ]) == 0
+        capsys.readouterr()
+        g = read_bundle(str(grown))
+        degrees = AdjacencyGraph.from_graph(g).neighbors
+        assert main(["stats", "--in", str(grown), "--json"]) == 0
+        record = json.loads(capsys.readouterr().out)
+        assert record == {
+            "order": 28,
+            "size": 61,
+            "degree_min": min(map(len, degrees)),
+            "degree_max": max(map(len, degrees)),
+            "vertices_per_phase": {"0": 9, "1": 19},
+        }
+
     def test_prefix_search_on_colorable_graph(self, seed_bundle, capsys):
         assert main(["prefix-search", "--in", str(seed_bundle), "--k", "4"]) == 0
         out = capsys.readouterr().out

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from hypchrom import _colorsearch_py
 from hypchrom.coloring import (
     AdjacencyGraph,
+    _greedy_extension,
     brute_force_chromatic,
     brute_force_k_colorable,
     chromatic_number,
@@ -381,6 +382,32 @@ class TestPrefix:
             r.getMessage().split(",")[0] for r in caplog.records if r.name == "hypchrom.coloring"
         ]
         assert probes == ["prefix 8: UNSAT", "prefix 2: SAT"]
+
+    def test_greedy_extension_decides_sat_probes(self, caplog):
+        # a hexagon 0-2-4-1-3-5-0, whose index order defeats greedy
+        # 2-coloring at vertex 4 (0 and 1 both take color 0, though they lie
+        # on opposite sides), then a triangle 6-7-8
+        edges = [(0, 2), (2, 4), (4, 1), (1, 3), (3, 5), (5, 0), (6, 7), (7, 8), (6, 8)]
+        g = AdjacencyGraph(9, edges)
+        with caplog.at_level(logging.INFO, logger="hypchrom"):
+            assert minimal_non_k_prefix(g, 2) == 9
+        probes = [
+            r.getMessage().split(", ")[:2]
+            for r in caplog.records
+            if r.name == "hypchrom.coloring"
+        ]
+        # 9 and 5 are searched; the witness of 5 extends greedily to 7 and 8
+        assert [p[0] for p in probes] == [
+            "prefix 9: UNSAT", "prefix 5: SAT", "prefix 7: SAT", "prefix 8: SAT",
+        ]
+        assert [p[1] for p in probes][2:] == ["0 nodes", "0 nodes"]
+        assert all(p[1] != "0 nodes" for p in probes[:2])
+
+    def test_greedy_extension(self):
+        g = AdjacencyGraph(5, [(0, 2), (2, 4), (4, 1), (1, 3)])
+        assert _greedy_extension(g, [], 2) is None
+        assert _greedy_extension(g, [0, 1], 2) == [0, 1, 1, 0, 0]
+        assert _greedy_extension(g, [0, 0], 3) == [0, 0, 1, 1, 2]
 
     def test_rejects_colorable_graph(self):
         g = AdjacencyGraph(3, [(0, 1), (1, 2)])

@@ -352,6 +352,38 @@ class TestNumericCoordsReference:
                 assert got.y == float((y_lo + y_hi) / 2)
                 assert got.err_radius() == float(max(x_hi - x_lo, y_hi - y_lo) / 2)
 
+    def test_refinement_rounds_equal_fraction_reference(self, monkeypatch):
+        # every vertex of the default schedule meets the width test in the
+        # first round; points far outside the disk widen the products past
+        # the target there (the scale's own error times the coordinate), so
+        # the later, 16 times narrower rounds run.  x and y take turns
+        # deciding the round count.
+        widths = []
+        scale_enclosures = geometry._scale_enclosures
+
+        def counting(wn, wd):
+            widths.append((wn, wd))
+            return scale_enclosures(wn, wd)
+
+        monkeypatch.setattr(geometry, "_scale_enclosures", counting)
+        mags = [3**e for e in range(13)]
+        points = [ModulePoint(FieldElement(1), FieldElement(m)) for m in mags]
+        points += [ModulePoint(FieldElement(m), FieldElement(1)) for m in mags]
+        points.append(
+            ModulePoint(FieldElement(-500, 77, Fraction(1, 3), 9), FieldElement(0, 0, 0, 999))
+        )
+        rounds = []
+        for err in (1e-9, 1e-12):
+            for p in points:
+                widths.clear()
+                got = point_coords_numeric(p, err_radius=err)
+                assert (got.x_lo, got.x_hi, got.y_lo, got.y_hi) == coords_reference(p, err)
+                # each round takes enclosures 16 times narrower than the last
+                steps = [wd // widths[0][1] for _, wd in widths]
+                assert steps == [16**r for r in range(len(widths))]
+                rounds.append(len(widths))
+        assert min(rounds) == 1 and max(rounds) >= 4
+
     def test_rejects_nonpositive_radius(self, g9):
         for err in (0, -1e-9):
             with pytest.raises(ValueError):
