@@ -12,16 +12,18 @@ a square in the field the intersection points are module points, produced
 exactly; otherwise no candidate is returned, since only module points can
 become vertices.
 
-A phase enumerates all vertex pairs, filters candidates with a vectorized
-floating pass (which only decides what to look at), then certifies every
-kept vertex and every recorded edge in exact arithmetic.  Before any exact
-edge test, each kept candidate is screened against all current vertices,
-and the accepted vertices against each other, by the modular screen of
-geometry.py: the image of the edge residual under c -> r mod p is a ring
-homomorphism as long as p does not divide 16 and p does not divide a
-point's common denominator `_d` (points where it does are always passed
-on).  A nonzero image proves that a pair is not an edge, so only pairs with
-a zero image reach is_unit_edge, which alone decides every edge.
+A phase is six layers, one function each, named in PHASE_LAYERS: float
+circle intersections of all vertex pairs, a float neighbour prefilter and
+a spatial dedup (which only decide what to look at), exact intersection,
+exact neighbour certification, and accidental edges among the new
+vertices.  The last two find their pairs with one blocked scan of the
+modular screen, geometry.screened_pairs: every exact candidate against all
+current vertices, then the accepted vertices against each other.  The
+image of the edge residual under c -> r mod p is a ring homomorphism as
+long as p does not divide 16 or a point's common denominator `_d` (points
+where it does are always passed on).  A nonzero image proves that a pair
+is not an edge, so only pairs with a zero image reach is_unit_edge, which
+alone decides every edge.
 """
 
 from __future__ import annotations
@@ -52,8 +54,6 @@ from .geometry import (
     VertexOrigin,
     is_unit_edge,
     lex_less,
-    maybe_unit_edge,
-    screen_operands,
     screen_residues,
     screened_pairs,
 )
@@ -236,7 +236,8 @@ class AugmentConfig:
         return cls(excluded_points=reference_excluded_points(), **kw)
 
 
-# the layers of phase_augment that PhaseReport.timings reports, in order:
+# the layers of phase_augment, in order, each the function of that name
+# with a leading underscore and timed as a whole in PhaseReport.timings:
 # float circles and intersections, the float neighbour prefilter, dedup,
 # exact intersection (circle_of, intersect_circles), exact neighbour
 # certification (the modular screen and is_unit_edge), accidental edges
@@ -369,15 +370,10 @@ def _numeric_neighbor_counts(
 def _match_exact_candidate(
     cands: Sequence[CandidatePoint], x: float, y: float
 ) -> Optional[CandidatePoint]:
-    best = None
-    best_d = float("inf")
-    for cand in cands:
-        px, py = cand.point.to_floats()
-        d = math.hypot(px - x, py - y)
-        if d < best_d:
-            best, best_d = cand, d
-    if best is not None and best_d < 1e-5:
-        return best
+    """The first candidate nearest to (x, y), if it lies within 1e-5."""
+    dist = [math.dist(cand.point.to_floats(), (x, y)) for cand in cands]
+    if dist and min(dist) < 1e-5:
+        return cands[dist.index(min(dist))]
     return None
 
 
@@ -386,6 +382,140 @@ def _max_denominator(point: ModulePoint) -> int:
     return max(
         e._d // math.gcd(n, e._d) for e in (point.x_elem, point.y_elem) for n in e._n
     )
+
+
+def _float_intersections(report: PhaseReport, g: Graph):
+    """g's float coordinates, and _pair_intersections of all its circles."""
+    coords = np.array(g.float_coords(), dtype=np.float64)
+    report.pairs_total = g.order * (g.order - 1) // 2
+    cands = _pair_intersections(*_euclidean_circles(coords))
+    report.raw_candidates = len(cands[3])
+    return coords, cands
+
+
+def _prefilter(report: PhaseReport, cands, coords: np.ndarray, min_neighbors: int):
+    """The candidates whose float neighbour count reaches min_neighbors."""
+    keep = _numeric_neighbor_counts(cands[3], cands[4], coords) >= min_neighbors
+    cands = tuple(a[keep] for a in cands)
+    report.prefiltered = len(cands[3])
+    return cands
+
+
+def _dedup(report: PhaseReport, cands, coords: np.ndarray) -> list[tuple]:
+    """The survivors (i, j, x, y) in processing order, by source pair and
+    then branch.  A candidate within DEDUP_RADIUS of a vertex is dropped as
+    existing; one within it of an earlier survivor is dropped silently."""
+    pair_i, pair_j, branch, xs, ys = cands
+    cell = 1.0 / DEDUP_RADIUS
+    existing_cells: dict[tuple[int, int], list[tuple[float, float]]] = {}
+    for x, y in coords:
+        existing_cells.setdefault((round(x * cell), round(y * cell)), []).append((x, y))
+
+    def near(cells, x, y):
+        cx, cy = round(x * cell), round(y * cell)
+        for dx_ in (-1, 0, 1):
+            for dy_ in (-1, 0, 1):
+                for px, py in cells.get((cx + dx_, cy + dy_), ()):
+                    if math.hypot(px - x, py - y) <= DEDUP_RADIUS:
+                        return True
+        return False
+
+    seen_cells: dict[tuple[int, int], list[tuple[float, float]]] = {}
+    survivors = []
+    for idx in np.lexsort((branch, pair_j, pair_i)):
+        x = float(xs[idx])
+        y = float(ys[idx])
+        if near(existing_cells, x, y):
+            report.dropped_existing += 1
+        elif not near(seen_cells, x, y):
+            seen_cells.setdefault((round(x * cell), round(y * cell)), []).append((x, y))
+            survivors.append((int(pair_i[idx]), int(pair_j[idx]), x, y))
+    report.distinct = len(survivors)
+    return survivors
+
+
+def _exact_intersection(
+    report: PhaseReport, g: Graph, survivors, cfg: AugmentConfig, phase_index: int
+) -> dict[ModulePoint, tuple[VertexOrigin, float, float]]:
+    """The distinct exact candidates in processing order, each with its
+    origin and its survivor's float (x, y).  A survivor without a module
+    point near (x, y), with a denominator above cfg.denom_bound or in
+    cfg.excluded_points is rejected and reported; one on a vertex of g is
+    dropped as existing, and the first occurrence of a point wins."""
+    used = {v for i, j, _, _ in survivors for v in (i, j)}
+    circles = {v: circle_of(g.vertices[v]) for v in used}
+    old = set(g.vertices)
+    found = {}
+    for i, j, x, y in survivors:
+        exact = _match_exact_candidate(intersect_circles(circles[i], circles[j]), x, y)
+        if exact is None:
+            report.rejected_nonmodule += 1
+            report.rejected_detail.append(("nonmodule", i, j, x, y))
+        elif _max_denominator(exact.point) > cfg.denom_bound:
+            report.rejected_denominator += 1
+            report.rejected_detail.append(("denominator", i, j, x, y))
+        elif exact.point in cfg.excluded_points:
+            report.excluded_by_selection += 1
+            report.rejected_detail.append(("excluded-by-selection", i, j, x, y))
+        elif exact.point in old:
+            report.dropped_existing += 1
+        elif exact.point not in found:
+            found[exact.point] = (VertexOrigin((i, j), exact.branch, phase_index), x, y)
+    return found
+
+
+def _exact_neighbors(report: PhaseReport, g: Graph, found: dict, min_neighbors: int):
+    """Every candidate screened against g's vertices in one scan, and the
+    pairs the screen leaves decided by is_unit_edge.  A candidate with fewer
+    than min_neighbors exact neighbours is rejected and reported; the others
+    are accepted in order, numbered from g.order.  Returns the accepted
+    points, their origins and their edges to g's vertices."""
+    points, old = list(found), g.vertices
+    maybe = screened_pairs(screen_residues(points), screen_residues(old))
+    report.screened_pairs += len(points) * g.order
+    report.exact_edge_tests += len(maybe)
+    neighbors: list[list[int]] = [[] for _ in points]
+    for a, t in maybe:
+        if is_unit_edge(points[a], old[t]):
+            neighbors[a].append(t)
+    accepted, origins, edges = [], [], []
+    for point, (origin, x, y), nbrs in zip(points, found.values(), neighbors):
+        i, j = origin.source_pair
+        if len(nbrs) < min_neighbors:
+            report.rejected_neighbor_mismatch += 1
+            report.rejected_detail.append(("neighbor-count", i, j, x, y))
+            continue
+        if (i not in nbrs) or (j not in nbrs):
+            raise GraphIntegrityError(
+                f"candidate from pair ({i + 1}, {j + 1}) not adjacent to its sources"
+            )
+        if not point.is_inside_disk():
+            raise GraphIntegrityError("accepted candidate outside the unit disk")
+        edges.extend((t, g.order + len(accepted)) for t in nbrs)
+        accepted.append(point)
+        origins.append(origin)
+    report.accepted = len(accepted)
+    report.new_old_edges = len(edges)
+    return accepted, origins, edges
+
+
+def _accidental_edges(report: PhaseReport, n: int, accepted: list[ModulePoint]):
+    """The edges among the accepted vertices, numbered from n, certified exactly."""
+    maybe = screened_pairs(screen_residues(accepted))
+    report.screened_pairs += len(accepted) * (len(accepted) - 1) // 2
+    report.exact_edge_tests += len(maybe)
+    report.accidental_edges = [
+        (n + a, n + b) for a, b in maybe if is_unit_edge(accepted[a], accepted[b])
+    ]
+    return report.accidental_edges
+
+
+def _timed(report: PhaseReport, layer, *args):
+    """layer(report, *args), timed under its PHASE_LAYERS name."""
+    mark = time.perf_counter()
+    out = layer(report, *args)
+    report.timings[layer.__name__[1:]] = time.perf_counter() - mark
+    return out
 
 
 def phase_augment(
@@ -401,157 +531,29 @@ def phase_augment(
 
     New vertices are appended sorted by source pair, then branch, so the
     construction order is deterministic.  Candidates in cfg.excluded_points
-    are dropped but counted and reported, never silently discarded.
+    are dropped but counted and reported, never silently discarded; cfg
+    defaults to the reference selection, as in grow_pipeline.
     """
     if min_neighbors < 2:
         raise ValueError("min_neighbors must be at least 2")
     if cfg is None:
-        cfg = AugmentConfig()
+        cfg = AugmentConfig.reference()
     started = time.perf_counter()
     if phase_index is None:
         phase_index = max((o.phase for o in g.origins if o is not None), default=0) + 1
     timings = dict.fromkeys(PHASE_LAYERS, 0.0)
     report = PhaseReport(phase=phase_index, min_neighbors=min_neighbors, timings=timings)
-    n = g.order
-    if n < 2:
-        report.elapsed = time.perf_counter() - started
-        return Graph(g.vertices, g.edges, g.origins, phase_report=report)
-
-    clock = time.perf_counter
-
-    mark = clock()
-    coords = np.array(g.float_coords(), dtype=np.float64)
-    centers, rad2 = _euclidean_circles(coords)
-    report.pairs_total = n * (n - 1) // 2
-    pair_i, pair_j, branch, xs, ys = _pair_intersections(centers, rad2)
-    report.raw_candidates = len(xs)
-    timings["float_intersections"] = clock() - mark
-
-    mark = clock()
-    counts = _numeric_neighbor_counts(xs, ys, coords)
-    keep = counts >= min_neighbors
-    pair_i, pair_j, branch, xs, ys = (
-        pair_i[keep], pair_j[keep], branch[keep], xs[keep], ys[keep],
-    )
-    report.prefiltered = len(xs)
-    timings["prefilter"] = clock() - mark
-
-    mark = clock()
-    # deterministic processing order: source pair, then branch
-    order = np.lexsort((branch, pair_j, pair_i))
-
-    # spatial dedup: first occurrence in processing order wins
-    cell = 1.0 / DEDUP_RADIUS
-    existing_cells: dict[tuple[int, int], list[tuple[float, float]]] = {}
-    for x, y in coords:
-        existing_cells.setdefault((round(x * cell), round(y * cell)), []).append((x, y))
-
-    def near(cells, x, y, radius):
-        cx, cy = round(x * cell), round(y * cell)
-        for dx_ in (-1, 0, 1):
-            for dy_ in (-1, 0, 1):
-                for px, py in cells.get((cx + dx_, cy + dy_), ()):
-                    if math.hypot(px - x, py - y) <= radius:
-                        return True
-        return False
-
-    seen_cells: dict[tuple[int, int], list[tuple[float, float]]] = {}
-    survivors: list[tuple[int, int, int, float, float]] = []
-    for idx in order:
-        x = float(xs[idx])
-        y = float(ys[idx])
-        if near(existing_cells, x, y, DEDUP_RADIUS):
-            report.dropped_existing += 1
-            continue
-        if near(seen_cells, x, y, DEDUP_RADIUS):
-            continue
-        seen_cells.setdefault((round(x * cell), round(y * cell)), []).append((x, y))
-        survivors.append((int(pair_i[idx]), int(pair_j[idx]), int(branch[idx]), x, y))
-    report.distinct = len(survivors)
-    timings["dedup"] = clock() - mark
-
-    # exact confirmation of every surviving candidate
-    existing_points = {v: i for i, v in enumerate(g.vertices)}
-    circles: dict[int, EuclideanCircleRec] = {}
-
-    def circle(idx: int) -> EuclideanCircleRec:
-        if idx not in circles:
-            circles[idx] = circle_of(g.vertices[idx])
-        return circles[idx]
-
-    mark = clock()
-    old_operands = screen_operands(screen_residues(g.vertices))
-    timings["exact_neighbors"] = clock() - mark
-    accepted: list[ModulePoint] = []
-    accepted_keys: dict[ModulePoint, int] = {}
-    accepted_origins: list[VertexOrigin] = []
-    new_old_edges: list[tuple[int, int]] = []
-
-    for i, j, _br, x, y in survivors:
-        mark = clock()
-        cands = intersect_circles(circle(i), circle(j))
-        timings["exact_intersection"] += clock() - mark
-        exact = _match_exact_candidate(cands, x, y)
-        if exact is None:
-            report.rejected_nonmodule += 1
-            report.rejected_detail.append(("nonmodule", i, j, x, y))
-            continue
-        point = exact.point
-        if _max_denominator(point) > cfg.denom_bound:
-            report.rejected_denominator += 1
-            report.rejected_detail.append(("denominator", i, j, x, y))
-            continue
-        if point in cfg.excluded_points:
-            report.excluded_by_selection += 1
-            report.rejected_detail.append(("excluded-by-selection", i, j, x, y))
-            continue
-        if point in existing_points:
-            report.dropped_existing += 1
-            continue
-        if point in accepted_keys:
-            continue
-        mark = clock()
-        operands = screen_operands(screen_residues([point])[0])
-        maybe = np.flatnonzero(maybe_unit_edge(operands, old_operands)).tolist()
-        report.screened_pairs += n
-        report.exact_edge_tests += len(maybe)
-        neighbors = [t for t in maybe if is_unit_edge(point, g.vertices[t])]
-        timings["exact_neighbors"] += clock() - mark
-        if len(neighbors) < min_neighbors:
-            report.rejected_neighbor_mismatch += 1
-            report.rejected_detail.append(("neighbor-count", i, j, x, y))
-            continue
-        if (i not in neighbors) or (j not in neighbors):
-            raise GraphIntegrityError(
-                f"candidate from pair ({i + 1}, {j + 1}) not adjacent to its sources"
-            )
-        if not point.is_inside_disk():
-            raise GraphIntegrityError("accepted candidate outside the unit disk")
-        new_index = n + len(accepted)
-        accepted_keys[point] = new_index
-        accepted.append(point)
-        accepted_origins.append(VertexOrigin((i, j), exact.branch, phase_index))
-        new_old_edges.extend((t, new_index) for t in neighbors)
-
-    report.accepted = len(accepted)
-    report.new_old_edges = len(new_old_edges)
-
-    # accidental edges among the new vertices, certified exactly
-    mark = clock()
-    maybe = screened_pairs(screen_residues(accepted))
-    report.screened_pairs += len(accepted) * (len(accepted) - 1) // 2
-    report.exact_edge_tests += len(maybe)
-    accidental = [
-        (n + a, n + b) for a, b in maybe if is_unit_edge(accepted[a], accepted[b])
-    ]
-    report.accidental_edges = accidental
-    timings["accidental_edges"] = clock() - mark
+    accepted, origins, edges = [], [], []
+    if g.order >= 2:
+        coords, cands = _timed(report, _float_intersections, g)
+        cands = _timed(report, _prefilter, cands, coords, min_neighbors)
+        survivors = _timed(report, _dedup, cands, coords)
+        found = _timed(report, _exact_intersection, g, survivors, cfg, phase_index)
+        accepted, origins, edges = _timed(report, _exact_neighbors, g, found, min_neighbors)
+        edges += _timed(report, _accidental_edges, g.order, accepted)
     report.elapsed = time.perf_counter() - started
-
-    vertices = list(g.vertices) + accepted
-    origins = list(g.origins) + accepted_origins
-    edges = list(g.edges) + new_old_edges + accidental
-    return Graph(vertices, edges, origins, phase_report=report)
+    vertices, origins = list(g.vertices) + accepted, list(g.origins) + origins
+    return Graph(vertices, list(g.edges) + edges, origins, phase_report=report)
 
 
 DEFAULT_SCHEDULE = (2, 3, 3, 3, 3, 3, 3)

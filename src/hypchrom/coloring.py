@@ -63,9 +63,7 @@ class AdjacencyGraph:
         """Subgraph induced by the first m vertices, order preserved."""
         if not 0 <= m <= self.n:
             raise ValueError("prefix length out of range")
-        return AdjacencyGraph(
-            m, [(i, j) for i, j in self.edges() if i < m and j < m]
-        )
+        return _relabeled(self, range(m))[0]
 
     @classmethod
     def from_graph(cls, g) -> "AdjacencyGraph":
@@ -129,12 +127,6 @@ def k_core(g: AdjacencyGraph, k: int) -> tuple[list[int], list[int]]:
         (v for v in range(g.n) if not removed[v]), key=lambda v: (-deg[v], v)
     )
     return core, peeled
-
-
-def degree_order(g: AdjacencyGraph) -> list[int]:
-    """Vertices by decreasing degree, ties by increasing index: the order
-    k_core gives the whole graph, which is its own 0-core."""
-    return k_core(g, 0)[0]
 
 
 def _relabeled(

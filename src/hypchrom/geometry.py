@@ -236,7 +236,7 @@ _RES_U = 2 * _RES_TWO_ONE_MINUS_C % SCREEN_PRIME
 _RES_V = _RES_U * _RES_ONE_MINUS_CSQ % SCREEN_PRIME
 _NO_IMAGE = (-1, -1, -1)
 
-_SCAN_BLOCK = 64  # rows compared at once with every later row in screened_pairs
+_SCAN_BLOCK = 64  # rows compared at once with every column in screened_pairs
 
 
 def _residue(a: FieldElement) -> int:
@@ -298,20 +298,25 @@ def maybe_unit_edge(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (total % p == b[..., 3]) | (a[..., 6] > 0) | (b[..., 6] > 0)
 
 
-def screened_pairs(residues: np.ndarray) -> list[tuple[int, int]]:
-    """Every pair i < j of screen_residues rows that maybe_unit_edge cannot
-    rule out, in lexicographic order; every other pair is proven not to be
-    an edge."""
-    n = len(residues)
+def screened_pairs(
+    residues: np.ndarray, other: Optional[np.ndarray] = None
+) -> list[tuple[int, int]]:
+    """Every pair (i, j) of screen_residues rows that maybe_unit_edge cannot
+    rule out, in lexicographic order: i < j within residues, or, given
+    other, row i of residues against row j of other.  Every other pair is
+    proven not to be an edge."""
     ops = screen_operands(residues)
+    cols = ops if other is None else screen_operands(other)
     pairs: list[tuple[int, int]] = []
-    for start in range(0, n, _SCAN_BLOCK):
+    for start in range(0, len(ops), _SCAN_BLOCK):
         rows = ops[start : start + _SCAN_BLOCK]
-        maybe = maybe_unit_edge(rows[:, None, :], ops[None, start:, :])
-        # keep only the columns right of the diagonal
-        maybe &= np.arange(n - start)[None, :] > np.arange(len(rows))[:, None]
+        first = start if other is None else 0
+        maybe = maybe_unit_edge(rows[:, None, :], cols[None, first:, :])
+        if other is None:
+            # keep only the columns right of the diagonal
+            maybe &= np.arange(len(cols) - start)[None, :] > np.arange(len(rows))[:, None]
         i, j = np.nonzero(maybe)
-        pairs.extend(zip((i + start).tolist(), (j + start).tolist()))
+        pairs.extend(zip((i + start).tolist(), (j + first).tolist()))
     return pairs
 
 

@@ -302,7 +302,51 @@ class TestNeighborPrefilter:
         assert not augment._numeric_neighbor_counts(xs, ys, coords).any()
 
 
+class TestPhaseLayers:
+    def test_exact_intersection_first_occurrence_wins(self, g9, g28, g42):
+        # row 29 of the published phase-2 table is adjacent to vertices 2, 10
+        # and 25 of g28, so the pairs (2, 10) and (2, 25) both produce it
+        point = g42.vertices[28]
+        x, y = point.to_floats()
+        apex_x, apex_y = g9.vertices[2].to_floats()
+        survivors = [(1, 9, x, y), (1, 24, x + 1e-7, y), (0, 1, apex_x, apex_y)]
+        report = augment.PhaseReport(phase=2, min_neighbors=3)
+        found = augment._exact_intersection(
+            report, g28, survivors, AugmentConfig.reference(), 2
+        )
+        assert list(found) == [point]
+        origin, fx, fy = found[point]
+        assert origin.source_pair == (1, 9) and origin.phase == 2
+        assert (fx, fy) == (x, y)
+        # the apex of the seed pair (1, 2) is already a vertex
+        assert report.dropped_existing == 1
+
+    def test_neighbor_count_rejection_keeps_survivor_floats(self, g28):
+        point = table_point(*TABLE2[0][:2])
+        origin = augment.VertexOrigin((1, 9), "-", 2)
+        x, y = point.to_floats()
+        found = {point: (origin, x + 1e-7, y - 1e-7)}
+        report = augment.PhaseReport(phase=2, min_neighbors=4)
+        accepted, origins, edges = augment._exact_neighbors(report, g28, found, 4)
+        assert accepted == origins == edges == []
+        assert report.rejected_neighbor_mismatch == 1
+        assert report.rejected_detail == [("neighbor-count", 1, 9, x + 1e-7, y - 1e-7)]
+        assert (report.screened_pairs, report.exact_edge_tests) == (28, 3)
+        report = augment.PhaseReport(phase=2, min_neighbors=3)
+        accepted, origins, edges = augment._exact_neighbors(report, g28, found, 3)
+        assert (accepted, origins) == ([point], [origin])
+        assert edges == [(1, 28), (9, 28), (24, 28)]
+
+
 class TestPipeline:
+    def test_default_cfg_is_the_reference_selection(self, g9):
+        got = phase_augment(g9, 2, phase_index=1)
+        want = grow_pipeline(g9, (2,))[0]
+        assert got.order == 28
+        assert (got.vertices, got.edges, got.origins) == (
+            want.vertices, want.edges, want.origins,
+        )
+
     def test_empty_graph_passthrough(self):
         empty = Graph([], [])
         out = phase_augment(empty, 2)

@@ -11,7 +11,6 @@ from hypchrom.coloring import (
     brute_force_chromatic,
     brute_force_k_colorable,
     chromatic_number,
-    degree_order,
     find_coloring_reordered,
     greedy_seed_clique,
     k_core,
@@ -53,11 +52,18 @@ class TestAdjacencyGraph:
         assert g.neighbors[2] == (0, 3)
         assert g.size == 2
 
-    def test_prefix(self):
+    def test_prefix(self, pipeline):
         g = AdjacencyGraph(5, [(0, 1), (1, 4), (3, 4)])
         sub = g.induced_prefix(4)
         assert sub.n == 4
         assert sub.edges() == [(0, 1)]
+        # the final graph's prefixes equal the edge-filter construction
+        g = AdjacencyGraph.from_graph(pipeline[-1])
+        for m in (0, 1, 9, 622, 709, g.n):
+            want = AdjacencyGraph(m, [(i, j) for i, j in g.edges() if j < m])
+            assert g.induced_prefix(m).neighbors == want.neighbors, m
+        with pytest.raises(ValueError):
+            g.induced_prefix(g.n + 1)
 
 
 def kernel_state(g, k):
@@ -254,7 +260,7 @@ class TestDegreeRelabel:
     @pytest.mark.parametrize("rim", [5, 6, 7, 8])
     def test_wheel_coloring_in_caller_numbering(self, rim):
         g = wheel(rim)
-        assert degree_order(g)[0] == rim
+        assert k_core(g, 0)[0][0] == rim
         for k in (3, 4):
             for symmetry_break in (True, False):
                 coloring, _ = search_k_coloring(g, k, symmetry_break=symmetry_break)
@@ -264,7 +270,7 @@ class TestDegreeRelabel:
 
     def test_degree_order_is_permutation_ties_by_index(self, g42):
         adj = AdjacencyGraph.from_graph(g42)
-        order = degree_order(adj)
+        order = k_core(adj, 0)[0]
         assert sorted(order) == list(range(adj.n))
         for u, v in zip(order, order[1:]):
             du, dv = len(adj.neighbors[u]), len(adj.neighbors[v])

@@ -454,9 +454,18 @@ class TestModularScreen:
                 n = len(points)
                 brute = [(i, j) for i in range(n) for j in range(i + 1, n) if maybe[i, j]]
                 assert screened_pairs(res) == brute
+                # the two-set form: these rows against the graph's vertices
+                cols = screen_residues(verts)
+                maybe = maybe_unit_edge(ops[:, None, :], screen_operands(cols)[None, :, :])
+                across = [tuple(ij) for ij in np.argwhere(maybe).tolist()]
+                assert screened_pairs(res, cols) == across
         # the last case: the order-119 graph's edges and the inserted point's pairs
         assert len(brute) == g.size + n - 1
-        assert screened_pairs(screen_residues([])) == []
+        # each edge in both directions, and the inserted point against every vertex
+        assert len(across) == 2 * g.size + g.order
+        empty = screen_residues([])
+        assert screened_pairs(empty) == []
+        assert screened_pairs(res, empty) == screened_pairs(empty, res) == []
 
     def test_point_without_image_is_never_ruled_out(self, g28):
         p = SCREEN_PRIME
