@@ -43,18 +43,16 @@ from .field import (
     SIN_SQ,
     ZERO,
     FieldElement,
-    Rational,
     fe_sign,
     fe_sqrt,
     fe_to_interval,
 )
 from .geometry import (
+    D_NUMERIC,
     Graph,
     GraphIntegrityError,
     ModulePoint,
     NumericPoint,
-    PARAMS,
-    Params,
     VertexOrigin,
     build_g9,
     certify_graph,

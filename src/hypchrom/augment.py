@@ -39,7 +39,6 @@ from .field import (
     EDGE_INVARIANT,
     GEN,
     ONE,
-    RADIUS_SQ,
     SIN_SQ,
     ZERO,
     FieldElement,
@@ -54,7 +53,6 @@ from .geometry import (
     VertexOrigin,
     is_unit_edge,
     lex_less,
-    screen_residues,
     screened_pairs,
 )
 
@@ -70,11 +68,10 @@ _TWO = FieldElement(2)
 @dataclass(frozen=True)
 class EuclideanCircleRec:
     """Euclidean circle underlying a distance-d circle, in scaled module
-    coordinates: center (A, B), squared Euclidean radius, and the constant
-    term E of the scaled equation."""
+    coordinates: center (A, B) and the constant term E of the scaled
+    equation."""
 
     center: ModulePoint
-    radius_sq: FieldElement
     e_elem: FieldElement
 
 
@@ -87,9 +84,7 @@ def circle_of(c: ModulePoint) -> EuclideanCircleRec:
     b = 2 * c.y_elem * inv_den
     s_c = c.x_elem * c.x_elem + _ONE_MINUS_CSQ * c.y_elem * c.y_elem
     e = (2 * s_c - k / (ONE - GEN)) * inv_den
-    center = ModulePoint(a, b)
-    radius_sq = RADIUS_SQ * (a * a + _ONE_MINUS_CSQ * b * b - e)
-    return EuclideanCircleRec(center=center, radius_sq=radius_sq, e_elem=e)
+    return EuclideanCircleRec(center=ModulePoint(a, b), e_elem=e)
 
 
 def point_on_circle(p: ModulePoint, circ: EuclideanCircleRec) -> bool:
@@ -303,8 +298,9 @@ def _euclidean_circles(coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _pair_intersections(centers: np.ndarray, rad2: np.ndarray):
     """All pairwise circle intersection points, vectorized.
 
-    Returns (pair_i, pair_j, branch, x, y) arrays; branch 0 is the point
-    that is lexicographically smaller in (x, y)."""
+    Returns (pair_i, pair_j, x, y) arrays in processing order: the pairs
+    i < j lexicographically, rows 2m and 2m + 1 holding the two points of
+    pair m, the one lexicographically smaller in (x, y) first."""
     n = centers.shape[0]
     iu, ju = np.triu_indices(n, 1)
     ci = centers[iu]
@@ -323,18 +319,14 @@ def _pair_intersections(centers: np.ndarray, rad2: np.ndarray):
     perp = np.stack([-dvec[:, 1], dvec[:, 0]], axis=1) * scale[:, None]
     p_plus = base + perp
     p_minus = base - perp
-    # orient so branch 0 is lexicographically smaller
+    # orient so the lexicographically smaller point comes first
     swap = (p_plus[:, 0] < p_minus[:, 0]) | (
         (p_plus[:, 0] == p_minus[:, 0]) & (p_plus[:, 1] < p_minus[:, 1])
     )
     lo = np.where(swap[:, None], p_plus, p_minus)
     hi = np.where(swap[:, None], p_minus, p_plus)
-    pair_i = np.concatenate([iu, iu])
-    pair_j = np.concatenate([ju, ju])
-    branch = np.concatenate([np.zeros(len(iu), dtype=np.int8), np.ones(len(iu), dtype=np.int8)])
-    xs = np.concatenate([lo[:, 0], hi[:, 0]])
-    ys = np.concatenate([lo[:, 1], hi[:, 1]])
-    return pair_i, pair_j, branch, xs, ys
+    both = np.stack([lo, hi], axis=1).reshape(-1, 2)
+    return np.repeat(iu, 2), np.repeat(ju, 2), both[:, 0], both[:, 1]
 
 
 def _hyperboloid(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
@@ -389,23 +381,22 @@ def _float_intersections(report: PhaseReport, g: Graph):
     coords = np.array(g.float_coords(), dtype=np.float64)
     report.pairs_total = g.order * (g.order - 1) // 2
     cands = _pair_intersections(*_euclidean_circles(coords))
-    report.raw_candidates = len(cands[3])
+    report.raw_candidates = len(cands[2])
     return coords, cands
 
 
 def _prefilter(report: PhaseReport, cands, coords: np.ndarray, min_neighbors: int):
     """The candidates whose float neighbour count reaches min_neighbors."""
-    keep = _numeric_neighbor_counts(cands[3], cands[4], coords) >= min_neighbors
+    keep = _numeric_neighbor_counts(cands[2], cands[3], coords) >= min_neighbors
     cands = tuple(a[keep] for a in cands)
-    report.prefiltered = len(cands[3])
+    report.prefiltered = len(cands[2])
     return cands
 
 
 def _dedup(report: PhaseReport, cands, coords: np.ndarray) -> list[tuple]:
-    """The survivors (i, j, x, y) in processing order, by source pair and
-    then branch.  A candidate within DEDUP_RADIUS of a vertex is dropped as
-    existing; one within it of an earlier survivor is dropped silently."""
-    pair_i, pair_j, branch, xs, ys = cands
+    """The survivors (i, j, x, y), in the candidates' processing order.  A
+    candidate within DEDUP_RADIUS of a vertex is dropped as existing; one
+    within it of an earlier survivor is dropped silently."""
     cell = 1.0 / DEDUP_RADIUS
     existing_cells: dict[tuple[int, int], list[tuple[float, float]]] = {}
     for x, y in coords:
@@ -422,14 +413,12 @@ def _dedup(report: PhaseReport, cands, coords: np.ndarray) -> list[tuple]:
 
     seen_cells: dict[tuple[int, int], list[tuple[float, float]]] = {}
     survivors = []
-    for idx in np.lexsort((branch, pair_j, pair_i)):
-        x = float(xs[idx])
-        y = float(ys[idx])
+    for i, j, x, y in zip(*(a.tolist() for a in cands)):
         if near(existing_cells, x, y):
             report.dropped_existing += 1
         elif not near(seen_cells, x, y):
             seen_cells.setdefault((round(x * cell), round(y * cell)), []).append((x, y))
-            survivors.append((int(pair_i[idx]), int(pair_j[idx]), x, y))
+            survivors.append((i, j, x, y))
     report.distinct = len(survivors)
     return survivors
 
@@ -471,7 +460,7 @@ def _exact_neighbors(report: PhaseReport, g: Graph, found: dict, min_neighbors: 
     are accepted in order, numbered from g.order.  Returns the accepted
     points, their origins and their edges to g's vertices."""
     points, old = list(found), g.vertices
-    maybe = screened_pairs(screen_residues(points), screen_residues(old))
+    maybe = screened_pairs(points, old)
     report.screened_pairs += len(points) * g.order
     report.exact_edge_tests += len(maybe)
     neighbors: list[list[int]] = [[] for _ in points]
@@ -501,7 +490,7 @@ def _exact_neighbors(report: PhaseReport, g: Graph, found: dict, min_neighbors: 
 
 def _accidental_edges(report: PhaseReport, n: int, accepted: list[ModulePoint]):
     """The edges among the accepted vertices, numbered from n, certified exactly."""
-    maybe = screened_pairs(screen_residues(accepted))
+    maybe = screened_pairs(accepted)
     report.screened_pairs += len(accepted) * (len(accepted) - 1) // 2
     report.exact_edge_tests += len(maybe)
     report.accidental_edges = [

@@ -21,10 +21,10 @@ from typing import Optional
 
 from .field import MIN_POLY
 from .geometry import (
+    D_NUMERIC,
     Graph,
     GraphIntegrityError,
     ModulePoint,
-    PARAMS,
     VertexOrigin,
     is_unit_edge,
 )
@@ -48,7 +48,7 @@ def write_bundle(g: Graph, path: str) -> None:
     lines = [
         f"{FORMAT_TAG}/{FORMAT_VERSION}",
         "minpoly " + " ".join(str(c) for c in reversed(MIN_POLY)),
-        f"distance {DISTANCE_TAG} {PARAMS.d_numeric!r}",
+        f"distance {DISTANCE_TAG} {D_NUMERIC!r}",
         f"vertices {g.order}",
         f"edges {g.size}",
     ]
@@ -107,10 +107,15 @@ def read_bundle(path: str, verify: bool = True) -> Graph:
                 _fail(line_no, "minimal polynomial does not match this build")
         elif kind == "distance":
             pass  # informative
-        elif kind == "vertices":
-            n_vertices = int(parts[1])
-        elif kind == "edges":
-            n_edges = int(parts[1])
+        elif kind in ("vertices", "edges"):
+            try:
+                count = int(parts[1])
+            except (IndexError, ValueError):
+                _fail(line_no, f"{kind} count missing or not an integer")
+            if kind == "vertices":
+                n_vertices = count
+            else:
+                n_edges = count
         elif kind == "v":
             if len(parts) < 11:
                 _fail(line_no, "vertex record too short")

@@ -34,8 +34,6 @@ import threading
 from fractions import Fraction
 from typing import Optional
 
-Rational = Fraction
-
 # 16c^4 + 8c^3 - 12c^2 - 2c + 1, coefficients by ascending degree
 MIN_POLY = (1, -2, -12, 8, 16)
 
@@ -406,7 +404,7 @@ _ROOT = _RootCache()
 
 
 def root_bounds(max_width=Fraction(1, 10**12)) -> tuple[Fraction, Fraction]:
-    """Rational bounds on the generator value, at most max_width wide; the
+    """Bounds in Q on the generator value, at most max_width wide; the
     same bounds for the same width in every call history."""
     return _ROOT.bounds(Fraction(max_width))
 
@@ -483,7 +481,7 @@ def _interval_raw(a: FieldElement, tn: int, td: int) -> tuple[int, int, int]:
 
 
 def fe_to_interval(a: FieldElement, target_width) -> tuple[Fraction, Fraction]:
-    """Rational bounds on the value of a at the root, at most target_width
+    """Bounds in Q on the value of a at the root, at most target_width
     wide.  Bounds shrink monotonically as target_width decreases, and
     depend only on a and target_width: they are evaluated on the coarsest
     level of the root's bisection chain that gives a narrow enough value,

@@ -22,9 +22,12 @@ not divide its common denominator `_d`.  The edge test asks whether the
 residual 2(1-c)*Delta(P, Q) - K_P*K_Q is zero; if both points are
 p-integral, its image mod p is computed from the residues of X, Y and K,
 and a nonzero image proves the residual nonzero, so the pair is not an
-edge.  A zero image proves nothing, and such pairs, with every pair
-involving a point that is not p-integral, go to is_unit_edge, the only test
-that accepts an edge.
+edge.  screened_pairs takes the points themselves: it reduces each point
+once, in Python ints, to a uint64 row of the operands the expanded
+residual needs, and scans blocks of rows against all columns.  A zero
+image proves nothing, and such pairs, with every pair involving a point
+that is not p-integral, go to is_unit_edge, the only test that accepts an
+edge.
 """
 
 from __future__ import annotations
@@ -39,7 +42,6 @@ import numpy as np
 
 from .field import (
     EDGE_INVARIANT,
-    GEN,
     ONE,
     RADIUS_SQ,
     SIN_SQ,
@@ -154,35 +156,9 @@ def lex_less(p: ModulePoint, q: ModulePoint) -> bool:
     return fe_sign(p.y_elem - q.y_elem) < 0
 
 
-@dataclass(frozen=True)
-class Params:
-    """The construction constants, exact plus a numeric distance value."""
-
-    c_elem: FieldElement
-    s_sq: FieldElement
-    r_sq: FieldElement
-    f_elem: FieldElement
-    d_numeric: float
-
-    def check(self) -> bool:
-        return (
-            self.s_sq == ONE - self.c_elem * self.c_elem
-            and self.r_sq == 2 * self.c_elem - ONE
-            and self.f_elem == self.r_sq / (ONE - self.c_elem)
-        )
-
-
-def _d_numeric() -> float:
-    lo, hi = fe_to_interval(ONE + EDGE_INVARIANT, Fraction(1, 10**14))
-    return math.acosh(float((lo + hi) / 2))
-
-
-PARAMS = Params(
-    c_elem=GEN,
-    s_sq=SIN_SQ,
-    r_sq=RADIUS_SQ,
-    f_elem=EDGE_INVARIANT,
-    d_numeric=_d_numeric(),
+# the target hyperbolic distance arccosh(1 + (2c-1)/(1-c)) as a float
+D_NUMERIC = math.acosh(
+    float(sum(fe_to_interval(ONE + EDGE_INVARIANT, Fraction(1, 10**14))) / 2)
 )
 
 _R_FLOAT = math.sqrt(RADIUS_SQ.to_float())
@@ -234,7 +210,6 @@ _RES_TWO_ONE_MINUS_C = 2 * (1 - SCREEN_ROOT) % SCREEN_PRIME
 _RES_TWOC_MINUS_ONE = (2 * SCREEN_ROOT - 1) % SCREEN_PRIME
 _RES_U = 2 * _RES_TWO_ONE_MINUS_C % SCREEN_PRIME
 _RES_V = _RES_U * _RES_ONE_MINUS_CSQ % SCREEN_PRIME
-_NO_IMAGE = (-1, -1, -1)
 
 _SCAN_BLOCK = 64  # rows compared at once with every column in screened_pairs
 
@@ -245,45 +220,37 @@ def _residue(a: FieldElement) -> int:
     return (n[0] + r * (n[1] + r * (n[2] + r * n[3]))) * pow(a._d, -1, p) % p
 
 
-def screen_residues(points: Sequence[ModulePoint]) -> np.ndarray:
-    """Rows (X, Y, K) mod SCREEN_PRIME, one per point, as int64.  A point
-    with a coordinate denominator divisible by the prime has no image and
-    gets the row (-1, -1, -1), which the screen never rules out."""
+def _screen_row(x: int, y: int, k: int) -> tuple[int, ...]:
+    """The operand row of a point whose X, Y and K have the residues x, y
+    and k mod p: X, Y, K, then A = 2(1-c)(X^2 + (1-c^2)Y^2), U*X and V*Y
+    mod p (U = 4(1-c), V = 4(1-c)(1-c^2)), and last the no-image flag 0."""
+    p = SCREEN_PRIME
+    a = _RES_TWO_ONE_MINUS_C * (x * x + _RES_ONE_MINUS_CSQ * y * y) % p
+    return (x, y, k, a, _RES_U * x % p, _RES_V * y % p, 0)
+
+
+def _screen_rows(points: Sequence[ModulePoint]) -> np.ndarray:
+    """One uint64 operand row per point.  A point with a coordinate
+    denominator divisible by the prime has no image; its row is zero but
+    for the flag 1, and the screen never rules it out."""
     p = SCREEN_PRIME
     rows = []
     for pt in points:
         if pt.x_elem._d % p == 0 or pt.y_elem._d % p == 0:
-            rows.append(_NO_IMAGE)
+            rows.append((0, 0, 0, 0, 0, 0, 1))
             continue
         x = _residue(pt.x_elem)
         y = _residue(pt.y_elem)
         # K = 1 - (2c-1) * (X^2 + (1-c^2) Y^2)
         k = (1 - _RES_TWOC_MINUS_ONE * (x * x + _RES_ONE_MINUS_CSQ * y * y)) % p
-        rows.append((x, y, k))
-    return np.array(rows, dtype=np.int64).reshape(len(rows), 3)
+        rows.append(_screen_row(x, y, k))
+    return np.array(rows, dtype=np.uint64).reshape(len(rows), 7)
 
 
-def screen_operands(residues: np.ndarray) -> np.ndarray:
-    """screen_residues rows in the form maybe_unit_edge reads, made once
-    per point set: uint64 columns X, Y, K, then A = 2(1-c)(X^2 + (1-c^2)Y^2),
-    U*X and V*Y mod p (U = 4(1-c), V = 4(1-c)(1-c^2)), and last 1 for a
-    row without image, whose other columns are 0."""
-    p = SCREEN_PRIME
-    r = residues.clip(0).astype(np.uint64)
-    x, y = r[..., 0], r[..., 1]
-    out = np.empty(r.shape[:-1] + (7,), dtype=np.uint64)
-    out[..., :3] = r
-    out[..., 3] = _RES_TWO_ONE_MINUS_C * ((x * x % p + _RES_ONE_MINUS_CSQ * (y * y % p)) % p) % p
-    out[..., 4] = _RES_U * x % p
-    out[..., 5] = _RES_V * y % p
-    out[..., 6] = residues[..., 0] < 0
-    return out
-
-
-def maybe_unit_edge(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _may_be_edge(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """False where a pair is proven not to be an edge, True ("maybe")
-    elsewhere.  a and b are rows of screen_operands, broadcast against each
-    other.  Expanded, the residual 2(1-c)*Delta - K_P*K_Q is
+    elsewhere.  a and b are operand rows, broadcast against each other.
+    Expanded, the residual 2(1-c)*Delta - K_P*K_Q is
     A_P + A_Q - U*X_P*X_Q - V*Y_P*Y_Q - K_P*K_Q; it is zero mod p exactly
     when (U*X_P)*X_Q + (V*Y_P)*Y_Q + K_P*K_Q + (p - A_P) = A_Q mod p.  That
     sum is below 3p^2 + p < 2^64, so it takes one uint64 reduction per pair
@@ -299,19 +266,18 @@ def maybe_unit_edge(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def screened_pairs(
-    residues: np.ndarray, other: Optional[np.ndarray] = None
+    points: Sequence[ModulePoint], other: Optional[Sequence[ModulePoint]] = None
 ) -> list[tuple[int, int]]:
-    """Every pair (i, j) of screen_residues rows that maybe_unit_edge cannot
-    rule out, in lexicographic order: i < j within residues, or, given
-    other, row i of residues against row j of other.  Every other pair is
-    proven not to be an edge."""
-    ops = screen_operands(residues)
-    cols = ops if other is None else screen_operands(other)
+    """Every pair (i, j) that the modular screen cannot rule out, in
+    lexicographic order: i < j within points, or, given other, points[i]
+    against other[j].  Every other pair is proven not to be an edge."""
+    ops = _screen_rows(points)
+    cols = ops if other is None else _screen_rows(other)
     pairs: list[tuple[int, int]] = []
     for start in range(0, len(ops), _SCAN_BLOCK):
         rows = ops[start : start + _SCAN_BLOCK]
         first = start if other is None else 0
-        maybe = maybe_unit_edge(rows[:, None, :], cols[None, first:, :])
+        maybe = _may_be_edge(rows[:, None, :], cols[None, first:, :])
         if other is None:
             # keep only the columns right of the diagonal
             maybe &= np.arange(len(cols) - start)[None, :] > np.arange(len(rows))[:, None]
@@ -408,7 +374,7 @@ def certify_graph(g: Graph, seed: int = 0) -> CertificationReport:
     ("nonedge", i, j) for an unrecorded pair that is one, sorted by pair.
     seed is accepted for callers that still pass it and has no effect."""
     v = g.vertices
-    maybe = screened_pairs(screen_residues(v))
+    maybe = screened_pairs(v)
     # every exact test before any new object: building tuples or a set between
     # them fragmented the heap and slowed a later coloring search by about 25%
     hits = [is_unit_edge(v[i], v[j]) for i, j in maybe]

@@ -17,7 +17,7 @@ from hypchrom.augment import (
     phase_augment,
     point_on_circle,
 )
-from hypchrom.field import EDGE_INVARIANT, RADIUS_SQ, ZERO, fe_sign
+from hypchrom.field import RADIUS_SQ, SIN_SQ, fe_sign
 from hypchrom.geometry import F_NUMERIC, Graph, ModulePoint, is_unit_edge
 from hypchrom.reference_data import reference_exclusion_table
 
@@ -64,9 +64,28 @@ TABLE2 = [
 ]
 ACCIDENTAL2 = {(30, 32), (33, 34), (36, 38), (39, 40)}
 
+# every PhaseReport counter of the default schedule, one row per phase:
+# pairs, raw, prefiltered, distinct, existing, nonmodule, denominator,
+# mismatch, excluded, accepted, new-old edges, screened pairs, exact tests
+PHASE_COUNTERS = [
+    (36, 70, 70, 22, 48, 0, 0, 0, 3, 19, 38, 342, 44),
+    (378, 582, 346, 14, 292, 0, 0, 0, 0, 14, 46, 483, 50),
+    (861, 1174, 708, 26, 612, 0, 0, 0, 0, 26, 84, 1417, 90),
+    (2278, 2806, 1430, 53, 1244, 0, 0, 0, 2, 51, 162, 4743, 184),
+    (7021, 7342, 3078, 109, 2676, 0, 0, 0, 2, 107, 346, 18404, 401),
+    (25425, 22050, 7258, 277, 6216, 0, 0, 0, 2, 275, 894, 99825, 1059),
+    (125250, 91664, 19729, 897, 16164, 18, 0, 0, 2, 877, 2902, 823503, 3602),
+]
+
 
 def table_point(nums, den):
     return ModulePoint.from_octuple([Fraction(v, den) for v in nums])
+
+
+def squared_radius(circ):
+    """The squared Euclidean radius R^2 (A^2 + (1-c^2) B^2 - E) of a circle."""
+    a, b = circ.center.x_elem, circ.center.y_elem
+    return RADIUS_SQ * (a * a + SIN_SQ * b * b - circ.e_elem)
 
 
 class TestCircleOf:
@@ -74,7 +93,7 @@ class TestCircleOf:
         circ = circle_of(g9.vertices[0])
         assert circ.center.x_elem.is_zero()
         assert circ.center.y_elem.is_zero()
-        assert circ.radius_sq == RADIUS_SQ
+        assert squared_radius(circ) == RADIUS_SQ
 
     def test_circle_of_axis_vertex_has_axis_center(self, g9):
         circ = circle_of(g9.vertices[1])
@@ -95,7 +114,7 @@ class TestCircleOf:
 
     def test_radius_positive(self, g9):
         for v in g9.vertices:
-            assert fe_sign(circle_of(v).radius_sq) == 1
+            assert fe_sign(squared_radius(circle_of(v))) == 1
 
 
 class TestIntersectCircles:
@@ -134,7 +153,7 @@ class TestIntersectCircles:
         c2 = circle_of(g28.vertices[23])
         # the circles do meet: two float intersection points exist
         (x1, y1), (x2, y2) = c1.center.to_floats(), c2.center.to_floats()
-        r1, r2 = c1.radius_sq.to_float(), c2.radius_sq.to_float()
+        r1, r2 = squared_radius(c1).to_float(), squared_radius(c2).to_float()
         d2 = (x2 - x1) ** 2 + (y2 - y1) ** 2
         a = (d2 + r1 - r2) / (2 * d2)
         assert r1 - a * a * d2 > 1e-6
@@ -156,8 +175,8 @@ class TestIntersectCircles:
             c2 = circle_of(g9.vertices[j])
             cen1 = c1.center.to_floats()
             cen2 = c2.center.to_floats()
-            r1 = c1.radius_sq.to_float()
-            r2 = c2.radius_sq.to_float()
+            r1 = squared_radius(c1).to_float()
+            r2 = squared_radius(c2).to_float()
             dx, dy = cen2[0] - cen1[0], cen2[1] - cen1[1]
             d2 = dx * dx + dy * dy
             a = (d2 + r1 - r2) / (2 * d2)
@@ -270,11 +289,29 @@ def float_coords(g):
     return np.array(g.float_coords(), dtype=np.float64)
 
 
+class TestFloatIntersections:
+    def test_rows_in_processing_order(self, g9, pipeline):
+        for g in [g9] + pipeline[:4]:
+            coords = float_coords(g)
+            pair_i, pair_j, xs, ys = augment._pair_intersections(
+                *augment._euclidean_circles(coords)
+            )
+            # rows 2m and 2m + 1 are the two points of pair m
+            assert len(xs) % 2 == 0
+            assert (pair_i[::2] == pair_i[1::2]).all() and (pair_j[::2] == pair_j[1::2]).all()
+            # the pairs i < j in lexicographic order, each once
+            assert (pair_i < pair_j).all()
+            assert (np.diff(pair_i[::2] * g.order + pair_j[::2]) > 0).all()
+            # the lexicographically smaller point of each pair first
+            x0, x1, y0, y1 = xs[::2], xs[1::2], ys[::2], ys[1::2]
+            assert ((x0 < x1) | ((x0 == x1) & (y0 <= y1))).all()
+
+
 class TestNeighborPrefilter:
     def test_equal_to_reference_on_every_phase_input(self, g9, pipeline):
         for g in [g9] + pipeline[:6]:
             coords = float_coords(g)
-            _, _, _, xs, ys = augment._pair_intersections(*augment._euclidean_circles(coords))
+            _, _, xs, ys = augment._pair_intersections(*augment._euclidean_circles(coords))
             got = augment._numeric_neighbor_counts(xs, ys, coords)
             assert got.dtype == np.int32
             assert np.array_equal(got, counts_reference(xs, ys, coords)), g.order
@@ -379,6 +416,18 @@ class TestPipeline:
             i, j = rng.sample(range(tail.order), 2)
             expected = (min(i, j), max(i, j)) in tail.edge_set()
             assert is_unit_edge(tail.vertices[i], tail.vertices[j]) == expected
+
+    def test_default_schedule_counters(self, pipeline):
+        got = [
+            (
+                r.pairs_total, r.raw_candidates, r.prefiltered, r.distinct,
+                r.dropped_existing, r.rejected_nonmodule, r.rejected_denominator,
+                r.rejected_neighbor_mismatch, r.excluded_by_selection, r.accepted,
+                r.new_old_edges, r.screened_pairs, r.exact_edge_tests,
+            )
+            for r in (g.phase_report for g in pipeline)
+        ]
+        assert got == PHASE_COUNTERS
 
     def test_nonmodule_rejections_per_phase(self, pipeline):
         counts = [g.phase_report.rejected_nonmodule for g in pipeline]

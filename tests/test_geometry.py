@@ -20,12 +20,12 @@ from hypchrom.field import (
     root_bounds,
 )
 from hypchrom.geometry import (
+    D_NUMERIC,
     SCREEN_PRIME,
     SCREEN_ROOT,
     Graph,
     GraphIntegrityError,
     ModulePoint,
-    PARAMS,
     SEED_EDGES,
     SPINDLE_EDGES,
     build_g9,
@@ -34,10 +34,7 @@ from hypchrom.geometry import (
     f_of,
     is_unit_edge,
     lex_less,
-    maybe_unit_edge,
     point_coords_numeric,
-    screen_operands,
-    screen_residues,
     screened_pairs,
     spindle_numeric,
     verify_condition1,
@@ -257,7 +254,7 @@ class TestSpindleNumeric:
             assert abs(fv - target) / target < 1e-12
 
     def test_construction_distance_matches_seed_vertices(self, g9):
-        pts, _ = spindle_numeric(PARAMS.d_numeric)
+        pts, _ = spindle_numeric(D_NUMERIC)
         coords = g9.float_coords()
         for k in range(7):
             assert pts[k][0] == pytest.approx(coords[k][0], abs=1e-12)
@@ -270,10 +267,11 @@ class TestSpindleNumeric:
 
 class TestParams:
     def test_invariants(self):
-        assert PARAMS.check()
+        # D_NUMERIC is the distance whose f is the edge value
+        assert math.cosh(D_NUMERIC) - 1 == pytest.approx(EDGE_INVARIANT.to_float(), rel=1e-14)
 
     def test_distance_value(self):
-        assert PARAMS.d_numeric == pytest.approx(DIST_APPROX, abs=1e-8)
+        assert D_NUMERIC == pytest.approx(DIST_APPROX, abs=1e-8)
 
     def test_second_rotation_cosine_identity(self):
         # 1 - (1-c)/(8 c^2 (1+c)) evaluates to the published cosine
@@ -396,8 +394,9 @@ class TestModularScreen:
         assert all(p % q for q in range(2, math.isqrt(p) + 1))
         assert sum(coef * pow(r, k, p) for k, coef in enumerate(MIN_POLY)) % p == 0
         assert 16 % p != 0
-        # products of two residues fit in int64 with room for a sum
-        assert 2 * (p - 1) ** 2 < 2**63
+        # the screen's sum of three products of residues and one residue
+        # fits in uint64
+        assert 3 * (p - 1) ** 2 + p < 2**64
 
     @pytest.fixture(scope="class")
     def screened_graphs(self, g28, g42, pipeline):
@@ -406,22 +405,19 @@ class TestModularScreen:
 
     def test_recorded_edges_have_zero_residue(self, screened_graphs):
         for g in screened_graphs:
-            res = screen_operands(screen_residues(g.vertices))
-            i, j = np.array(g.edges).T
-            assert maybe_unit_edge(res[i], res[j]).all()
+            assert set(g.edges) <= set(screened_pairs(g.vertices))
 
     def test_nonzero_residue_pairs_fail_exact_test(self, screened_graphs):
         for g in screened_graphs:
-            res = screen_operands(screen_residues(g.vertices))
-            maybe = maybe_unit_edge(res[:, None, :], res[None, :, :])
-            assert (maybe == maybe.T).all()
-            ruled_out = 0
-            for i in range(g.order):
-                for j in np.flatnonzero(~maybe[i, i + 1 :]) + i + 1:
-                    assert not is_unit_edge(g.vertices[i], g.vertices[j])
-                    ruled_out += 1
+            v = g.vertices
+            maybe = set(screened_pairs(v))
+            ruled_out = [
+                (i, j) for i in range(g.order) for j in range(i + 1, g.order)
+                if (i, j) not in maybe
+            ]
+            assert not any(is_unit_edge(v[i], v[j]) for i, j in ruled_out)
             # the screen passes on the edges and nothing else here
-            assert ruled_out == g.order * (g.order - 1) // 2 - g.size
+            assert len(ruled_out) == g.order * (g.order - 1) // 2 - g.size
 
     def test_expanded_residual_matches_direct_form(self):
         # 2(1-c)*Delta - K_P*K_Q computed directly with Python integers
@@ -432,53 +428,57 @@ class TestModularScreen:
         # the largest residues bound the screen's uint64 sums
         a[:3] = p - 1
         b[:3, :2] = p - 1
+
+        def row(residues):
+            return np.array(geometry._screen_row(*residues), dtype=np.uint64)
+
         for ra, rb in zip(a.tolist(), b.tolist()):
             delta = (ra[0] - rb[0]) ** 2 + (1 - r * r) * (ra[1] - rb[1]) ** 2
             rb[2] = 2 * (1 - r) * delta * pow(ra[2], -1, p) % p
-            on = screen_operands(np.array(rb, dtype=np.int64))
-            off = screen_operands(np.array(rb[:2] + [(rb[2] + 1) % p], dtype=np.int64))
-            row = screen_operands(np.array(ra, dtype=np.int64))
-            assert maybe_unit_edge(row, on) and maybe_unit_edge(on, row)
-            assert not maybe_unit_edge(row, off) and not maybe_unit_edge(off, row)
+            on, off, pa = row(rb), row(rb[:2] + [(rb[2] + 1) % p]), row(ra)
+            assert geometry._may_be_edge(pa, on) and geometry._may_be_edge(on, pa)
+            assert not geometry._may_be_edge(pa, off) and not geometry._may_be_edge(off, pa)
 
     def test_screened_pairs_match_brute_force(self, screened_graphs):
         no_image = ModulePoint(FieldElement(Fraction(1, SCREEN_PRIME)), FieldElement(0))
         # past the first block, so the point's pairs straddle a block boundary
         at = geometry._SCAN_BLOCK + 1
+
+        def maybe(p, q):
+            return p is no_image or q is no_image or is_unit_edge(p, q)
+
         for g in screened_graphs:
             verts = list(g.vertices)
             for points in (verts, verts[:at] + [no_image] + verts[at:]):
-                res = screen_residues(points)
-                ops = screen_operands(res)
-                maybe = maybe_unit_edge(ops[:, None, :], ops[None, :, :])
                 n = len(points)
-                brute = [(i, j) for i in range(n) for j in range(i + 1, n) if maybe[i, j]]
-                assert screened_pairs(res) == brute
-                # the two-set form: these rows against the graph's vertices
-                cols = screen_residues(verts)
-                maybe = maybe_unit_edge(ops[:, None, :], screen_operands(cols)[None, :, :])
-                across = [tuple(ij) for ij in np.argwhere(maybe).tolist()]
-                assert screened_pairs(res, cols) == across
+                brute = [
+                    (i, j) for i in range(n) for j in range(i + 1, n)
+                    if maybe(points[i], points[j])
+                ]
+                assert screened_pairs(points) == brute
+                # the two-set form: these points against the graph's vertices
+                across = [
+                    (i, j) for i in range(n) for j in range(g.order)
+                    if maybe(points[i], verts[j])
+                ]
+                assert screened_pairs(points, verts) == across
         # the last case: the order-119 graph's edges and the inserted point's pairs
         assert len(brute) == g.size + n - 1
         # each edge in both directions, and the inserted point against every vertex
         assert len(across) == 2 * g.size + g.order
-        empty = screen_residues([])
-        assert screened_pairs(empty) == []
-        assert screened_pairs(res, empty) == screened_pairs(empty, res) == []
+        assert screened_pairs([]) == []
+        assert screened_pairs(points, []) == screened_pairs([], points) == []
 
     def test_point_without_image_is_never_ruled_out(self, g28):
         p = SCREEN_PRIME
-        res = screen_operands(screen_residues(g28.vertices))
         for point in (
             ModulePoint(FieldElement(Fraction(1, p)), FieldElement(0)),
             ModulePoint(FieldElement(0), GEN * Fraction(3, 2 * p)),
         ):
-            row = screen_residues([point])[0]
-            assert row.tolist() == [-1, -1, -1]
-            row = screen_operands(row)
-            assert maybe_unit_edge(row, res).all()
-            assert maybe_unit_edge(res, row).all()
+            n = g28.order
+            assert screened_pairs([point], g28.vertices) == [(0, j) for j in range(n)]
+            assert screened_pairs(g28.vertices, [point]) == [(i, 0) for i in range(n)]
+            assert screened_pairs([point, point]) == [(0, 1)]
 
 
 class TestLexOrder:

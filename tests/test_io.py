@@ -151,6 +151,17 @@ class TestBundle:
         with pytest.raises(BundleFormatError, match="missing vertex"):
             read_bundle(str(path))
 
+    @pytest.mark.parametrize("record, bad", [("vertices", "vertices"), ("edges", "edges x")])
+    def test_malformed_count_reports_line(self, g9, tmp_path, record, bad):
+        path = tmp_path / "g9.bundle"
+        write_bundle(g9, str(path))
+        lines = path.read_text().splitlines()
+        idx = next(i for i, l in enumerate(lines) if l.split()[0] == record)
+        lines[idx] = bad
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(BundleFormatError, match=f"^line {idx + 1}: {record} count"):
+            read_bundle(str(path), verify=False)
+
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.bundle"
         path.write_text("")
