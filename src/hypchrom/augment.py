@@ -6,11 +6,15 @@ the scaled coordinates X = x/R, Y = y/(R*s) every circle has an equation
 
     X^2 + (1-c^2) Y^2 - 2A X - 2(1-c^2) B Y + E = 0
 
-with A, B, E in Q(c); the radical line of a pair is linear over Q(c) and the
-substituted quadratic has a discriminant in Q(c).  When the discriminant is
-a square in the field the intersection points are module points, produced
-exactly; otherwise no candidate is returned, since only module points can
-become vertices.
+with A, B, E in Q(c), or Q(P - C) = rho with Q(u) = u_x^2 + (1-c^2) u_y^2,
+center C = (A, B) and rho = Q(C) - E.  Two circles meet, as in the float
+layer, at the foot of the radical line plus or minus a perpendicular
+offset: with D = C2 - C1, delta = Q(D) and m = (delta + rho1 - rho2)/2 the
+points are C1 + (m/delta) D +- t (-(1-c^2) D_y, D_x), where
+t = sqrt(disc) / ((1-c^2) delta) and disc = (1-c^2)(rho1 delta - m^2).
+When disc is a square in the field the intersection points are module
+points, produced exactly; otherwise no candidate is returned, since only
+module points can become vertices.
 
 A phase is six layers, one function each, named in PHASE_LAYERS: float
 circle intersections of all vertex pairs, a float neighbour prefilter and
@@ -31,6 +35,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field as dc_field
+from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
@@ -62,42 +67,40 @@ class IdenticalCirclesError(Exception):
 
 
 _ONE_MINUS_CSQ = SIN_SQ
+_INV_ONE_MINUS_CSQ = ONE / SIN_SQ
+_INV_ONE_MINUS_C = ONE / (ONE - GEN)
 _TWO = FieldElement(2)
+_HALF = FieldElement(Fraction(1, 2))
+
+
+def _q(x: FieldElement, y: FieldElement) -> FieldElement:
+    """The scaled squared norm Q(x, y) = x^2 + (1-c^2) y^2."""
+    return x * x + _ONE_MINUS_CSQ * y * y
 
 
 @dataclass(frozen=True)
 class EuclideanCircleRec:
     """Euclidean circle underlying a distance-d circle, in scaled module
-    coordinates: center (A, B) and the constant term E of the scaled
-    equation."""
+    coordinates: center (A, B) and rho, the circle being Q(P - C) = rho."""
 
     center: ModulePoint
-    e_elem: FieldElement
+    rho: FieldElement
 
 
 def circle_of(c: ModulePoint) -> EuclideanCircleRec:
     """The circle of points at the target distance from a module point."""
     k = c.k_elem()
-    den = _TWO + EDGE_INVARIANT * k
-    inv_den = ONE / den
+    inv_den = ONE / (_TWO + EDGE_INVARIANT * k)
     a = 2 * c.x_elem * inv_den
     b = 2 * c.y_elem * inv_den
-    s_c = c.x_elem * c.x_elem + _ONE_MINUS_CSQ * c.y_elem * c.y_elem
-    e = (2 * s_c - k / (ONE - GEN)) * inv_den
-    return EuclideanCircleRec(center=ModulePoint(a, b), e_elem=e)
+    e = (2 * _q(c.x_elem, c.y_elem) - k * _INV_ONE_MINUS_C) * inv_den
+    return EuclideanCircleRec(center=ModulePoint(a, b), rho=_q(a, b) - e)
 
 
 def point_on_circle(p: ModulePoint, circ: EuclideanCircleRec) -> bool:
-    """Exact incidence test against the scaled circle equation."""
-    a, b, e = circ.center.x_elem, circ.center.y_elem, circ.e_elem
-    val = (
-        p.x_elem * p.x_elem
-        + _ONE_MINUS_CSQ * p.y_elem * p.y_elem
-        - 2 * a * p.x_elem
-        - 2 * _ONE_MINUS_CSQ * b * p.y_elem
-        + e
-    )
-    return val.is_zero()
+    """Exact incidence test: Q(P - C) == rho."""
+    c = circ.center
+    return _q(p.x_elem - c.x_elem, p.y_elem - c.y_elem) == circ.rho
 
 
 @dataclass
@@ -116,75 +119,41 @@ def intersect_circles(
     c1: EuclideanCircleRec, c2: EuclideanCircleRec
 ) -> list[CandidatePoint]:
     """Module-point intersections of two distance circles: zero to two
-    candidates.
+    candidates, the exact twin of _pair_intersections.
 
-    The points are returned exactly when the substituted quadratic's
-    discriminant is a square in Q(c); when it is not, the circles meet
-    outside the module and the result is empty, as it is when they do not
-    meet.  Branch '-' is the point that is lexicographically smaller in
-    (x, y).
+    The points are returned exactly when disc is a square in Q(c); when it
+    is not, the circles meet outside the module and the result is empty, as
+    it is when they do not meet.  Branch '-' is the point that is
+    lexicographically smaller in (x, y).
     """
-    a1, b1, e1 = c1.center.x_elem, c1.center.y_elem, c1.e_elem
-    a2, b2, e2 = c2.center.x_elem, c2.center.y_elem, c2.e_elem
-    lp = 2 * (a1 - a2)
-    lq = 2 * _ONE_MINUS_CSQ * (b1 - b2)
-    lt = e1 - e2
-    lp_zero = lp.is_zero()
-    lq_zero = lq.is_zero()
-    if lp_zero and lq_zero:
-        if lt.is_zero():
+    ax, ay = c1.center.x_elem, c1.center.y_elem
+    dx, dy = c2.center.x_elem - ax, c2.center.y_elem - ay
+    delta = _q(dx, dy)
+    if delta.is_zero():
+        if c1.rho == c2.rho:
             raise IdenticalCirclesError("circles coincide")
         return []
-
-    # substitute the radical line  lp*X + lq*Y = lt  into circle 1
-    if not lq_zero:
-        solve_for_x = True
-        alpha = lq * lq + _ONE_MINUS_CSQ * lp * lp
-        beta = (
-            -2 * _ONE_MINUS_CSQ * lt * lp
-            - 2 * a1 * lq * lq
-            + 2 * _ONE_MINUS_CSQ * b1 * lq * lp
-        )
-        gamma = (
-            _ONE_MINUS_CSQ * lt * lt
-            - 2 * _ONE_MINUS_CSQ * b1 * lq * lt
-            + e1 * lq * lq
-        )
-    else:
-        solve_for_x = False
-        alpha = _ONE_MINUS_CSQ * lp * lp
-        beta = -2 * _ONE_MINUS_CSQ * b1 * lp * lp
-        x_fixed_num = lt  # X = lt / lp
-        gamma = lt * lt - 2 * a1 * lt * lp + e1 * lp * lp
-
-    disc = beta * beta - 4 * alpha * gamma
+    m = (delta + c1.rho - c2.rho) * _HALF
+    disc = _ONE_MINUS_CSQ * (c1.rho * delta - m * m)
     sgn = fe_sign(disc)
     if sgn < 0:
         return []
-
     root = fe_sqrt(disc) if sgn > 0 else ZERO
     if root is None:
         return []
 
-    inv_two_alpha = ONE / (2 * alpha)
-    sols = []
-    for t in ((-beta - root), (-beta + root)):
-        v = t * inv_two_alpha
-        if solve_for_x:
-            x_s = v
-            y_s = (lt - lp * x_s) / lq
-        else:
-            y_s = v
-            x_s = x_fixed_num / lp
-        sols.append(ModulePoint(x_s, y_s))
+    inv_delta = ONE / delta
+    s = m * inv_delta
+    base_x, base_y = ax + s * dx, ay + s * dy
     if sgn == 0:
-        return [CandidatePoint(point=sols[0], branch="-")]
-    if lex_less(sols[1], sols[0]):
-        sols.reverse()
-    return [
-        CandidatePoint(point=sols[0], branch="-"),
-        CandidatePoint(point=sols[1], branch="+"),
-    ]
+        return [CandidatePoint(point=ModulePoint(base_x, base_y), branch="-")]
+    # the offset t (-(1-c^2) D_y, D_x) is w (-D_y, D_x / (1-c^2)), w = root / delta
+    w = root * inv_delta
+    off_x, off_y = w * dy, w * dx * _INV_ONE_MINUS_CSQ
+    p_plus = ModulePoint(base_x - off_x, base_y + off_y)
+    p_minus = ModulePoint(base_x + off_x, base_y - off_y)
+    lo, hi = (p_plus, p_minus) if lex_less(p_plus, p_minus) else (p_minus, p_plus)
+    return [CandidatePoint(point=lo, branch="-"), CandidatePoint(point=hi, branch="+")]
 
 
 # ---------------------------------------------------------------------------

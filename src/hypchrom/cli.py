@@ -19,7 +19,6 @@ from .bundle import BundleFormatError, read_bundle, write_bundle
 from .coloring import (
     AdjacencyGraph,
     ColorableGraphError,
-    find_coloring_reordered,
     minimal_non_k_prefix,
     search_k_coloring,
     verify_coloring,
@@ -117,12 +116,9 @@ def _cmd_color(args) -> int:
     g = _load_adjacency(args.input)
     if args.prefix is not None:
         g = g.induced_prefix(args.prefix)
-    if args.degeneracy_order:
-        coloring, stats = find_coloring_reordered(g, args.k)
-    else:
-        coloring, stats = search_k_coloring(
-            g, args.k, symmetry_break=not args.no_symmetry_break
-        )
+    coloring, stats = search_k_coloring(
+        g, args.k, symmetry_break=not args.no_symmetry_break
+    )
     verdict = "SAT" if coloring is not None else "UNSAT"
     if args.json:
         print(json.dumps({"verdict": verdict, "k": args.k, **dataclasses.asdict(stats)}))
@@ -268,15 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--prefix", type=int, default=None)
-    # the reordered search always pre-colors a clique, so it cannot honor
-    # --no-symmetry-break
-    order = p.add_mutually_exclusive_group()
-    order.add_argument("--no-symmetry-break", action="store_true")
-    order.add_argument(
-        "--degeneracy-order",
-        action="store_true",
-        help="search over a smallest-last order (witness mapped back)",
-    )
+    p.add_argument("--no-symmetry-break", action="store_true")
     p.add_argument("--witness-out", default=None)
     p.add_argument(
         "--json",

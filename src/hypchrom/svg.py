@@ -5,13 +5,14 @@ straight chords."""
 from __future__ import annotations
 
 import math
-from typing import Optional
 
 from .geometry import Graph, point_coords_numeric
 
 SEED_FILL = "#f5d327"   # seed vertices
 NODE_FILL = "#d94040"   # generated vertices
 EDGE_STROKE = "#3a5fa0"
+# radius of the rigorous enclosure each vertex position is read from
+COORD_ERR = 1e-9
 
 
 def _geodesic_path(p, q, scale: float, offset: float) -> str:
@@ -56,8 +57,6 @@ def emit_svg(
     size: int = 800,
     vertices_only: bool = False,
     geodesic: bool = True,
-    coord_err: float = 1e-9,
-    vertex_radius: Optional[float] = None,
 ) -> None:
     """Render the embedding.  Every vertex position comes from a rigorous
     coordinate enclosure, so glyphs are guaranteed to sit strictly inside
@@ -65,12 +64,11 @@ def emit_svg(
     margin = 0.04 * size
     scale = size / 2 - margin
     offset = size / 2
-    if vertex_radius is None:
-        vertex_radius = max(1.5, 9.0 / max(1, g.order) ** 0.3)
+    vertex_radius = max(1.5, 9.0 / max(1, g.order) ** 0.3)
 
     coords = []
     for v in g.vertices:
-        np_ = point_coords_numeric(v, err_radius=coord_err)
+        np_ = point_coords_numeric(v, err_radius=COORD_ERR)
         if np_.x * np_.x + np_.y * np_.y >= 1.0:
             raise ValueError("vertex outside the unit disk")
         coords.append((np_.x, np_.y))

@@ -17,8 +17,8 @@ from hypchrom.augment import (
     phase_augment,
     point_on_circle,
 )
-from hypchrom.field import RADIUS_SQ, SIN_SQ, fe_sign
-from hypchrom.geometry import F_NUMERIC, Graph, ModulePoint, is_unit_edge
+from hypchrom.field import GEN, ONE, RADIUS_SQ, ZERO, fe_sign
+from hypchrom.geometry import F_NUMERIC, Graph, ModulePoint, is_unit_edge, lex_less
 from hypchrom.reference_data import reference_exclusion_table
 
 # Published phase-1 data: octuple numerators, common denominator, source pair
@@ -83,9 +83,8 @@ def table_point(nums, den):
 
 
 def squared_radius(circ):
-    """The squared Euclidean radius R^2 (A^2 + (1-c^2) B^2 - E) of a circle."""
-    a, b = circ.center.x_elem, circ.center.y_elem
-    return RADIUS_SQ * (a * a + SIN_SQ * b * b - circ.e_elem)
+    """The squared Euclidean radius R^2 rho of a circle."""
+    return RADIUS_SQ * circ.rho
 
 
 class TestCircleOf:
@@ -159,6 +158,33 @@ class TestIntersectCircles:
         assert r1 - a * a * d2 > 1e-6
         # but not in module points, so no candidate comes back
         assert intersect_circles(c1, c2) == []
+
+    def test_tangent_circles_meet_once(self, g9):
+        # X = 1/c, Y = 0 is exactly twice the target distance from the
+        # origin, so the two circles touch at the seed vertex between them
+        far = ModulePoint(ONE / GEN, ZERO)
+        cands = intersect_circles(circle_of(g9.vertices[0]), circle_of(far))
+        assert [(c.point, c.branch) for c in cands] == [(g9.vertices[1], "-")]
+
+    def test_all_g28_candidates_lie_on_both_circles(self, g28):
+        # exact oracle: every candidate of every pair is on both circles and
+        # at the target distance from both source vertices, branch '-' first
+        # and lexicographically smaller
+        found = 0
+        circles = [circle_of(v) for v in g28.vertices]
+        for i in range(g28.order):
+            for j in range(i + 1, g28.order):
+                cands = intersect_circles(circles[i], circles[j])
+                assert [c.branch for c in cands] == ["-", "+"][: len(cands)]
+                if len(cands) == 2:
+                    assert lex_less(cands[0].point, cands[1].point)
+                for cand in cands:
+                    assert point_on_circle(cand.point, circles[i])
+                    assert point_on_circle(cand.point, circles[j])
+                    assert is_unit_edge(cand.point, g28.vertices[i])
+                    assert is_unit_edge(cand.point, g28.vertices[j])
+                    found += 1
+        assert found == 516
 
     def test_identical_circles_error(self, g9):
         circ = circle_of(g9.vertices[4])

@@ -214,29 +214,10 @@ class TestCli:
         ]) == 0
         assert "verdict: SAT" in capsys.readouterr().out
 
-    def test_color_degeneracy_order(self, seed_bundle, capsys):
-        assert main([
-            "color", "--in", str(seed_bundle), "--k", "4", "--degeneracy-order",
-        ]) == 0
-        out = capsys.readouterr().out
-        assert "verdict: SAT" in out
-        stats = next(line for line in out.splitlines() if line.startswith("stats:"))
-        for field in ("nodes=", "max-depth=", "forced="):
-            assert field in stats
-        assert "backend" not in stats
-        witness = next(line for line in out.splitlines() if line.startswith("witness:"))
-        coloring = [int(tok) - 1 for tok in witness.split()[1:]]
-        g = AdjacencyGraph.from_graph(read_bundle(str(seed_bundle)))
-        assert verify_coloring(g, coloring)
-
-    def test_degeneracy_order_excludes_no_symmetry_break(self, seed_bundle):
-        # the reordered search always pre-colors a clique, so asking for no
-        # symmetry breaking with it is a usage error rather than ignored
+    def test_degeneracy_order_is_removed(self, seed_bundle):
+        # the plain search finds the final graph's 5-witness in as many nodes
         with pytest.raises(SystemExit) as err:
-            main([
-                "color", "--in", str(seed_bundle), "--k", "3",
-                "--degeneracy-order", "--no-symmetry-break",
-            ])
+            main(["color", "--in", str(seed_bundle), "--k", "5", "--degeneracy-order"])
         assert err.value.code == 2
 
 
