@@ -214,11 +214,35 @@ class TestCli:
         ]) == 0
         assert "verdict: SAT" in capsys.readouterr().out
 
-    def test_degeneracy_order_is_removed(self, seed_bundle):
-        # the plain search finds the final graph's 5-witness in as many nodes
+    def test_color_degeneracy_order(self, seed_bundle, capsys):
+        # the option is gone: the plain search finds the same witnesses
         with pytest.raises(SystemExit) as err:
-            main(["color", "--in", str(seed_bundle), "--k", "5", "--degeneracy-order"])
+            main(["color", "--in", str(seed_bundle), "--k", "4", "--degeneracy-order"])
         assert err.value.code == 2
+        capsys.readouterr()
+        assert main(["color", "--in", str(seed_bundle), "--k", "4"]) == 0
+        out = capsys.readouterr().out
+        assert "verdict: SAT" in out
+        stats = next(line for line in out.splitlines() if line.startswith("stats:"))
+        for field in ("nodes=", "max-depth=", "forced="):
+            assert field in stats
+        witness = next(line for line in out.splitlines() if line.startswith("witness:"))
+        coloring = [int(tok) - 1 for tok in witness.split()[1:]]
+        g = AdjacencyGraph.from_graph(read_bundle(str(seed_bundle)))
+        assert verify_coloring(g, coloring)
+
+    def test_degeneracy_order_excludes_no_symmetry_break(self, seed_bundle, capsys):
+        # --degeneracy-order is not an option, with or without --no-symmetry-break
+        with pytest.raises(SystemExit) as err:
+            main([
+                "color", "--in", str(seed_bundle), "--k", "3",
+                "--degeneracy-order", "--no-symmetry-break",
+            ])
+        assert err.value.code == 2
+        assert main([
+            "color", "--in", str(seed_bundle), "--k", "3", "--no-symmetry-break",
+        ]) == 0
+        assert "verdict: UNSAT" in capsys.readouterr().out
 
 
 class TestAugmentJson:
