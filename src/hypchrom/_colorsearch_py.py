@@ -1,5 +1,24 @@
-"""Backtracking color search with unit propagation: the kernel behind
-coloring.search_k_coloring.
+"""Backtracking color search with unit propagation over bitsets: the kernel
+behind coloring.search_k_coloring.
+
+Vertex v is bit v of a Python int, so each set of vertices is one int and
+the search state is 1 + 2k of them (San Segundo, Rodríguez-Losada & Jiménez,
+"An exact bit-parallel algorithm for the maximum clique problem", Comput.
+Oper. Res. 2011, for bitboards in exact graph search):
+
+* uncolored: the vertices not yet colored;
+* feasible[c]: the uncolored vertices where color c is still allowed;
+* colored[c]: the vertices colored c.
+
+A child state is built afresh from its parent's, so backtracking only drops
+it.  Propagation runs in rounds.  In each round, for each color c, every
+vertex forced to c is colored at once, the union of their neighbour masks
+is formed, and c is stripped from those neighbours.  Then carry logic over
+feasible finds the uncolored vertices with no color left (a conflict) and
+those with exactly one; the ones among them that lost a color in the round
+are forced in the next round.  Unit propagation has a unique fixpoint, so
+this reaches the same state and the same conflicts as propagating one
+vertex at a time.
 
 Branching is saturation-first (DSATUR, Brélaz 1979): each decision colors
 the uncolored vertex with the fewest feasible colors, the lowest index of
@@ -11,137 +30,160 @@ decreasing degree, so ties go to the highest degree first.
 from __future__ import annotations
 
 import sys
+from itertools import accumulate
+from operator import or_
 
-#: saturation entry of a colored vertex; exceeds any feasible-color count
-COLORED = 33
 
+def make_search(neighbors, k):
+    """The search's root state and its propagation step for a k-coloring of
+    the graph with adjacency lists neighbors (neighbors[v] holds the
+    neighbours of vertex v).
 
-def make_state(neighbors, k):
-    """Search state for a k-coloring of the graph with adjacency lists
-    neighbors (neighbors[v] holds the neighbors of vertex v).
-
-    Returns (feasible, saturation, trail, stats, assign, rollback).
-    feasible[v] is the bitmask of colors v may still take; saturation[v]
-    counts them, or is COLORED once v is colored (feasible[v] is then the
-    single bit of its color).  assign(v, bit) colors v with bit, one of its
-    feasible colors, and propagates, returning False on a conflict.
-    rollback(mark) restores feasible and saturation as they were when
-    len(trail) was mark.  stats holds nodes visited, max depth, forced
-    assignments and conflicts; only forced assignments are counted here.
+    Returns (root, assign, stats).  A state is a tuple (uncolored, feasible,
+    colored) of an int and two k-tuples of ints, as described above; in
+    root every vertex is uncolored with every color feasible.
+    assign(state, v, color) returns the state with v colored color and
+    propagated to its fixpoint, or None on a conflict; it returns state
+    itself if v is colored color already, and None if color is not
+    feasible for v.  It never changes state.  stats is the list [nodes
+    visited, max depth, forced, conflicts, backtracks], which search fills
+    in; assign adds to forced the vertices each propagation round left with
+    one color, in every round that ends without a conflict.
     """
     if k < 1 or k > 32:
         raise ValueError("color count must be between 1 and 32")
     n = len(neighbors)
-    full_mask = (1 << k) - 1
-    feasible = [full_mask] * n
-    # number of feasible colors of each uncolored vertex, COLORED once it is
-    # colored (its feasible mask is then the single bit of its color)
-    saturation = [k] * n
-    trail: list = []      # (vertex, previous mask, previous saturation)
-    log = trail.append
-    stats = [0, 0, 0, 0]  # nodes visited, max depth, forced, conflicts
+    bits = [1 << v for v in range(n)]
+    # the bits of distinct neighbours never carry, so their sum is their union
+    masks = [sum(map(bits.__getitem__, nbrs)) for nbrs in neighbors]
+    stats = [0, 0, 0, 0, 0]
 
-    def assign(v, color_bit):
-        # colors v, strips the color from uncolored neighbors, and keeps
-        # assigning any neighbor whose feasible set becomes a singleton;
-        # False as soon as some feasible set empties
-        queue = [(v, color_bit)]
-        push = queue.append
-        for u, bit in queue:
-            if saturation[u] == COLORED:
-                if feasible[u] == bit:
-                    continue
-                return False
-            log((u, feasible[u], saturation[u]))
-            feasible[u] = bit
-            saturation[u] = COLORED
-            for w in neighbors[u]:
-                old = feasible[w]
-                if old & bit:
-                    s = saturation[w]
-                    if s == COLORED or old == bit:
-                        return False
-                    new = old ^ bit
-                    log((w, old, s))
-                    feasible[w] = new
-                    saturation[w] = s - 1
-                    if s == 2:
-                        stats[2] += 1
-                        push((w, new))
-        return True
+    def propagate(uncolored, feasible, colored, forced):
+        # colors each vertex of forced with its one feasible color, and then
+        # every vertex that propagation forces in turn, updating the lists
+        # feasible and colored in place.  No vertex of feasible[c]
+        # neighbours colored[c], as coloring a vertex strips its color from
+        # its neighbours, so only vertices forced to c together can clash.
+        while forced:
+            # one: the uncolored vertices with a feasible color; two: with two
+            lost = one = two = 0
+            for c, left in enumerate(feasible):
+                batch = left & forced
+                if batch:
+                    v = batch.bit_length() - 1
+                    hit = masks[v]
+                    rest = batch ^ bits[v]
+                    while rest:
+                        v = rest.bit_length() - 1
+                        hit |= masks[v]
+                        rest ^= bits[v]
+                    if hit & batch:
+                        return None
+                    colored[c] |= batch
+                    uncolored ^= batch
+                    left ^= batch
+                    stripped = left & hit
+                    lost |= stripped
+                    left ^= stripped
+                    feasible[c] = left
+                two |= one & left
+                one |= left
+            if one != uncolored:
+                return None
+            # a vertex with one color left that lost none in this round was
+            # never narrowed (k == 1 before any decision), so it is branched on
+            forced = lost & ~two
+            stats[2] += forced.bit_count()
+        return uncolored, tuple(feasible), tuple(colored)
 
-    def rollback(trail_mark):
-        for v, old, s in reversed(trail[trail_mark:]):
-            feasible[v] = old
-            saturation[v] = s
-        del trail[trail_mark:]
+    def assign(state, v, color):
+        uncolored, feasible, colored = state
+        bit = bits[v]
+        if colored[color] & bit:
+            return state
+        if not feasible[color] & bit:
+            return None
+        others = ~bit
+        child = [left & others for left in feasible]
+        child[color] = feasible[color]
+        return propagate(uncolored, child, list(colored), bit)
 
-    return feasible, saturation, trail, stats, assign, rollback
+    everyone = (1 << n) - 1
+    return (everyone, (everyone,) * k, (0,) * k), assign, stats
 
 
 def search(neighbors, k, preassigned):
     """Depth-first search for a proper k-coloring, branching saturation-first.
 
-    The graph is given by its adjacency lists, as for make_state.
+    The graph is given by its adjacency lists, as for make_search.
     preassigned is a sequence of (vertex, color) pairs applied with full
     propagation before the search.  Returns (colors_or_None,
-    (nodes_visited, max_depth, forced, conflicts)): nodes_visited counts
-    search nodes (calls of the recursive walk), max_depth is the largest
-    number of branching decisions on one path, forced counts feasible sets
-    narrowed to one color by propagation, and conflicts counts branching
-    assignments that propagation refuted.
+    (nodes_visited, max_depth, forced, conflicts, backtracks)):
+    nodes_visited counts search nodes (calls of the recursive walk),
+    max_depth is the largest number of branching decisions on one path,
+    forced counts feasible sets narrowed to one color by propagation (see
+    make_search), conflicts counts branching assignments that propagation
+    refuted, and backtracks counts branching assignments that propagation
+    accepted but whose subtree holds no coloring.
     """
-    feasible, saturation, trail, stats, assign, rollback = make_state(
-        neighbors, k
-    )
-
+    state, assign, stats = make_search(neighbors, k)
     for v, color in preassigned:
-        bit = 1 << color
-        if saturation[v] == COLORED:
-            if feasible[v] == bit:
-                continue
-            return None, tuple(stats)
-        if not feasible[v] & bit:
-            return None, tuple(stats)
-        if not assign(v, bit):
+        state = assign(state, v, color) if 0 <= color < k else None
+        if state is None:
             return None, tuple(stats)
 
-    # propagation leaves no uncolored vertex with a single feasible color
-    # (for k >= 2), so the first vertex at the lowest possible saturation
-    # is usually the branching vertex and a full minimum scan is rare
-    lowest = 2 if k > 1 else 1
+    colors = range(k)
 
-    def walk(depth):
+    def fewest(feasible):
+        # the lowest-index vertex with the fewest feasible colors; for
+        # j = 1, 2, ... in turn, layer[c] holds the vertices with at least j
+        # feasible colors among colors 0..c, and above those with j + 1
+        layer = list(accumulate(feasible, or_))
+        while True:
+            above = 0
+            next_layer = [0]
+            for c in range(1, k):
+                above |= layer[c - 1] & feasible[c]
+                next_layer.append(above)
+            exact = layer[-1] ^ above
+            if exact:
+                return (exact & -exact).bit_length() - 1
+            layer = next_layer
+
+    def walk(state, depth):
         stats[0] += 1
-        try:
-            vertex = saturation.index(lowest)
-        except ValueError:
-            fewest = min(saturation, default=COLORED)
-            if fewest == COLORED:
-                return True
-            vertex = saturation.index(fewest)
+        uncolored, feasible, colored = state
+        if not uncolored:
+            return colored
         depth += 1
         if depth > stats[1]:
             stats[1] = depth
-        mask = feasible[vertex]
-        while mask:
-            bit = mask & -mask
-            mask ^= bit
-            t_mark = len(trail)
-            if assign(vertex, bit):
-                if walk(depth):
-                    return True
-            else:
-                stats[3] += 1
-            rollback(t_mark)
-        return False
+        vertex = fewest(feasible)
+        bit = 1 << vertex
+        for c in colors:
+            if feasible[c] & bit:
+                child = assign(state, vertex, c)
+                if child is None:
+                    stats[3] += 1
+                    continue
+                found = walk(child, depth)
+                if found is not None:
+                    return found
+                stats[4] += 1
+        return None
 
     old_limit = sys.getrecursionlimit()
     sys.setrecursionlimit(max(old_limit, len(neighbors) + 512))
     try:
-        found = walk(0)
+        colored = walk(state, 0)
     finally:
         sys.setrecursionlimit(old_limit)
-    if not found:
+    if colored is None:
         return None, tuple(stats)
-    return [mask.bit_length() - 1 for mask in feasible], tuple(stats)
+    coloring = [0] * len(neighbors)
+    for c, members in enumerate(colored):
+        while members:
+            v = members.bit_length() - 1
+            coloring[v] = c
+            members ^= 1 << v
+    return coloring, tuple(stats)

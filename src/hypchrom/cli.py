@@ -127,7 +127,8 @@ def _cmd_color(args) -> int:
         print(
             f"stats: nodes={stats.nodes_visited} "
             f"max-depth={stats.max_depth} forced={stats.forced_assignments} "
-            f"conflicts={stats.conflicts} core={stats.core_order} "
+            f"conflicts={stats.conflicts} backtracks={stats.backtracks} "
+            f"core={stats.core_order} "
             f"elapsed={stats.elapsed:.3f}s"
         )
     if coloring is not None:

@@ -10,7 +10,12 @@ then the lowest index, trying its feasible colors in increasing order;
 vertices whose color is forced by propagation are never branched on.  The
 search itself is the pure-Python kernel in _colorsearch_py, which breaks
 ties by index alone; search_k_coloring hands it the core relabeled by
-decreasing core degree and maps the coloring back.
+decreasing core degree and maps the coloring back.  The kernel holds each
+set of vertices as one Python int, bit v for vertex v: the uncolored
+vertices, and for each color the vertices where it is still feasible and
+those colored with it.  It propagates in rounds, coloring all the vertices
+forced to one color at once, and builds each child state afresh, so
+backtracking keeps no trail.
 """
 
 from __future__ import annotations
@@ -37,20 +42,16 @@ class AdjacencyGraph:
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         self.n = n
-        adj: list[list[int]] = [[] for _ in range(n)]
-        seen = set()
+        # a set per vertex drops repeated edges in either orientation
+        adj: list[set[int]] = [set() for _ in range(n)]
         for i, j in edges:
             if i == j:
                 raise ValueError(f"self-loop at vertex {i}")
             if not (0 <= i < n and 0 <= j < n):
                 raise ValueError(f"edge ({i}, {j}) out of range")
-            key = (min(i, j), max(i, j))
-            if key in seen:
-                continue
-            seen.add(key)
-            adj[i].append(j)
-            adj[j].append(i)
-        self.neighbors = tuple(tuple(sorted(lst)) for lst in adj)
+            adj[i].add(j)
+            adj[j].add(i)
+        self.neighbors = tuple(tuple(sorted(nbrs)) for nbrs in adj)
 
     @property
     def size(self) -> int:
@@ -76,16 +77,22 @@ class SearchStats:
 
     nodes_visited: search nodes (calls of the kernel's recursive walk);
     max_depth: the largest number of branching decisions on one path;
-    forced_assignments: feasible sets narrowed to one color by propagation;
+    forced_assignments: vertices whose feasible set propagation narrowed to
+    one color, counted at the end of each propagation round that found no
+    conflict (so a round that ends in a conflict adds nothing);
     conflicts: branching assignments that propagation refuted;
+    backtracks: branching assignments that propagation accepted but whose
+    subtree holds no coloring;
     core_order: vertices the kernel searched (the order of the k-core);
-    elapsed: wall-clock seconds spent in the kernel.
+    elapsed: wall-clock seconds spent in the kernel, building its neighbour
+    bitmasks included.
     """
 
     nodes_visited: int
     max_depth: int
     forced_assignments: int
     conflicts: int
+    backtracks: int
     core_order: int
     elapsed: float
 
@@ -139,8 +146,8 @@ def _relabeled(
     for i, v in enumerate(order):
         pos[v] = i
     # g's lists are already symmetric and free of repeats, so the
-    # constructor's edge list and dedup set (about 8 ms at order 1378) are
-    # skipped
+    # constructor's edge list and per-vertex sets (about 4 ms at order 1378)
+    # are skipped
     h = AdjacencyGraph.__new__(AdjacencyGraph)
     h.n = len(order)
     h.neighbors = tuple(
@@ -178,8 +185,8 @@ def search_k_coloring(
         clique = greedy_seed_clique(h)
         pre = [(v, c) for c, v in enumerate(clique[: min(k, len(clique))])]
     started = time.perf_counter()
-    relabeled, (nodes, depth, forced, conflicts) = _colorsearch_py.search(
-        h.neighbors, k, pre
+    relabeled, (nodes, depth, forced, conflicts, backtracks) = (
+        _colorsearch_py.search(h.neighbors, k, pre)
     )
     elapsed = time.perf_counter() - started
     stats = SearchStats(
@@ -187,6 +194,7 @@ def search_k_coloring(
         max_depth=depth,
         forced_assignments=forced,
         conflicts=conflicts,
+        backtracks=backtracks,
         core_order=h.n,
         elapsed=elapsed,
     )

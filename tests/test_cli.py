@@ -68,6 +68,7 @@ class TestCli:
         stats = [l for l in capsys.readouterr().out.splitlines() if l.startswith("stats:")]
         assert len(stats) == 1
         assert " conflicts=" in stats[0]
+        assert " backtracks=" in stats[0]
         # every seed vertex has at least three neighbours, so its 3-core is
         # the whole graph
         assert " core=9 " in stats[0]

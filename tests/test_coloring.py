@@ -67,79 +67,107 @@ class TestAdjacencyGraph:
 
 
 def kernel_state(g, k):
-    """The pure-Python kernel's search state for g, as search() builds it."""
-    return _colorsearch_py.make_state(g.neighbors, k)
+    """The pure-Python kernel's root state, assign step and counters for g,
+    as search() builds them."""
+    return _colorsearch_py.make_search(g.neighbors, k)
+
+
+def feasible_mask(state, v):
+    """The colors still feasible for uncolored vertex v, as a bitmask."""
+    _, feasible, _ = state
+    return sum(1 << c for c, members in enumerate(feasible) if members >> v & 1)
+
+
+def color_of(state, v):
+    """The color of vertex v in state, or None while v is uncolored."""
+    uncolored, _, colored = state
+    if uncolored >> v & 1:
+        return None
+    (color,) = [c for c, members in enumerate(colored) if members >> v & 1]
+    return color
 
 
 class TestAssignPropagate:
     def test_isolated_vertex_no_propagation(self):
         g = AdjacencyGraph(3, [(1, 2)])
-        feasible, saturation, _, stats, assign, _ = kernel_state(g, 3)
-        assert assign(0, 1 << 1)
-        assert feasible[0] == 0b010
-        assert saturation[0] == _colorsearch_py.COLORED
+        root, assign, stats = kernel_state(g, 3)
+        state = assign(root, 0, 1)
+        assert state is not None
+        assert color_of(state, 0) == 1
+        assert feasible_mask(state, 0) == 0
         assert stats[2] == 0
-        assert feasible[1] == 0b111
-        assert saturation[1] == 3
+        assert feasible_mask(state, 1) == 0b111
+        assert color_of(state, 1) is None
 
     def test_neighbor_loses_color_and_saturation(self):
         g = AdjacencyGraph(3, [(0, 1), (1, 2)])
-        feasible, saturation, _, stats, assign, _ = kernel_state(g, 3)
-        assert assign(1, 1 << 0)
-        assert feasible[0] == feasible[2] == 0b110
-        assert saturation[0] == saturation[2] == 2
+        root, assign, stats = kernel_state(g, 3)
+        state = assign(root, 1, 0)
+        assert state is not None
+        assert feasible_mask(state, 0) == feasible_mask(state, 2) == 0b110
+        assert color_of(state, 0) is color_of(state, 2) is None
         assert stats[2] == 0
 
     def test_triangle_forces_third_color(self):
         g = AdjacencyGraph(3, [(0, 1), (0, 2), (1, 2)])
-        feasible, saturation, _, stats, assign, _ = kernel_state(g, 3)
-        assert assign(0, 1 << 0)
-        assert assign(1, 1 << 1)
-        # vertex 2 now has a singleton feasible set and was force-assigned
-        assert feasible[2] == 1 << 2
-        assert saturation[2] == _colorsearch_py.COLORED
+        root, assign, stats = kernel_state(g, 3)
+        state = assign(root, 0, 0)
+        assert state is not None
+        state = assign(state, 1, 1)
+        assert state is not None
+        # vertex 2 was left with one feasible color and was force-assigned
+        assert color_of(state, 2) == 2
         assert stats[2] == 1
 
     def test_spindle_conflict_under_three_colors(self):
         g = moser_spindle()
-        feasible, saturation, _, _, assign, _ = kernel_state(g, 3)
-        assert assign(0, 1 << 0)
+        root, assign, _ = kernel_state(g, 3)
+        state = assign(root, 0, 0)
+        assert state is not None
         # forces the rest of the first rhombus
-        assert assign(1, 1 << 1)
-        assert feasible[2] == 1 << 2 and feasible[3] == 1 << 0
-        assert saturation[2] == saturation[3] == _colorsearch_py.COLORED
+        state = assign(state, 1, 1)
+        assert state is not None
+        assert color_of(state, 2) == 2 and color_of(state, 3) == 0
         # coloring the second rhombus apex empties a feasible set
-        assert not assign(4, 1 << 1)
+        assert assign(state, 4, 1) is None
 
     def test_colored_vertex_keeps_its_color_only(self):
         g = AdjacencyGraph(2, [(0, 1)])
-        _, _, _, _, assign, _ = kernel_state(g, 2)
-        assert assign(0, 1 << 0)
-        assert assign(0, 1 << 0)
-        assert not assign(0, 1 << 1)
+        root, assign, _ = kernel_state(g, 2)
+        state = assign(root, 0, 0)
+        assert state is not None
+        assert assign(state, 0, 0) is state
+        assert assign(state, 0, 1) is None
 
     @given(graph_strategy, st.integers(0, 10**6))
     @settings(max_examples=50, deadline=None)
     def test_rollback_restores_bit_exact(self, g, seed):
+        # there is no rollback: a child state is built afresh, so
+        # backtracking drops it, and propagation must never change the
+        # state it starts from
         rng = random.Random(seed)
-        feasible, saturation, trail, _, assign, rollback = kernel_state(g, 4)
+        state, assign, _ = kernel_state(g, 4)
 
-        def assign_random():
+        def assign_random(state):
             v = rng.randrange(g.n)
-            bit = 1 << rng.randrange(4)
-            if saturation[v] != _colorsearch_py.COLORED and feasible[v] & bit:
-                return assign(v, bit)
-            return True
+            color = rng.randrange(4)
+            if color_of(state, v) is None and feasible_mask(state, v) >> color & 1:
+                return assign(state, v, color)
+            return state
+
+        def snapshot(state):
+            uncolored, feasible, colored = state
+            return uncolored, list(feasible), list(colored)
 
         # start from a partial coloring, as the search does below the root
         for _ in range(rng.randrange(3)):
-            if not assign_random():
+            child = assign_random(state)
+            if child is None:
                 break
-        mark = len(trail)
-        before = (list(feasible), list(saturation), list(trail))
-        assign_random()
-        rollback(mark)
-        assert (feasible, saturation, trail) == before
+            state = child
+        before = snapshot(state)
+        assign_random(state)
+        assert snapshot(state) == before
 
 
 class TestSearch:
@@ -246,6 +274,16 @@ class TestStats:
             coloring, stats = search_k_coloring(g, k)
             assert coloring is not None
             assert stats.conflicts == 0
+            assert stats.backtracks == 0
+
+    def test_spindle_three_coloring_backtracks(self):
+        # with the clique pre-colored, both colors of the first branching
+        # vertex fail in propagation, so no subtree is entered
+        _, stats = search_k_coloring(moser_spindle(), 3)
+        assert (stats.nodes_visited, stats.conflicts, stats.backtracks) == (1, 2, 0)
+        # without it, every subtree entered fails: all nodes but the root
+        _, stats = search_k_coloring(moser_spindle(), 3, symmetry_break=False)
+        assert (stats.nodes_visited, stats.conflicts, stats.backtracks) == (10, 12, 9)
 
 
 def wheel(rim):
@@ -278,15 +316,118 @@ class TestDegreeRelabel:
 
     def test_order_226_four_coloring_counters(self, pipeline):
         # pins the tie-break rule: the 4-core in core-degree order takes 37
-        # nodes and 189 forced assignments here; the whole graph in
-        # whole-graph degree order took 57 and 300, and ties by index alone
-        # 117 and 1,365
+        # nodes here; the whole graph in whole-graph degree order took 57,
+        # and ties by index alone 117.  Propagation in rounds counts 186
+        # forced assignments (189 when a vertex at a time)
         (g226,) = [g for g in pipeline if g.order == 226]
         adj = AdjacencyGraph.from_graph(g226)
         coloring, stats = search_k_coloring(adj, 4)
         assert coloring is not None and verify_coloring(adj, coloring)
         assert stats.nodes_visited == 37
-        assert stats.forced_assignments == 189
+        assert stats.forced_assignments == 186
+
+
+def seeded_instances():
+    """(graph, k, preassigned) on four seeded random graphs: k = 1 to 5,
+    each without and with two vertices pre-colored."""
+    rng = random.Random(2)
+    for _ in range(4):
+        n = rng.randint(10, 16)
+        g = random_graph(rng, n, rng.choice([0.3, 0.4, 0.5]))
+        for k in range(1, 6):
+            pre = [(v, c % k) for c, v in enumerate(rng.sample(range(n), 2))]
+            yield g, k, []
+            yield g, k, pre
+
+
+# (nodes, max depth, conflicts, coloring as digits) of the kernel on each of
+# seeded_instances(), recorded from the kernel that propagated one vertex at
+# a time and kept a trail
+SEEDED_TREES = [
+    (1, 1, 1, None),
+    (0, 0, 0, None),
+    (1, 1, 2, None),
+    (0, 0, 0, None),
+    (34, 5, 36, None),
+    (0, 0, 0, None),
+    (18, 13, 6, '0101001210022323'),
+    (11, 10, 0, '1000000202111313'),
+    (16, 15, 0, '0101001120033224'),
+    (15, 14, 0, '2001000102011313'),
+    (1, 1, 1, None),
+    (0, 0, 0, None),
+    (1, 1, 2, None),
+    (0, 0, 0, None),
+    (4, 2, 6, None),
+    (0, 0, 0, None),
+    (17, 3, 24, None),
+    (1, 1, 2, None),
+    (10, 7, 3, '0012131402431'),
+    (8, 5, 3, '2241431021033'),
+    (1, 1, 1, None),
+    (0, 0, 0, None),
+    (1, 1, 2, None),
+    (0, 0, 0, None),
+    (4, 2, 6, None),
+    (0, 0, 0, None),
+    (17, 3, 24, None),
+    (1, 1, 2, None),
+    (11, 10, 0, '01230121321044'),
+    (9, 8, 0, '01231404211243'),
+    (1, 1, 1, None),
+    (0, 0, 0, None),
+    (1, 1, 2, None),
+    (0, 0, 0, None),
+    (4, 2, 6, None),
+    (0, 0, 0, None),
+    (8, 7, 1, '0013023123013'),
+    (6, 5, 1, '1103023023003'),
+    (13, 12, 0, '0013021324031'),
+    (12, 11, 0, '0210123123113'),
+]
+
+
+class TestSearchTreePins:
+    """The search tree is fixed by the branching rule and the propagation
+    fixpoint, not by how propagation is computed."""
+
+    def test_final_graph_four_coloring_tree(self, pipeline):
+        adj = AdjacencyGraph.from_graph(pipeline[-1])
+        coloring, stats = search_k_coloring(adj, 4)
+        assert coloring is None
+        assert (stats.nodes_visited, stats.max_depth, stats.conflicts) == (22933, 34, 22934)
+        assert stats.backtracks == stats.nodes_visited - 1
+
+    def test_prefix_709_four_coloring_tree(self, pipeline):
+        prefix = AdjacencyGraph.from_graph(pipeline[-1]).induced_prefix(709)
+        coloring, stats = search_k_coloring(prefix, 4)
+        assert coloring is None
+        assert (stats.nodes_visited, stats.max_depth, stats.conflicts) == (26468, 37, 26469)
+
+    def test_reordered_five_witness_nodes(self, pipeline):
+        adj = AdjacencyGraph.from_graph(pipeline[-1])
+        coloring, stats = find_coloring_reordered(adj, 5)
+        assert coloring is not None and verify_coloring(adj, coloring)
+        assert stats.nodes_visited == 711
+
+    def test_one_color_branches_on_every_vertex(self):
+        # with k = 1 every vertex starts with a single feasible color; only
+        # a vertex that propagation narrowed is forced, so each of these is
+        # branched on, as when propagating one vertex at a time
+        search = _colorsearch_py.search
+        assert search(((), (), ()), 1, []) == ([0, 0, 0], (4, 3, 0, 0, 0))
+        assert search(((), (), ()), 1, [(1, 0)]) == ([0, 0, 0], (3, 2, 0, 0, 0))
+        assert search(((), (2,), (1,)), 1, []) == (None, (2, 2, 0, 1, 1))
+
+    def test_seeded_random_trees(self):
+        got = []
+        for g, k, pre in seeded_instances():
+            coloring, (nodes, depth, _, conflicts, _) = _colorsearch_py.search(
+                g.neighbors, k, pre
+            )
+            digits = None if coloring is None else "".join(map(str, coloring))
+            got.append((nodes, depth, conflicts, digits))
+        assert got == SEEDED_TREES
 
 
 def with_pendants(rng, base):
