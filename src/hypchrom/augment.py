@@ -17,17 +17,18 @@ points, produced exactly; otherwise no candidate is returned, since only
 module points can become vertices.
 
 A phase is six layers, one function each, named in PHASE_LAYERS: float
-circle intersections of all vertex pairs, a float neighbour prefilter and
-a spatial dedup (which only decide what to look at), exact intersection,
-exact neighbour certification, and accidental edges among the new
-vertices.  The last two find their pairs with one blocked scan of the
-modular screen, geometry.screened_pairs: every exact candidate against all
-current vertices, then the accepted vertices against each other.  The
-image of the edge residual under c -> r mod p is a ring homomorphism as
-long as p does not divide 16 or a point's common denominator `_d` (points
-where it does are always passed on).  A nonzero image proves that a pair
-is not an edge, so only pairs with a zero image reach is_unit_edge, which
-alone decides every edge.
+circle intersections of all vertex pairs, a float neighbour prefilter
+(which only decides what to look at), a dedup that drops the points already
+in the graph by the common neighbours of their pair and repeats by a float
+grid, exact intersection, exact neighbour certification, and accidental
+edges among the new vertices.  The last two find their pairs with one
+blocked scan of the modular screen, geometry.screened_pairs: every exact
+candidate against all current vertices, then the accepted vertices against
+each other.  The image of the edge residual under c -> r mod p is a ring
+homomorphism as long as p does not divide 16 or a point's common
+denominator `_d` (points where it does are always passed on).  A nonzero
+image proves that a pair is not an edge, so only pairs with a zero image
+reach is_unit_edge, which alone decides every edge.
 """
 
 from __future__ import annotations
@@ -202,8 +203,9 @@ class AugmentConfig:
 
 # the layers of phase_augment, in order, each the function of that name
 # with a leading underscore and timed as a whole in PhaseReport.timings:
-# float circles and intersections, the float neighbour prefilter, dedup,
-# exact intersection (circle_of, intersect_circles), exact neighbour
+# float circles and intersections, the float neighbour prefilter, dedup
+# (existing points by common neighbours, repeats by a float grid), exact
+# intersection (circle_of, intersect_circles), exact neighbour
 # certification (the modular screen and is_unit_edge), accidental edges
 PHASE_LAYERS = (
     "float_intersections",
@@ -362,31 +364,38 @@ def _prefilter(report: PhaseReport, cands, coords: np.ndarray, min_neighbors: in
     return cands
 
 
-def _dedup(report: PhaseReport, cands, coords: np.ndarray) -> list[tuple]:
-    """The survivors (i, j, x, y), in the candidates' processing order.  A
-    candidate within DEDUP_RADIUS of a vertex is dropped as existing; one
-    within it of an earlier survivor is dropped silently."""
+def _dedup(report: PhaseReport, g: Graph, cands, coords: np.ndarray) -> list[tuple]:
+    """The survivors (i, j, x, y), in the candidates' processing order.
+
+    g must record every unit pair among its vertices, as the seed, every
+    growth output, induced subgraphs and any bundle certify passes do.  Two
+    distinct circles meet in at most two points, so the vertices on both
+    circles of pair (i, j) are then their common neighbours: a candidate is
+    existing when the pair has two, or when it lies within DEDUP_RADIUS of
+    the one.  A candidate within DEDUP_RADIUS of an earlier survivor is
+    dropped silently.  _exact_intersection still drops any vertex the rule
+    misses."""
+    nbrs: list[set[int]] = [set() for _ in range(g.order)]
+    for u, v in g.edges:
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+    pts = coords.tolist()
     cell = 1.0 / DEDUP_RADIUS
-    existing_cells: dict[tuple[int, int], list[tuple[float, float]]] = {}
-    for x, y in coords:
-        existing_cells.setdefault((round(x * cell), round(y * cell)), []).append((x, y))
-
-    def near(cells, x, y):
-        cx, cy = round(x * cell), round(y * cell)
-        for dx_ in (-1, 0, 1):
-            for dy_ in (-1, 0, 1):
-                for px, py in cells.get((cx + dx_, cy + dy_), ()):
-                    if math.hypot(px - x, py - y) <= DEDUP_RADIUS:
-                        return True
-        return False
-
-    seen_cells: dict[tuple[int, int], list[tuple[float, float]]] = {}
+    seen: dict[tuple[int, int], list[tuple[float, float]]] = {}
     survivors = []
     for i, j, x, y in zip(*(a.tolist() for a in cands)):
-        if near(existing_cells, x, y):
+        common = nbrs[i] & nbrs[j]
+        if len(common) > 1 or any(
+            math.dist(pts[w], (x, y)) <= DEDUP_RADIUS for w in common
+        ):
             report.dropped_existing += 1
-        elif not near(seen_cells, x, y):
-            seen_cells.setdefault((round(x * cell), round(y * cell)), []).append((x, y))
+            continue
+        cx, cy = round(x * cell), round(y * cell)
+        cells = ((cx + dx, cy + dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1))
+        if not any(
+            math.dist(p, (x, y)) <= DEDUP_RADIUS for c in cells for p in seen.get(c, ())
+        ):
+            seen.setdefault((cx, cy), []).append((x, y))
             survivors.append((i, j, x, y))
     report.distinct = len(survivors)
     return survivors
@@ -505,7 +514,7 @@ def phase_augment(
     if g.order >= 2:
         coords, cands = _timed(report, _float_intersections, g)
         cands = _timed(report, _prefilter, cands, coords, min_neighbors)
-        survivors = _timed(report, _dedup, cands, coords)
+        survivors = _timed(report, _dedup, g, cands, coords)
         found = _timed(report, _exact_intersection, g, survivors, cfg, phase_index)
         accepted, origins, edges = _timed(report, _exact_neighbors, g, found, min_neighbors)
         edges += _timed(report, _accidental_edges, g.order, accepted)

@@ -41,6 +41,8 @@ class AdjacencyGraph:
     __slots__ = ("n", "neighbors")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
+        if n < 0:
+            raise ValueError(f"negative vertex count {n}")
         self.n = n
         # a set per vertex drops repeated edges in either orientation
         adj: list[set[int]] = [set() for _ in range(n)]
@@ -201,10 +203,8 @@ def search_k_coloring(
     if relabeled is None:
         return None, stats
     coloring = [UNCOLORED if p < 0 else relabeled[p] for p in pos]
-    for v in reversed(peeled):
-        used = {coloring[w] for w in g.neighbors[v]}
-        coloring[v] = next(c for c in range(k) if c not in used)
-    if not verify_coloring(g, coloring):
+    coloring = _greedy_extension(g, coloring, reversed(peeled), k)
+    if coloring is None or not verify_coloring(g, coloring):
         raise AssertionError("search returned an improper coloring")
     return coloring, stats
 
@@ -263,18 +263,17 @@ def chromatic_number(g: AdjacencyGraph, upper_bound: int = 16) -> Optional[int]:
 
 
 def _greedy_extension(
-    g: AdjacencyGraph, coloring: Sequence[int], k: int
+    g: AdjacencyGraph, coloring: Sequence[int], order: Iterable[int], k: int
 ) -> Optional[list[int]]:
-    """Extend a k-coloring of g's first len(coloring) vertices to all of g,
-    giving each further vertex the smallest color its earlier neighbours do
-    not use; None when some vertex finds all k colors used."""
+    """Fill the UNCOLORED vertices of order in turn, each with the smallest
+    color no colored neighbour uses; None when some vertex finds all k
+    colors used."""
     out = list(coloring)
-    for v in range(len(out), g.n):
-        used = {out[w] for w in g.neighbors[v] if w < v}
-        c = next((c for c in range(k) if c not in used), None)
-        if c is None:
+    for v in order:
+        used = {out[w] for w in g.neighbors[v]}
+        out[v] = next((c for c in range(k) if c not in used), UNCOLORED)
+        if out[v] == UNCOLORED:
             return None
-        out.append(c)
     return out
 
 
@@ -298,7 +297,11 @@ def minimal_non_k_prefix(g: AdjacencyGraph, k: int) -> int:
         """None if prefix is k-colorable, else its k-core's last index + 1."""
         nonlocal witness
         started = time.perf_counter()
-        coloring = None if witness is None else _greedy_extension(prefix, witness, k)
+        coloring = None
+        if witness is not None:
+            m = len(witness)
+            holes = [UNCOLORED] * (prefix.n - m)
+            coloring = _greedy_extension(prefix, witness + holes, range(m, prefix.n), k)
         if coloring is not None and verify_coloring(prefix, coloring):
             nodes, core, elapsed = 0, 0, time.perf_counter() - started
         else:

@@ -12,6 +12,13 @@ def emit_dimacs(g: AdjacencyGraph, path: str) -> None:
             fh.write(f"e {i + 1} {j + 1}\n")
 
 
+def _int(field: str, line_no: int) -> int:
+    try:
+        return int(field)
+    except ValueError:
+        raise ValueError(f"line {line_no}: {field!r} is not an integer") from None
+
+
 def parse_dimacs(path: str) -> AdjacencyGraph:
     n = None
     edges = []
@@ -24,13 +31,13 @@ def parse_dimacs(path: str) -> AdjacencyGraph:
             if parts[0] == "p":
                 if len(parts) != 4 or parts[1] != "edge":
                     raise ValueError(f"line {line_no}: malformed problem line")
-                n = int(parts[2])
+                n = _int(parts[2], line_no)
             elif parts[0] == "e":
                 if len(parts) != 3:
                     raise ValueError(f"line {line_no}: malformed edge line")
                 if n is None:
                     raise ValueError(f"line {line_no}: edge before problem line")
-                i, j = int(parts[1]) - 1, int(parts[2]) - 1
+                i, j = _int(parts[1], line_no) - 1, _int(parts[2], line_no) - 1
                 edges.append((i, j))
             else:
                 raise ValueError(f"line {line_no}: unknown record {parts[0]!r}")

@@ -365,6 +365,140 @@ class TestNeighborPrefilter:
         assert not augment._numeric_neighbor_counts(xs, ys, coords).any()
 
 
+def dedup_reference(cands, coords):
+    """The dedup as it was written before it asked the graph: a candidate
+    within DEDUP_RADIUS of any vertex, found through a float grid of all
+    vertices, is existing.  Returns the survivors and the existing count."""
+    cell = 1.0 / augment.DEDUP_RADIUS
+    existing_cells, seen_cells = {}, {}
+    for x, y in coords:
+        existing_cells.setdefault((round(x * cell), round(y * cell)), []).append((x, y))
+
+    def near(cells, x, y):
+        cx, cy = round(x * cell), round(y * cell)
+        return any(
+            math.hypot(px - x, py - y) <= augment.DEDUP_RADIUS
+            for dx in (-1, 0, 1)
+            for dy in (-1, 0, 1)
+            for px, py in cells.get((cx + dx, cy + dy), ())
+        )
+
+    survivors, existing = [], 0
+    for i, j, x, y in zip(*(a.tolist() for a in cands)):
+        if near(existing_cells, x, y):
+            existing += 1
+        elif not near(seen_cells, x, y):
+            seen_cells.setdefault((round(x * cell), round(y * cell)), []).append((x, y))
+            survivors.append((i, j, x, y))
+    return survivors, existing
+
+
+def dedup(g, cands, coords):
+    report = augment.PhaseReport(phase=0, min_neighbors=2)
+    survivors = augment._dedup(report, g, cands, coords)
+    assert report.distinct == len(survivors)
+    return survivors, report.dropped_existing
+
+
+def rows(cands, keep):
+    return tuple(a[keep] for a in cands)
+
+
+class TestDedup:
+    def test_equal_to_vertex_grid_on_every_phase_input(self, g9, pipeline):
+        # on all raw candidates, a superset of the prefiltered ones growth
+        # hands to _dedup, so incidences the prefilter drops are covered too;
+        # last an induced subgraph, as benchmarks/selection_search.py grows
+        big = pipeline[3]
+        keep = [v for v in range(big.order) if v % 3]
+        pos = {v: p for p, v in enumerate(keep)}
+        induced = Graph(
+            [big.vertices[v] for v in keep],
+            [(pos[a], pos[b]) for a, b in big.edges if a in pos and b in pos],
+        )
+        for g in [g9] + pipeline[:6] + [induced]:
+            coords = float_coords(g)
+            cands = augment._pair_intersections(*augment._euclidean_circles(coords))
+            assert dedup(g, cands, coords) == dedup_reference(cands, coords), g.order
+
+    def test_existing_rows_match_a_vertex_exactly(self, g9, pipeline):
+        dropped = 0
+        for g, min_neighbors in zip([g9] + pipeline[:4], augment.DEFAULT_SCHEDULE):
+            report = augment.PhaseReport(phase=0, min_neighbors=min_neighbors)
+            coords, cands = augment._float_intersections(report, g)
+            cands = augment._prefilter(report, cands, coords, min_neighbors)
+            old, circles, on_vertex = set(g.vertices), {}, []
+            for i, j, x, y in zip(*(a.tolist() for a in cands)):
+                if (i, j) not in circles:
+                    circles[i, j] = intersect_circles(
+                        circle_of(g.vertices[i]), circle_of(g.vertices[j])
+                    )
+                exact = augment._match_exact_candidate(circles[i, j], x, y)
+                on_vertex.append(exact is not None and exact.point in old)
+            on_vertex = np.array(on_vertex)
+            # every row on a vertex is dropped as existing, and no other row
+            assert dedup(g, rows(cands, on_vertex), coords) == ([], on_vertex.sum())
+            assert dedup(g, rows(cands, ~on_vertex), coords)[1] == 0
+            dropped += on_vertex.sum()
+        assert dropped == 48 + 292 + 612 + 1244 + 2676
+
+    def test_pair_with_one_common_neighbor_keeps_its_other_point(self, g9):
+        # seed vertices 1 and 2 are adjacent to vertex 3 alone of the others;
+        # their circles meet there and at the first point of the phase-1 table
+        nbrs = [{b for e in g9.edges for a, b in (e, e[::-1]) if a == v} for v in (0, 1)]
+        assert nbrs[0] & nbrs[1] == {2}
+        coords = float_coords(g9)
+        cands = augment._pair_intersections(*augment._euclidean_circles(coords))
+        pair = rows(cands, (cands[0] == 0) & (cands[1] == 1))
+        survivors, existing = dedup(g9, pair, coords)
+        assert existing == 1
+        [(_, _, x, y)] = survivors
+        assert math.dist((x, y), table_point(*TABLE1[0][:2]).to_floats()) < 1e-12
+
+    def test_pair_with_two_common_neighbors_needs_no_float_test(self, g9):
+        # seed vertices 1 and 4 share vertices 2 and 3, so both points of
+        # the pair are vertices, wherever the float pass puts its rows
+        coords = float_coords(g9)
+        cands = augment._pair_intersections(*augment._euclidean_circles(coords))
+        pair = rows(cands, (cands[0] == 0) & (cands[1] == 3))
+        assert len(pair[2]) == 2
+        shifted = pair[:2] + (pair[2] + 1e-6, pair[3])
+        assert dedup(g9, shifted, coords) == ([], 2)
+
+    def test_tangent_pair_yields_nothing_new(self, g9):
+        # the pair of test_tangent_circles_meet_once: its one common
+        # neighbour, g9.vertices[1], is where its circles touch.  The float
+        # pass finds h^2 < 0 here, so the rows are those it gives at h = 0
+        far = ModulePoint(ONE / GEN, ZERO)
+        g = Graph([g9.vertices[0], g9.vertices[1], far], [(0, 1), (1, 2)])
+        coords = float_coords(g)
+        centers, rad2 = augment._euclidean_circles(coords)
+        d = centers[2] - centers[0]
+        d2 = d @ d
+        foot = centers[0] + (d2 + rad2[0] - rad2[2]) / (2.0 * d2) * d
+        cands = (np.array([0, 0]), np.array([2, 2]), np.full(2, foot[0]), np.full(2, foot[1]))
+        assert dedup(g, cands, coords) == ([], 2)
+
+    def test_missed_incidences_are_dropped_exactly(self, g28, g42, reference_cfg):
+        # without the edge between seed vertices 1 and 2, the pairs through
+        # it lose a common neighbour and the rule misses their points on
+        # vertices 1 and 2; the exact layer drops those that survive dedup
+        h = Graph(g28.vertices, [e for e in g28.edges if e != (0, 1)], g28.origins)
+        out = phase_augment(h, 3, cfg=reference_cfg, phase_index=2)
+        assert out.vertices == g42.vertices
+        assert set(out.edges) == set(g42.edges) - {(0, 1)}
+        report = augment.PhaseReport(phase=2, min_neighbors=3)
+        coords, cands = augment._float_intersections(report, h)
+        cands = augment._prefilter(report, cands, coords, 3)
+        survivors = augment._dedup(report, h, cands, coords)
+        in_dedup = report.dropped_existing
+        assert in_dedup < g42.phase_report.dropped_existing
+        found = augment._exact_intersection(report, h, survivors, reference_cfg, 2)
+        assert list(found) == g42.vertices[28:]
+        extra = len(survivors) - g42.phase_report.distinct
+        assert extra > 0 and report.dropped_existing - in_dedup == extra
+
+
 class TestPhaseLayers:
     def test_exact_intersection_first_occurrence_wins(self, g9, g28, g42):
         # row 29 of the published phase-2 table is adjacent to vertices 2, 10

@@ -201,6 +201,14 @@ class TestCli:
         assert main(["augment", "--in", str(seed_bundle), "--out", str(out), *flags]) == 2
         assert not out.exists()
 
+    def test_malformed_dimacs_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "bad.col"
+        path.write_text("p edge 3 1\ne 1 x\n")
+        assert main(["color", "--in", str(path), "--k", "3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: line 2: 'x' is not an integer\n"
+        assert captured.out == ""
+
     def test_missing_file_usage_error(self, tmp_path):
         assert main(["certify", "--in", str(tmp_path / "nope.bundle")]) == 2
 
@@ -296,3 +304,10 @@ class TestDeclaredDependencies:
         )
         assert done.returncode == 0, done.stderr
         assert "order 28, size 61" in done.stdout
+
+    def test_negative_dimacs_order_exits_without_traceback(self, tmp_path):
+        path = tmp_path / "neg.col"
+        path.write_text("p edge -3 0\n")
+        done = self.run_cli("color", "--in", str(path), "--k", "3")
+        assert done.returncode == 2
+        assert done.stderr == "error: negative vertex count -3\n"

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from hypchrom import _colorsearch_py
 from hypchrom.coloring import (
+    UNCOLORED,
     AdjacencyGraph,
     _greedy_extension,
     brute_force_chromatic,
@@ -552,9 +553,13 @@ class TestPrefix:
 
     def test_greedy_extension(self):
         g = AdjacencyGraph(5, [(0, 2), (2, 4), (4, 1), (1, 3)])
-        assert _greedy_extension(g, [], 2) is None
-        assert _greedy_extension(g, [0, 1], 2) == [0, 1, 1, 0, 0]
-        assert _greedy_extension(g, [0, 0], 3) == [0, 0, 1, 1, 2]
+        holes = [UNCOLORED] * 5
+        assert _greedy_extension(g, holes, range(5), 2) is None
+        assert _greedy_extension(g, [0, 1] + holes[2:], range(2, 5), 2) == [0, 1, 1, 0, 0]
+        assert _greedy_extension(g, [0, 0] + holes[2:], range(2, 5), 3) == [0, 0, 1, 1, 2]
+        # only the vertices of the order are filled, in its order, and each
+        # sees its colored neighbours on either side
+        assert _greedy_extension(g, [0] + holes[1:], [4, 2], 3) == [0, UNCOLORED, 1, UNCOLORED, 0]
 
     def test_rejects_colorable_graph(self):
         g = AdjacencyGraph(3, [(0, 1), (1, 2)])

@@ -196,6 +196,22 @@ class TestDimacs:
         with pytest.raises(ValueError, match="line 2"):
             parse_dimacs(str(path))
 
+    @pytest.mark.parametrize("text, message", [
+        ("p edge 3 1\ne 1 x\n", "line 2: 'x' is not an integer"),
+        ("c note\np edge three 0\n", "line 2: 'three' is not an integer"),
+    ])
+    def test_parse_reports_non_integer_field_with_line(self, tmp_path, text, message):
+        path = tmp_path / "bad.col"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            parse_dimacs(str(path))
+
+    def test_parse_rejects_negative_vertex_count(self, tmp_path):
+        path = tmp_path / "neg.col"
+        path.write_text("p edge -3 0\n")
+        with pytest.raises(ValueError, match="negative vertex count -3"):
+            parse_dimacs(str(path))
+
 
 class TestSvg:
     def test_phase_one_graph_renders_all_vertices(self, g28, tmp_path):
