@@ -333,11 +333,9 @@ def _numeric_neighbor_counts(
 def _match_exact_candidate(
     cands: Sequence[CandidatePoint], x: float, y: float
 ) -> Optional[CandidatePoint]:
-    """The first candidate nearest to (x, y), if it lies within 1e-5."""
+    """The first candidate nearest to (x, y), or None if there is none."""
     dist = [math.dist(cand.point.to_floats(), (x, y)) for cand in cands]
-    if dist and min(dist) < 1e-5:
-        return cands[dist.index(min(dist))]
-    return None
+    return cands[dist.index(min(dist))] if dist else None
 
 
 def _max_denominator(point: ModulePoint) -> int:
@@ -405,16 +403,18 @@ def _exact_intersection(
     report: PhaseReport, g: Graph, survivors, cfg: AugmentConfig, phase_index: int
 ) -> dict[ModulePoint, tuple[VertexOrigin, float, float]]:
     """The distinct exact candidates in processing order, each with its
-    origin and its survivor's float (x, y).  A survivor without a module
-    point near (x, y), with a denominator above cfg.denom_bound or in
-    cfg.excluded_points is rejected and reported; one on a vertex of g is
-    dropped as existing, and the first occurrence of a point wins."""
+    origin and its survivor's float (x, y).  Each pair is intersected once,
+    and each of its survivors takes the nearer exact point.  A survivor of a
+    pair with no module point, or whose point has a denominator above
+    cfg.denom_bound or is in cfg.excluded_points, is rejected and reported;
+    one on a vertex of g is dropped as existing; the first occurrence wins."""
     used = {v for i, j, _, _ in survivors for v in (i, j)}
     circles = {v: circle_of(g.vertices[v]) for v in used}
-    old = set(g.vertices)
-    found = {}
+    old, found, pair = set(g.vertices), {}, None
     for i, j, x, y in survivors:
-        exact = _match_exact_candidate(intersect_circles(circles[i], circles[j]), x, y)
+        if (i, j) != pair:
+            pair, points = (i, j), intersect_circles(circles[i], circles[j])
+        exact = _match_exact_candidate(points, x, y)
         if exact is None:
             report.rejected_nonmodule += 1
             report.rejected_detail.append(("nonmodule", i, j, x, y))

@@ -317,10 +317,7 @@ def main(argv=None) -> int:
     except (GraphIntegrityError, BundleFormatError) as exc:
         print(f"integrity failure: {exc}", file=sys.stderr)
         return EXIT_INTEGRITY
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -31,16 +31,19 @@ def parse_dimacs(path: str) -> AdjacencyGraph:
             if parts[0] == "p":
                 if len(parts) != 4 or parts[1] != "edge":
                     raise ValueError(f"line {line_no}: malformed problem line")
-                n = _int(parts[2], line_no)
+                n, m = _int(parts[2], line_no), _int(parts[3], line_no)
+                if m < 0:
+                    raise ValueError(f"line {line_no}: negative edge count {m}")
             elif parts[0] == "e":
                 if len(parts) != 3:
                     raise ValueError(f"line {line_no}: malformed edge line")
                 if n is None:
                     raise ValueError(f"line {line_no}: edge before problem line")
-                i, j = _int(parts[1], line_no) - 1, _int(parts[2], line_no) - 1
-                edges.append((i, j))
+                edges.append((_int(parts[1], line_no) - 1, _int(parts[2], line_no) - 1))
             else:
                 raise ValueError(f"line {line_no}: unknown record {parts[0]!r}")
     if n is None:
         raise ValueError("missing problem line")
+    if len(edges) != m:
+        raise ValueError(f"edge count mismatch: problem line says {m}, found {len(edges)}")
     return AdjacencyGraph(n, edges)

@@ -1,6 +1,8 @@
+import importlib.util
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,7 +20,14 @@ from hypchrom.augment import (
     point_on_circle,
 )
 from hypchrom.field import GEN, ONE, RADIUS_SQ, ZERO, fe_sign
-from hypchrom.geometry import F_NUMERIC, Graph, ModulePoint, is_unit_edge, lex_less
+from hypchrom.geometry import (
+    F_NUMERIC,
+    Graph,
+    ModulePoint,
+    certify_graph,
+    is_unit_edge,
+    lex_less,
+)
 from hypchrom.reference_data import reference_exclusion_table
 
 # Published phase-1 data: octuple numerators, common denominator, source pair
@@ -442,6 +451,41 @@ class TestDedup:
             dropped += on_vertex.sum()
         assert dropped == 48 + 292 + 612 + 1244 + 2676
 
+    def test_grid_merges_only_exact_repeats(self, g9, pipeline):
+        # every row the new-new grid drops as a repeat has the same exact
+        # point, by the nearer-point rule, as the earlier survivor it met
+        merges = []
+        for g, min_neighbors in zip([g9] + pipeline[:4], augment.DEFAULT_SCHEDULE):
+            report = augment.PhaseReport(phase=0, min_neighbors=min_neighbors)
+            coords, cands = augment._float_intersections(report, g)
+            cands = augment._prefilter(report, cands, coords, min_neighbors)
+            survivors = augment._dedup(report, g, cands, coords)
+            kept = np.array([(x, y) for _, _, x, y in survivors])
+            exact = {}
+
+            def point(i, j, x, y):
+                if (i, j) not in exact:
+                    exact[i, j] = intersect_circles(
+                        circle_of(g.vertices[i]), circle_of(g.vertices[j])
+                    )
+                return augment._match_exact_candidate(exact[i, j], x, y).point
+
+            # the grid compares a row only with the survivors before it
+            repeats = before = 0
+            for row in zip(*(a.tolist() for a in cands)):
+                if before < len(survivors) and row == survivors[before]:
+                    before += 1
+                    continue
+                dist = np.hypot(*(kept[:before] - row[2:]).T)
+                near = np.flatnonzero(dist <= augment.DEDUP_RADIUS)
+                if len(near):
+                    assert point(*row) == point(*survivors[near[0]])
+                    repeats += 1
+            # every other dropped row was dropped as existing
+            assert repeats + report.dropped_existing + len(survivors) == report.prefiltered
+            merges.append(repeats)
+        assert merges == [0, 40, 70, 133, 293]
+
     def test_pair_with_one_common_neighbor_keeps_its_other_point(self, g9):
         # seed vertices 1 and 2 are adjacent to vertex 3 alone of the others;
         # their circles meet there and at the first point of the phase-1 table
@@ -517,6 +561,37 @@ class TestPhaseLayers:
         assert (fx, fy) == (x, y)
         # the apex of the seed pair (1, 2) is already a vertex
         assert report.dropped_existing == 1
+
+    def test_exact_intersection_takes_the_nearer_point(self, g28, g42):
+        # the float row only chooses between the pair's exact points, however
+        # far from them it lies: 2e-5 from row 29 of the phase-2 table
+        point = g42.vertices[28]
+        x, y = point.to_floats()
+        report = augment.PhaseReport(phase=2, min_neighbors=3)
+        found = augment._exact_intersection(
+            report, g28, [(1, 9, x + 2e-5, y)], AugmentConfig.reference(), 2
+        )
+        assert list(found) == [point]
+        assert report.rejected_nonmodule == 0 and report.rejected_detail == []
+
+    def test_exact_intersection_intersects_each_pair_once(self, g9, monkeypatch):
+        # pair (3, 9) of the seed gives two rows of the phase-1 table
+        calls = []
+
+        def counting_intersect(c1, c2):
+            calls.append((c1, c2))
+            return intersect_circles(c1, c2)
+
+        monkeypatch.setattr(augment, "intersect_circles", counting_intersect)
+        points = [table_point(*row[:2]) for row in TABLE1 if row[2] == (3, 9)]
+        survivors = [(2, 8, *p.to_floats()) for p in points]
+        report = augment.PhaseReport(phase=1, min_neighbors=2)
+        found = augment._exact_intersection(report, g9, survivors, AugmentConfig(), 1)
+        assert len(calls) == 1
+        assert sorted(found, key=lambda p: p.to_floats()) == sorted(
+            points, key=lambda p: p.to_floats()
+        )
+        assert {o.branch for o, _, _ in found.values()} == {"-", "+"}
 
     def test_neighbor_count_rejection_keeps_survivor_floats(self, g28):
         point = table_point(*TABLE2[0][:2])
@@ -645,3 +720,33 @@ class TestPipeline:
         for v in g.vertices:
             x, y = v.to_floats()
             assert x * x + y * y < 1.0
+
+
+class TestSelectionSearch:
+    @pytest.fixture(scope="class")
+    def selection_search(self):
+        # a script, not a module of the package: load it by path
+        path = Path(__file__).resolve().parents[1] / "benchmarks" / "selection_search.py"
+        spec = importlib.util.spec_from_file_location("selection_search", path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module
+
+    def test_remove_vertices_keeps_a_certified_graph(
+        self, g28, reference_cfg, selection_search
+    ):
+        # g28's phase-1 vertices of degree 3 are 17, 18, 24 and 25 (0-based)
+        assert selection_search.deg3_new_vertices(g28, 9) == [17, 18, 24, 25]
+        h = selection_search.remove_vertices(g28, {17, 18})
+        keep = [v for v in range(g28.order) if v not in (17, 18)]
+        pos = {v: p for p, v in enumerate(keep)}
+        assert (h.order, h.size) == (26, 55)
+        assert h.vertices == [g28.vertices[v] for v in keep]
+        assert sorted(h.edges) == sorted(
+            (pos[a], pos[b]) for a, b in g28.edges if a in pos and b in pos
+        )
+        assert h.origins == [g28.origins[v] for v in keep]
+        assert certify_graph(h).ok
+        grown = phase_augment(h, 3, cfg=reference_cfg, phase_index=2)
+        assert (grown.order, grown.size) == (41, 108)
+        assert certify_graph(grown).ok

@@ -212,6 +212,18 @@ class TestCli:
     def test_missing_file_usage_error(self, tmp_path):
         assert main(["certify", "--in", str(tmp_path / "nope.bundle")]) == 2
 
+    @pytest.mark.parametrize("argv", [["stats"], ["color", "--k", "3"]])
+    def test_unreadable_input_usage_error(self, tmp_path, argv):
+        # a directory raises IsADirectoryError, an OSError like a missing file
+        src = os.path.dirname(os.path.dirname(hypchrom.__file__))
+        done = subprocess.run(
+            [sys.executable, "-m", "hypchrom.cli", *argv, "--in", str(tmp_path)],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=600,
+        )
+        assert done.returncode == 2
+        assert done.stderr.startswith("error: ") and "Traceback" not in done.stderr
+        assert done.stdout == ""
+
     def test_usage_error_exit_code(self):
         with pytest.raises(SystemExit) as err:
             main(["color", "--k", "4"])

@@ -206,6 +206,25 @@ class TestDimacs:
         with pytest.raises(ValueError, match=f"^{message}$"):
             parse_dimacs(str(path))
 
+    @pytest.mark.parametrize("text, message", [
+        ("p edge 3 5\ne 1 2\n", "edge count mismatch: problem line says 5, found 1"),
+        ("p edge 3 0\ne 1 2\n", "edge count mismatch: problem line says 0, found 1"),
+        ("p edge 3 x\ne 1 2\n", "line 1: 'x' is not an integer"),
+        ("p edge 3 -1\n", "line 1: negative edge count -1"),
+    ])
+    def test_parse_checks_the_edge_count(self, tmp_path, text, message):
+        path = tmp_path / "bad.col"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            parse_dimacs(str(path))
+
+    def test_parse_counts_edge_lines_not_distinct_edges(self, tmp_path):
+        # an edge listed in both orientations is two lines of the count
+        path = tmp_path / "both.col"
+        path.write_text("p edge 3 3\ne 1 2\ne 2 1\ne 2 3\n")
+        back = parse_dimacs(str(path))
+        assert (back.n, back.size, back.edges()) == (3, 2, [(0, 1), (1, 2)])
+
     def test_parse_rejects_negative_vertex_count(self, tmp_path):
         path = tmp_path / "neg.col"
         path.write_text("p edge -3 0\n")
