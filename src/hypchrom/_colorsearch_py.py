@@ -1,10 +1,11 @@
 """Backtracking color search with unit propagation over bitsets: the kernel
 behind coloring.search_k_coloring.
 
-Vertex v is bit v of a Python int, so each set of vertices is one int and
-the search state is 1 + 2k of them (San Segundo, Rodríguez-Losada & Jiménez,
-"An exact bit-parallel algorithm for the maximum clique problem", Comput.
-Oper. Res. 2011, for bitboards in exact graph search):
+Vertex v is bit v of a Python int, so each set of vertices is one int: the
+graph arrives as one mask of neighbours per vertex, and the search state is
+1 + 2k of them (San Segundo, Rodríguez-Losada & Jiménez, "An exact
+bit-parallel algorithm for the maximum clique problem", Comput. Oper. Res.
+2011, for bitboards in exact graph search):
 
 * uncolored: the vertices not yet colored;
 * feasible[c]: the uncolored vertices where color c is still allowed;
@@ -23,8 +24,8 @@ vertex at a time.
 Branching is saturation-first (DSATUR, Brélaz 1979): each decision colors
 the uncolored vertex with the fewest feasible colors, the lowest index of
 the graph it is given among ties, trying its feasible colors in increasing
-order.  coloring.search_k_coloring hands it the graph relabeled by
-decreasing degree, so ties go to the highest degree first.
+order.  coloring.search_k_coloring hands it the k-core relabeled by
+decreasing core degree, so ties go to the highest degree first.
 """
 
 from __future__ import annotations
@@ -34,10 +35,10 @@ from itertools import accumulate
 from operator import or_
 
 
-def make_search(neighbors, k):
+def make_search(masks, k):
     """The search's root state and its propagation step for a k-coloring of
-    the graph with adjacency lists neighbors (neighbors[v] holds the
-    neighbours of vertex v).
+    the graph with neighbour bitmasks masks (bit w of masks[v] is set when
+    w neighbours v).
 
     Returns (root, assign, stats).  A state is a tuple (uncolored, feasible,
     colored) of an int and two k-tuples of ints, as described above; in
@@ -52,10 +53,8 @@ def make_search(neighbors, k):
     """
     if k < 1 or k > 32:
         raise ValueError("color count must be between 1 and 32")
-    n = len(neighbors)
+    n = len(masks)
     bits = [1 << v for v in range(n)]
-    # the bits of distinct neighbours never carry, so their sum is their union
-    masks = [sum(map(bits.__getitem__, nbrs)) for nbrs in neighbors]
     stats = [0, 0, 0, 0, 0]
 
     def propagate(uncolored, feasible, colored, forced):
@@ -112,10 +111,10 @@ def make_search(neighbors, k):
     return (everyone, (everyone,) * k, (0,) * k), assign, stats
 
 
-def search(neighbors, k, preassigned):
+def search(masks, k, preassigned):
     """Depth-first search for a proper k-coloring, branching saturation-first.
 
-    The graph is given by its adjacency lists, as for make_search.
+    The graph is given by its neighbour bitmasks, as for make_search.
     preassigned is a sequence of (vertex, color) pairs applied with full
     propagation before the search.  Returns (colors_or_None,
     (nodes_visited, max_depth, forced, conflicts, backtracks)):
@@ -126,7 +125,7 @@ def search(neighbors, k, preassigned):
     refuted, and backtracks counts branching assignments that propagation
     accepted but whose subtree holds no coloring.
     """
-    state, assign, stats = make_search(neighbors, k)
+    state, assign, stats = make_search(masks, k)
     for v, color in preassigned:
         state = assign(state, v, color) if 0 <= color < k else None
         if state is None:
@@ -173,14 +172,14 @@ def search(neighbors, k, preassigned):
         return None
 
     old_limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old_limit, len(neighbors) + 512))
+    sys.setrecursionlimit(max(old_limit, len(masks) + 512))
     try:
         colored = walk(state, 0)
     finally:
         sys.setrecursionlimit(old_limit)
     if colored is None:
         return None, tuple(stats)
-    coloring = [0] * len(neighbors)
+    coloring = [0] * len(masks)
     for c, members in enumerate(colored):
         while members:
             v = members.bit_length() - 1

@@ -489,7 +489,8 @@ def phase_augment(
     g: Graph,
     min_neighbors: int,
     cfg: Optional[AugmentConfig] = None,
-    phase_index: Optional[int] = None,
+    *,
+    phase_index: int,
 ) -> Graph:
     """One growth phase: intersect all circle pairs, keep intersection
     points in module form at the target distance from at least
@@ -499,15 +500,14 @@ def phase_augment(
     New vertices are appended sorted by source pair, then branch, so the
     construction order is deterministic.  Candidates in cfg.excluded_points
     are dropped but counted and reported, never silently discarded; cfg
-    defaults to the reference selection, as in grow_pipeline.
+    defaults to the reference selection, as in grow_pipeline.  phase_index
+    numbers the phase in its report and in the new vertices' origins.
     """
     if min_neighbors < 2:
         raise ValueError("min_neighbors must be at least 2")
     if cfg is None:
         cfg = AugmentConfig.reference()
     started = time.perf_counter()
-    if phase_index is None:
-        phase_index = max((o.phase for o in g.origins if o is not None), default=0) + 1
     timings = dict.fromkeys(PHASE_LAYERS, 0.0)
     report = PhaseReport(phase=phase_index, min_neighbors=min_neighbors, timings=timings)
     accepted, origins, edges = [], [], []

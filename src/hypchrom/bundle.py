@@ -94,6 +94,7 @@ def read_bundle(path: str, verify: bool = True) -> Graph:
     origins: dict[int, Optional[VertexOrigin]] = {}
     edges: list[tuple[int, int]] = []
     edge_seen: set[tuple[int, int]] = set()
+    header_seen: set[str] = set()  # the kinds of record a bundle holds once
 
     for line_no, raw in enumerate(lines[1:], start=2):
         line = raw.strip()
@@ -101,6 +102,10 @@ def read_bundle(path: str, verify: bool = True) -> Graph:
             continue
         parts = line.split()
         kind = parts[0]
+        if kind in ("minpoly", "vertices", "edges"):
+            if kind in header_seen:
+                _fail(line_no, f"repeated {kind} record")
+            header_seen.add(kind)
         if kind == "minpoly":
             expected = [str(c) for c in reversed(MIN_POLY)]
             if parts[1:] != expected:
@@ -162,6 +167,8 @@ def read_bundle(path: str, verify: bool = True) -> Graph:
         else:
             _fail(line_no, f"unknown record {kind!r}")
 
+    if "minpoly" not in header_seen:
+        raise BundleFormatError("missing minimal polynomial")
     if n_vertices is None or n_edges is None:
         raise BundleFormatError("missing vertices/edges counts")
     if len(vertices) != n_vertices:

@@ -8,14 +8,10 @@ peeled vertices greedily afterwards.  The search branches saturation-first
 fewest feasible colors, the highest degree within the core among ties and
 then the lowest index, trying its feasible colors in increasing order;
 vertices whose color is forced by propagation are never branched on.  The
-search itself is the pure-Python kernel in _colorsearch_py, which breaks
-ties by index alone; search_k_coloring hands it the core relabeled by
-decreasing core degree and maps the coloring back.  The kernel holds each
-set of vertices as one Python int, bit v for vertex v: the uncolored
-vertices, and for each color the vertices where it is still feasible and
-those colored with it.  It propagates in rounds, coloring all the vertices
-forced to one color at once, and builds each child state afresh, so
-backtracking keeps no trail.
+search itself is the pure-Python bitset kernel in _colorsearch_py, which
+breaks ties by index alone; search_k_coloring hands it the core's
+neighbour bitmasks, relabeled by decreasing core degree, and maps the
+coloring back.
 """
 
 from __future__ import annotations
@@ -66,7 +62,9 @@ class AdjacencyGraph:
         """Subgraph induced by the first m vertices, order preserved."""
         if not 0 <= m <= self.n:
             raise ValueError("prefix length out of range")
-        return _relabeled(self, range(m))[0]
+        return AdjacencyGraph(
+            m, ((i, j) for i in range(m) for j in self.neighbors[i] if j < i)
+        )
 
     @classmethod
     def from_graph(cls, g) -> "AdjacencyGraph":
@@ -87,7 +85,7 @@ class SearchStats:
     subtree holds no coloring;
     core_order: vertices the kernel searched (the order of the k-core);
     elapsed: wall-clock seconds spent in the kernel, building its neighbour
-    bitmasks included.
+    bitmasks (and the symmetry clique read from them) included.
     """
 
     nodes_visited: int
@@ -104,12 +102,15 @@ class ColorableGraphError(ValueError):
     witness."""
 
 
-def greedy_seed_clique(g: AdjacencyGraph, limit: int = 12) -> list[int]:
-    """Greedy clique among the first vertices, used to break color symmetry."""
+def greedy_seed_clique(masks: Sequence[int], limit: int = 12) -> list[int]:
+    """Greedy clique among the first vertices, used to break color symmetry;
+    bit w of masks[v] is set when w neighbours v."""
     clique: list[int] = []
-    for v in range(min(limit, g.n)):
-        if all(v in g.neighbors[u] for u in clique):
+    common = -1  # the vertices adjacent to every clique member: all at first
+    for v in range(min(limit, len(masks))):
+        if common >> v & 1:
             clique.append(v)
+            common &= masks[v]
     return clique
 
 
@@ -138,27 +139,6 @@ def k_core(g: AdjacencyGraph, k: int) -> tuple[list[int], list[int]]:
     return core, peeled
 
 
-def _relabeled(
-    g: AdjacencyGraph, order: Sequence[int]
-) -> tuple[AdjacencyGraph, list[int]]:
-    """The subgraph induced by the vertices in order, with vertex order[i]
-    renamed i, and pos, where pos[v] is the new name of vertex v, or -1 if
-    v is not in order."""
-    pos = [-1] * g.n
-    for i, v in enumerate(order):
-        pos[v] = i
-    # g's lists are already symmetric and free of repeats, so the
-    # constructor's edge list and per-vertex sets (about 4 ms at order 1378)
-    # are skipped
-    h = AdjacencyGraph.__new__(AdjacencyGraph)
-    h.n = len(order)
-    h.neighbors = tuple(
-        tuple(sorted([pos[w] for w in g.neighbors[v] if pos[w] >= 0]))
-        for v in order
-    )
-    return h, pos
-
-
 def search_k_coloring(
     g: AdjacencyGraph,
     k: int,
@@ -181,14 +161,15 @@ def search_k_coloring(
     clique); disable it to make depth statistics comparable across runs.
     """
     core, peeled = k_core(g, k)
-    h, pos = _relabeled(g, core)
-    pre: list[tuple[int, int]] = []
-    if symmetry_break and h.n:
-        clique = greedy_seed_clique(h)
-        pre = [(v, c) for c, v in enumerate(clique[: min(k, len(clique))])]
     started = time.perf_counter()
+    bits = [0] * g.n  # bit i for core[i], none for a peeled vertex
+    for i, v in enumerate(core):
+        bits[v] = 1 << i
+    # the bits of distinct neighbours never carry, so their sum is their union
+    masks = [sum(map(bits.__getitem__, g.neighbors[v])) for v in core]
+    clique = greedy_seed_clique(masks) if symmetry_break else []
     relabeled, (nodes, depth, forced, conflicts, backtracks) = (
-        _colorsearch_py.search(h.neighbors, k, pre)
+        _colorsearch_py.search(masks, k, [(v, c) for c, v in enumerate(clique[:k])])
     )
     elapsed = time.perf_counter() - started
     stats = SearchStats(
@@ -197,12 +178,14 @@ def search_k_coloring(
         forced_assignments=forced,
         conflicts=conflicts,
         backtracks=backtracks,
-        core_order=h.n,
+        core_order=len(core),
         elapsed=elapsed,
     )
     if relabeled is None:
         return None, stats
-    coloring = [UNCOLORED if p < 0 else relabeled[p] for p in pos]
+    coloring = [UNCOLORED] * g.n
+    for v, c in zip(core, relabeled):
+        coloring[v] = c
     coloring = _greedy_extension(g, coloring, reversed(peeled), k)
     if coloring is None or not verify_coloring(g, coloring):
         raise AssertionError("search returned an improper coloring")
@@ -374,7 +357,18 @@ def find_coloring_reordered(
     search_k_coloring on the original numbering; only the tie-breaking (and
     hence the witness) differs.
     """
-    permuted, pos = _relabeled(g, smallest_last_order(g))
+    order = smallest_last_order(g)
+    pos = [0] * g.n  # vertex v is renamed pos[v]
+    for i, v in enumerate(order):
+        pos[v] = i
+    # g's lists are already symmetric and free of repeats, so the
+    # constructor's edge list and per-vertex sets (about 4 ms at order 1378)
+    # are skipped
+    permuted = AdjacencyGraph.__new__(AdjacencyGraph)
+    permuted.n = g.n
+    permuted.neighbors = tuple(
+        tuple(sorted([pos[w] for w in g.neighbors[v]])) for v in order
+    )
     coloring, stats = search_k_coloring(permuted, k)
     if coloring is None:
         return None, stats

@@ -31,6 +31,8 @@ def parse_dimacs(path: str) -> AdjacencyGraph:
             if parts[0] == "p":
                 if len(parts) != 4 or parts[1] != "edge":
                     raise ValueError(f"line {line_no}: malformed problem line")
+                if n is not None:
+                    raise ValueError(f"line {line_no}: repeated p record")
                 n, m = _int(parts[2], line_no), _int(parts[3], line_no)
                 if m < 0:
                     raise ValueError(f"line {line_no}: negative edge count {m}")

@@ -51,10 +51,8 @@ from .field import (
     interval_sqrt,
     _interval_raw,
     _normalize,
-    _parse_ratio,
     _raw_add,
     _raw_is_zero,
-    _raw_from_ratios,
     _raw_mul,
     _raw_sub,
 )
@@ -130,10 +128,9 @@ class ModulePoint:
         """The point of eight "num/den" strings, in octuple order."""
         if len(parts) != 8:
             raise ValueError("octuple must have eight entries")
-        r = [_parse_ratio(p) for p in parts]
         return cls(
-            FieldElement._from_raw(*_raw_from_ratios(r[3::-1])),
-            FieldElement._from_raw(*_raw_from_ratios(r[:3:-1])),
+            FieldElement.from_strings(parts[3::-1]),
+            FieldElement.from_strings(parts[:3:-1]),
         )
 
     def __eq__(self, other):

@@ -621,7 +621,7 @@ class TestPipeline:
 
     def test_empty_graph_passthrough(self):
         empty = Graph([], [])
-        out = phase_augment(empty, 2)
+        out = phase_augment(empty, 2, phase_index=1)
         assert out.order == 0 and out.size == 0
 
     def test_empty_schedule_returns_input(self, g9):

@@ -1,3 +1,4 @@
+import hashlib
 import logging
 import random
 
@@ -67,10 +68,15 @@ class TestAdjacencyGraph:
             g.induced_prefix(g.n + 1)
 
 
+def neighbor_masks(g):
+    """The kernel's input for g: bit w of masks[v] is set when w neighbours v."""
+    return [sum(1 << w for w in nbrs) for nbrs in g.neighbors]
+
+
 def kernel_state(g, k):
     """The pure-Python kernel's root state, assign step and counters for g,
     as search() builds them."""
-    return _colorsearch_py.make_search(g.neighbors, k)
+    return _colorsearch_py.make_search(neighbor_masks(g), k)
 
 
 def feasible_mask(state, v):
@@ -230,7 +236,7 @@ class TestSearch:
 
     def test_greedy_seed_clique_on_seed_graph(self, g9):
         adj = AdjacencyGraph.from_graph(g9)
-        clique = greedy_seed_clique(adj)
+        clique = greedy_seed_clique(neighbor_masks(adj))
         assert clique[:3] == [0, 1, 2]
         for i in clique:
             for j in clique:
@@ -411,20 +417,35 @@ class TestSearchTreePins:
         assert coloring is not None and verify_coloring(adj, coloring)
         assert stats.nodes_visited == 711
 
+    @pytest.mark.parametrize("find, order, k, digest", [
+        (search_k_coloring, 1378, 5,
+         "dac7907f9a7f2eaa25b57cd180647e3852a13ad27e63825e1dd1317147c9c543"),
+        (find_coloring_reordered, 1378, 5,
+         "506bbfe9227bcd0498437a98ed048a452103a350daffbe81f38f70499ff67500"),
+        (search_k_coloring, 226, 4,
+         "7a9b401924476c1a87d851e21db6ca5e488c90b283f3a59e0a46fe78fd076c1a"),
+    ], ids=["search-1378-5", "reordered-1378-5", "search-226-4"])
+    def test_witness_digest(self, pipeline, find, order, k, digest):
+        # the witness, mapped back to the caller's numbering, is fixed too;
+        # SHA-256 of its colors as bytes
+        (g,) = [g for g in pipeline if g.order == order]
+        coloring, _ = find(AdjacencyGraph.from_graph(g), k)
+        assert hashlib.sha256(bytes(coloring)).hexdigest() == digest
+
     def test_one_color_branches_on_every_vertex(self):
         # with k = 1 every vertex starts with a single feasible color; only
         # a vertex that propagation narrowed is forced, so each of these is
         # branched on, as when propagating one vertex at a time
         search = _colorsearch_py.search
-        assert search(((), (), ()), 1, []) == ([0, 0, 0], (4, 3, 0, 0, 0))
-        assert search(((), (), ()), 1, [(1, 0)]) == ([0, 0, 0], (3, 2, 0, 0, 0))
-        assert search(((), (2,), (1,)), 1, []) == (None, (2, 2, 0, 1, 1))
+        assert search((0, 0, 0), 1, []) == ([0, 0, 0], (4, 3, 0, 0, 0))
+        assert search((0, 0, 0), 1, [(1, 0)]) == ([0, 0, 0], (3, 2, 0, 0, 0))
+        assert search((0, 0b100, 0b10), 1, []) == (None, (2, 2, 0, 1, 1))
 
     def test_seeded_random_trees(self):
         got = []
         for g, k, pre in seeded_instances():
             coloring, (nodes, depth, _, conflicts, _) = _colorsearch_py.search(
-                g.neighbors, k, pre
+                neighbor_masks(g), k, pre
             )
             digits = None if coloring is None else "".join(map(str, coloring))
             got.append((nodes, depth, conflicts, digits))

@@ -162,6 +162,30 @@ class TestBundle:
         with pytest.raises(BundleFormatError, match=f"^line {idx + 1}: {record} count"):
             read_bundle(str(path), verify=False)
 
+    @pytest.mark.parametrize("record, extra", [
+        ("vertices", "vertices 4"),
+        ("edges", "edges 17"),
+        ("minpoly", "minpoly 16 8 -12 -2 1"),
+    ])
+    def test_repeated_header_record_reports_line(self, g9, tmp_path, record, extra):
+        # the extra record comes first, so the bundle's own one is the repeat
+        path = tmp_path / "g9.bundle"
+        write_bundle(g9, str(path))
+        lines = path.read_text().splitlines()
+        idx = next(i for i, l in enumerate(lines) if l.split()[0] == record)
+        lines.insert(idx, extra)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(BundleFormatError, match=f"^line {idx + 2}: repeated {record} record$"):
+            read_bundle(str(path), verify=False)
+
+    def test_missing_minpoly_reported(self, g9, tmp_path):
+        path = tmp_path / "g9.bundle"
+        write_bundle(g9, str(path))
+        lines = [l for l in path.read_text().splitlines() if not l.startswith("minpoly ")]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(BundleFormatError, match="^missing minimal polynomial$"):
+            read_bundle(str(path), verify=False)
+
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.bundle"
         path.write_text("")
@@ -211,6 +235,7 @@ class TestDimacs:
         ("p edge 3 0\ne 1 2\n", "edge count mismatch: problem line says 0, found 1"),
         ("p edge 3 x\ne 1 2\n", "line 1: 'x' is not an integer"),
         ("p edge 3 -1\n", "line 1: negative edge count -1"),
+        ("p edge 3 1\ne 1 2\np edge 5 1\n", "line 3: repeated p record"),
     ])
     def test_parse_checks_the_edge_count(self, tmp_path, text, message):
         path = tmp_path / "bad.col"
