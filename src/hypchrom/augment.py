@@ -67,7 +67,6 @@ class IdenticalCirclesError(Exception):
     """Both circles coincide; the intersection is the whole circle."""
 
 
-_ONE_MINUS_CSQ = SIN_SQ
 _INV_ONE_MINUS_CSQ = ONE / SIN_SQ
 _INV_ONE_MINUS_C = ONE / (ONE - GEN)
 _TWO = FieldElement(2)
@@ -76,7 +75,7 @@ _HALF = FieldElement(Fraction(1, 2))
 
 def _q(x: FieldElement, y: FieldElement) -> FieldElement:
     """The scaled squared norm Q(x, y) = x^2 + (1-c^2) y^2."""
-    return x * x + _ONE_MINUS_CSQ * y * y
+    return x * x + SIN_SQ * y * y
 
 
 @dataclass(frozen=True)
@@ -135,7 +134,7 @@ def intersect_circles(
             raise IdenticalCirclesError("circles coincide")
         return []
     m = (delta + c1.rho - c2.rho) * _HALF
-    disc = _ONE_MINUS_CSQ * (c1.rho * delta - m * m)
+    disc = SIN_SQ * (c1.rho * delta - m * m)
     sgn = fe_sign(disc)
     if sgn < 0:
         return []
@@ -190,8 +189,8 @@ class AugmentConfig:
     # Points dropped whenever the growth produces them, reproducing the
     # published vertex selection (which omits a handful of otherwise valid
     # candidates).  Exclusion is persistent: a suppressed point stays out
-    # even when later phases regenerate it.  Every drop is counted and
-    # reported, never silent.  Empty set = the unfiltered rule.
+    # even when later phases regenerate it.  Every drop is counted in the
+    # phase report, never silent.  Empty set = the unfiltered rule.
     excluded_points: frozenset = frozenset()
 
     @classmethod
@@ -233,7 +232,6 @@ class PhaseReport:
     accepted: int = 0
     new_old_edges: int = 0
     accidental_edges: list = dc_field(default_factory=list)
-    rejected_detail: list = dc_field(default_factory=list)
     elapsed: float = 0.0
     # pairs put through the modular screen, and those of them left for the
     # exact edge test
@@ -401,13 +399,13 @@ def _dedup(report: PhaseReport, g: Graph, cands, coords: np.ndarray) -> list[tup
 
 def _exact_intersection(
     report: PhaseReport, g: Graph, survivors, cfg: AugmentConfig, phase_index: int
-) -> dict[ModulePoint, tuple[VertexOrigin, float, float]]:
+) -> dict[ModulePoint, VertexOrigin]:
     """The distinct exact candidates in processing order, each with its
-    origin and its survivor's float (x, y).  Each pair is intersected once,
-    and each of its survivors takes the nearer exact point.  A survivor of a
-    pair with no module point, or whose point has a denominator above
-    cfg.denom_bound or is in cfg.excluded_points, is rejected and reported;
-    one on a vertex of g is dropped as existing; the first occurrence wins."""
+    origin.  Each pair is intersected once, and each of its survivors takes
+    the exact point nearer its float (x, y).  A survivor of a pair with no
+    module point, or whose point has a denominator above cfg.denom_bound or
+    is in cfg.excluded_points, is rejected and counted; one on a vertex of g
+    is dropped as existing; the first occurrence wins."""
     used = {v for i, j, _, _ in survivors for v in (i, j)}
     circles = {v: circle_of(g.vertices[v]) for v in used}
     old, found, pair = set(g.vertices), {}, None
@@ -417,24 +415,21 @@ def _exact_intersection(
         exact = _match_exact_candidate(points, x, y)
         if exact is None:
             report.rejected_nonmodule += 1
-            report.rejected_detail.append(("nonmodule", i, j, x, y))
         elif _max_denominator(exact.point) > cfg.denom_bound:
             report.rejected_denominator += 1
-            report.rejected_detail.append(("denominator", i, j, x, y))
         elif exact.point in cfg.excluded_points:
             report.excluded_by_selection += 1
-            report.rejected_detail.append(("excluded-by-selection", i, j, x, y))
         elif exact.point in old:
             report.dropped_existing += 1
         elif exact.point not in found:
-            found[exact.point] = (VertexOrigin((i, j), exact.branch, phase_index), x, y)
+            found[exact.point] = VertexOrigin((i, j), exact.branch, phase_index)
     return found
 
 
 def _exact_neighbors(report: PhaseReport, g: Graph, found: dict, min_neighbors: int):
     """Every candidate screened against g's vertices in one scan, and the
     pairs the screen leaves decided by is_unit_edge.  A candidate with fewer
-    than min_neighbors exact neighbours is rejected and reported; the others
+    than min_neighbors exact neighbours is rejected and counted; the others
     are accepted in order, numbered from g.order.  Returns the accepted
     points, their origins and their edges to g's vertices."""
     points, old = list(found), g.vertices
@@ -446,12 +441,11 @@ def _exact_neighbors(report: PhaseReport, g: Graph, found: dict, min_neighbors: 
         if is_unit_edge(points[a], old[t]):
             neighbors[a].append(t)
     accepted, origins, edges = [], [], []
-    for point, (origin, x, y), nbrs in zip(points, found.values(), neighbors):
-        i, j = origin.source_pair
+    for point, origin, nbrs in zip(points, found.values(), neighbors):
         if len(nbrs) < min_neighbors:
             report.rejected_neighbor_mismatch += 1
-            report.rejected_detail.append(("neighbor-count", i, j, x, y))
             continue
+        i, j = origin.source_pair
         if (i not in nbrs) or (j not in nbrs):
             raise GraphIntegrityError(
                 f"candidate from pair ({i + 1}, {j + 1}) not adjacent to its sources"
@@ -499,8 +493,8 @@ def phase_augment(
 
     New vertices are appended sorted by source pair, then branch, so the
     construction order is deterministic.  Candidates in cfg.excluded_points
-    are dropped but counted and reported, never silently discarded; cfg
-    defaults to the reference selection, as in grow_pipeline.  phase_index
+    are dropped but counted in the phase report, never silently discarded;
+    cfg defaults to the reference selection.  phase_index
     numbers the phase in its report and in the new vertices' origins.
     """
     if min_neighbors < 2:
@@ -531,14 +525,12 @@ def grow_pipeline(
     schedule: Sequence[int] = DEFAULT_SCHEDULE,
     cfg: Optional[AugmentConfig] = None,
 ) -> list[Graph]:
-    """Fold phase_augment over the schedule, returning each phase output.
+    """Fold phase_augment with cfg over the schedule, returning each phase output.
 
     An empty schedule returns [g0] unchanged.
     """
     if not schedule:
         return [g0]
-    if cfg is None:
-        cfg = AugmentConfig.reference()
     out: list[Graph] = []
     g = g0
     for phase_no, min_nb in enumerate(schedule, start=1):

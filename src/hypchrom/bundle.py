@@ -8,8 +8,8 @@ Coefficients are read into integer (num, den) pairs and written from the
 reduced integer numerators and denominators of each element; neither
 read_bundle nor write_bundle builds a Fraction.  Fractions appear only
 where the API returns them (FieldElement.coeffs, ModulePoint.octuple,
-root_bounds, fe_to_interval, interval_sqrt, parse_rational and the bounds
-of NumericPoint).
+root_bounds, fe_to_interval, interval_sqrt and the bounds of
+NumericPoint).
 """
 
 from __future__ import annotations
@@ -102,7 +102,7 @@ def read_bundle(path: str, verify: bool = True) -> Graph:
             continue
         parts = line.split()
         kind = parts[0]
-        if kind in ("minpoly", "vertices", "edges"):
+        if kind in ("minpoly", "distance", "vertices", "edges"):
             if kind in header_seen:
                 _fail(line_no, f"repeated {kind} record")
             header_seen.add(kind)
@@ -111,7 +111,13 @@ def read_bundle(path: str, verify: bool = True) -> Graph:
             if parts[1:] != expected:
                 _fail(line_no, "minimal polynomial does not match this build")
         elif kind == "distance":
-            pass  # informative
+            # compared as a number: acosh is not correctly rounded on every libm
+            try:
+                ok = parts[1] == DISTANCE_TAG and abs(float(parts[2]) - D_NUMERIC) <= 1e-12
+            except (IndexError, ValueError):
+                ok = False
+            if not ok or len(parts) != 3:
+                _fail(line_no, "distance does not match this build")
         elif kind in ("vertices", "edges"):
             try:
                 count = int(parts[1])
@@ -169,6 +175,8 @@ def read_bundle(path: str, verify: bool = True) -> Graph:
 
     if "minpoly" not in header_seen:
         raise BundleFormatError("missing minimal polynomial")
+    if "distance" not in header_seen:
+        raise BundleFormatError("missing distance record")
     if n_vertices is None or n_edges is None:
         raise BundleFormatError("missing vertices/edges counts")
     if len(vertices) != n_vertices:

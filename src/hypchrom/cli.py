@@ -68,9 +68,7 @@ def _cmd_augment(args) -> int:
         if report is None:
             continue
         if args.json:
-            record = dataclasses.asdict(report)
-            del record["rejected_detail"]
-            print(json.dumps(record))
+            print(json.dumps(dataclasses.asdict(report)))
         else:
             print(report.summary(), file=sys.stderr)
     final = graphs[-1]

@@ -102,12 +102,12 @@ class ColorableGraphError(ValueError):
     witness."""
 
 
-def greedy_seed_clique(masks: Sequence[int], limit: int = 12) -> list[int]:
-    """Greedy clique among the first vertices, used to break color symmetry;
-    bit w of masks[v] is set when w neighbours v."""
+def greedy_seed_clique(masks: Sequence[int]) -> list[int]:
+    """Greedy clique among the first 12 vertices, used to break color
+    symmetry; bit w of masks[v] is set when w neighbours v."""
     clique: list[int] = []
     common = -1  # the vertices adjacent to every clique member: all at first
-    for v in range(min(limit, len(masks))):
+    for v in range(min(12, len(masks))):
         if common >> v & 1:
             clique.append(v)
             common &= masks[v]

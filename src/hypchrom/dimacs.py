@@ -41,7 +41,13 @@ def parse_dimacs(path: str) -> AdjacencyGraph:
                     raise ValueError(f"line {line_no}: malformed edge line")
                 if n is None:
                     raise ValueError(f"line {line_no}: edge before problem line")
-                edges.append((_int(parts[1], line_no) - 1, _int(parts[2], line_no) - 1))
+                u, v = _int(parts[1], line_no), _int(parts[2], line_no)
+                for w in (u, v):
+                    if not 1 <= w <= n:
+                        raise ValueError(f"line {line_no}: vertex {w} out of range 1..{n}")
+                if u == v:
+                    raise ValueError(f"line {line_no}: self-loop at vertex {u}")
+                edges.append((u - 1, v - 1))
             else:
                 raise ValueError(f"line {line_no}: unknown record {parts[0]!r}")
     if n is None:

@@ -22,8 +22,8 @@ triples.  Sign, interval and square-root arithmetic is integer-only.
 Text is parsed into integer (num, den) pairs and elements are built from
 them directly; as_strings writes the reduced pairs back.  Fractions are
 made only where the API returns one: here FieldElement.coeffs,
-root_bounds, fe_to_interval, interval_sqrt and parse_rational (and, in
-geometry.py, ModulePoint.octuple and the bounds of NumericPoint).
+root_bounds, fe_to_interval and interval_sqrt (and, in geometry.py,
+ModulePoint.octuple and the bounds of NumericPoint).
 Nothing else on the load, growth or export paths builds one.
 """
 
@@ -50,16 +50,6 @@ def _parse_ratio(text: str) -> tuple[int, int]:
     if d == 0:
         raise ZeroDivisionError(f"zero denominator in {text.strip()!r}")
     return n, d
-
-
-def parse_rational(text: str) -> Fraction:
-    """Parse "num/den" (or a bare integer) into a Fraction."""
-    return Fraction(*_parse_ratio(text))
-
-
-def format_rational(q: Fraction) -> str:
-    """Serialize a Fraction as "num/den" with the denominator always explicit."""
-    return f"{q.numerator}/{q.denominator}"
 
 
 # ---------------------------------------------------------------------------
@@ -316,14 +306,14 @@ class FieldElement:
     # -- evaluation ----------------------------------------------------------
 
     def to_float(self) -> float:
-        x = generator_float()
+        x = _GEN_FLOAT
         n = self._n
         return (n[0] + x * (n[1] + x * (n[2] + x * n[3]))) / self._d
 
     # -- serialization --------------------------------------------------------
 
     def as_strings(self) -> tuple[str, str, str, str]:
-        """The coefficients as format_rational writes them, reduced."""
+        """The coefficients as reduced "num/den" strings."""
         d = self._d
         out = []
         for n in self._n:
@@ -409,21 +399,12 @@ def root_bounds(max_width=Fraction(1, 10**12)) -> tuple[Fraction, Fraction]:
     return _ROOT.bounds(Fraction(max_width))
 
 
-# root enclosures at least this narrow carry the root to full double
-# precision; generator_float and fe_to_interval never use wider ones
-_FLOAT_ROOT_WIDTH = Fraction(1, 10**18)
+# root enclosures at most 1e-18 wide carry the root to full double precision:
+# c's float is the midpoint of the coarsest one (int / int rounds correctly),
+# and fe_to_interval never uses a wider one
 _FLOAT_ROOT_LEVEL = _RootCache.level(1, 10**18)
-
-
-def generator_float() -> float:
-    global _GEN_FLOAT
-    if _GEN_FLOAT is None:
-        lo, hi = _ROOT.bounds(_FLOAT_ROOT_WIDTH)
-        _GEN_FLOAT = float((lo + hi) / 2)
-    return _GEN_FLOAT
-
-
-_GEN_FLOAT: Optional[float] = None
+_L, _D = _ROOT.at(_FLOAT_ROOT_LEVEL)
+_GEN_FLOAT = (2 * _L + 1) / (2 * _D)
 
 
 def _interval_eval(n, lo: int, den: int) -> tuple[int, int]:
@@ -485,7 +466,7 @@ def fe_to_interval(a: FieldElement, target_width) -> tuple[Fraction, Fraction]:
     wide.  Bounds shrink monotonically as target_width decreases, and
     depend only on a and target_width: they are evaluated on the coarsest
     level of the root's bisection chain that gives a narrow enough value,
-    and never on one coarser than generator_float's, so their midpoint is
+    and never on one coarser than _GEN_FLOAT's, so their midpoint is
     as accurate as a double can hold."""
     target = Fraction(target_width)
     if target <= 0:

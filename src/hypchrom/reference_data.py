@@ -25,16 +25,14 @@ _EXCLUDED = (
 )
 
 
-def reference_excluded_points() -> frozenset:
-    return frozenset(
-        ModulePoint.from_octuple([Fraction(v, den) for v in nums])
-        for _phase, _pair, nums, den in _EXCLUDED
-    )
-
-
 def reference_exclusion_table():
     """Human-readable rows: (phase, source pair, point)."""
     return [
         (phase, pair, ModulePoint.from_octuple([Fraction(v, den) for v in nums]))
         for phase, pair, nums, den in _EXCLUDED
     ]
+
+
+def reference_excluded_points() -> frozenset:
+    """The points of reference_exclusion_table."""
+    return frozenset(point for _phase, _pair, point in reference_exclusion_table())

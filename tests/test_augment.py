@@ -250,12 +250,15 @@ class TestPhase1:
         got = {(i + 1, j + 1) for i, j in g28.phase_report.accidental_edges}
         assert got == ACCIDENTAL1
 
-    def test_exclusions_reported_not_silent(self, g28):
+    def test_exclusions_reported_not_silent(self, g9, g28):
         assert g28.phase_report.excluded_by_selection == 3
-        tags = [d for d in g28.phase_report.rejected_detail if d[0] == "excluded-by-selection"]
-        assert len(tags) == 3
-        pairs = {(d[1] + 1, d[2] + 1) for d in tags}
-        assert pairs == {(2, 6), (2, 9), (6, 8)}
+        # without the exclusions, the three phase-1 points arise at their pairs
+        free = phase_augment(g9, 2, cfg=AugmentConfig(), phase_index=1)
+        rows = [(pair, p) for ph, pair, p in reference_exclusion_table() if ph == 1]
+        assert [pair for pair, _ in rows] == [(2, 6), (2, 9), (6, 8)]
+        for pair, p in rows:
+            origin = free.origins[free.vertices.index(p)]
+            assert tuple(v + 1 for v in origin.source_pair) == pair
 
     def test_unfiltered_rule_keeps_all_module_candidates(self, g9):
         free = phase_augment(g9, 2, cfg=AugmentConfig(), phase_index=1)
@@ -556,9 +559,8 @@ class TestPhaseLayers:
             report, g28, survivors, AugmentConfig.reference(), 2
         )
         assert list(found) == [point]
-        origin, fx, fy = found[point]
+        origin = found[point]
         assert origin.source_pair == (1, 9) and origin.phase == 2
-        assert (fx, fy) == (x, y)
         # the apex of the seed pair (1, 2) is already a vertex
         assert report.dropped_existing == 1
 
@@ -572,7 +574,8 @@ class TestPhaseLayers:
             report, g28, [(1, 9, x + 2e-5, y)], AugmentConfig.reference(), 2
         )
         assert list(found) == [point]
-        assert report.rejected_nonmodule == 0 and report.rejected_detail == []
+        assert report.rejected_nonmodule == 0
+        assert report.rejected_denominator == report.excluded_by_selection == 0
 
     def test_exact_intersection_intersects_each_pair_once(self, g9, monkeypatch):
         # pair (3, 9) of the seed gives two rows of the phase-1 table
@@ -591,18 +594,16 @@ class TestPhaseLayers:
         assert sorted(found, key=lambda p: p.to_floats()) == sorted(
             points, key=lambda p: p.to_floats()
         )
-        assert {o.branch for o, _, _ in found.values()} == {"-", "+"}
+        assert {o.branch for o in found.values()} == {"-", "+"}
 
     def test_neighbor_count_rejection_keeps_survivor_floats(self, g28):
         point = table_point(*TABLE2[0][:2])
         origin = augment.VertexOrigin((1, 9), "-", 2)
-        x, y = point.to_floats()
-        found = {point: (origin, x + 1e-7, y - 1e-7)}
+        found = {point: origin}
         report = augment.PhaseReport(phase=2, min_neighbors=4)
         accepted, origins, edges = augment._exact_neighbors(report, g28, found, 4)
         assert accepted == origins == edges == []
         assert report.rejected_neighbor_mismatch == 1
-        assert report.rejected_detail == [("neighbor-count", 1, 9, x + 1e-7, y - 1e-7)]
         assert (report.screened_pairs, report.exact_edge_tests) == (28, 3)
         report = augment.PhaseReport(phase=2, min_neighbors=3)
         accepted, origins, edges = augment._exact_neighbors(report, g28, found, 3)

@@ -14,12 +14,11 @@ from hypchrom.field import (
     SQRT5,
     ZERO,
     FieldElement,
+    _parse_ratio,
     fe_sign,
     fe_sqrt,
     fe_to_interval,
-    format_rational,
     interval_sqrt,
-    parse_rational,
     root_bounds,
 )
 
@@ -294,19 +293,19 @@ class TestSqrt:
 
 class TestSerialization:
     def test_rational_strings(self):
-        assert format_rational(Fraction(-3, 7)) == "-3/7"
-        assert parse_rational("-3/7") == Fraction(-3, 7)
-        assert parse_rational("5") == Fraction(5)
+        assert FieldElement(Fraction(-3, 7)).as_strings()[0] == "-3/7"
+        assert _parse_ratio("-3/7") == (-3, 7)
+        assert _parse_ratio("5") == (5, 1)
 
     def test_parse_edge_cases(self):
-        assert parse_rational("6/4") == Fraction(3, 2)
-        assert parse_rational("3/-7") == Fraction(-3, 7)
-        assert parse_rational("12") == Fraction(12)
+        assert _parse_ratio("6/4") == (6, 4)
+        assert _parse_ratio("3/-7") == (3, -7)
+        assert _parse_ratio("12") == (12, 1)
         with pytest.raises(ZeroDivisionError):
-            parse_rational("1/0")
+            _parse_ratio("1/0")
         for bad in ("x/2", "1/y", "1/2/3", "3/", "", "1.5"):
             with pytest.raises(ValueError):
-                parse_rational(bad)
+                _parse_ratio(bad)
 
     def test_element_from_unreduced_strings(self):
         a = FieldElement.from_strings(["6/4", "3/-7", "12", "0/9"])
@@ -321,7 +320,7 @@ class TestSerialization:
         back = FieldElement.from_strings(a.as_strings())
         assert back == a
         assert (back._n, back._d) == (a._n, a._d)
-        assert a.as_strings() == tuple(format_rational(q) for q in a.coeffs)
+        assert a.as_strings() == tuple(f"{q.numerator}/{q.denominator}" for q in a.coeffs)
 
     @given(
         st.lists(
@@ -349,6 +348,11 @@ class TestConstants:
         assert SIN_SQ == ONE - GEN * GEN
         assert RADIUS_SQ == 2 * GEN - ONE
         assert EDGE_INVARIANT == RADIUS_SQ / (ONE - GEN)
+
+    def test_float_generator_is_the_midpoint_of_the_1e18_enclosure(self):
+        assert GEN.to_float() == 0.6778371469890411
+        lo, hi = root_bounds(Fraction(1, 10**18))
+        assert GEN.to_float() == float((lo + hi) / 2)
 
     def test_root_bounds_cache_monotone(self):
         lo1, hi1 = root_bounds(Fraction(1, 10**6))

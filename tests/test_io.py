@@ -1,11 +1,12 @@
 import hashlib
+import math
 
 import pytest
 
-from hypchrom.bundle import BundleFormatError, read_bundle, write_bundle
+from hypchrom.bundle import DISTANCE_TAG, BundleFormatError, read_bundle, write_bundle
 from hypchrom.coloring import AdjacencyGraph, chromatic_number
 from hypchrom.dimacs import emit_dimacs, parse_dimacs
-from hypchrom.geometry import Graph, GraphIntegrityError
+from hypchrom.geometry import D_NUMERIC, Graph, GraphIntegrityError
 from hypchrom.svg import emit_svg
 
 
@@ -166,6 +167,7 @@ class TestBundle:
         ("vertices", "vertices 4"),
         ("edges", "edges 17"),
         ("minpoly", "minpoly 16 8 -12 -2 1"),
+        ("distance", f"distance {DISTANCE_TAG} {D_NUMERIC!r}"),
     ])
     def test_repeated_header_record_reports_line(self, g9, tmp_path, record, extra):
         # the extra record comes first, so the bundle's own one is the repeat
@@ -184,6 +186,45 @@ class TestBundle:
         lines = [l for l in path.read_text().splitlines() if not l.startswith("minpoly ")]
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(BundleFormatError, match="^missing minimal polynomial$"):
+            read_bundle(str(path), verify=False)
+
+    @pytest.mark.parametrize("bad", [
+        "distance nonsense 7.5",
+        f"distance {DISTANCE_TAG} 7.5",
+        f"distance {DISTANCE_TAG} nan",
+        f"distance {DISTANCE_TAG} x",
+        f"distance {DISTANCE_TAG}",
+        f"distance {DISTANCE_TAG} {D_NUMERIC!r} extra",
+    ])
+    def test_distance_mismatch_reports_line(self, g9, tmp_path, bad):
+        path = tmp_path / "g9.bundle"
+        write_bundle(g9, str(path))
+        lines = path.read_text().splitlines()
+        idx = next(i for i, l in enumerate(lines) if l.startswith("distance "))
+        lines[idx] = bad
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(
+            BundleFormatError, match=f"^line {idx + 1}: distance does not match this build$"
+        ):
+            read_bundle(str(path), verify=False)
+
+    def test_distance_compared_as_a_number(self, g9, tmp_path):
+        # another libm may round acosh differently in the last digit
+        path = tmp_path / "g9.bundle"
+        write_bundle(g9, str(path))
+        text = path.read_text().replace(
+            f"{D_NUMERIC!r}\n", f"{math.nextafter(D_NUMERIC, 2)!r}\n", 1
+        )
+        assert text != path.read_text()
+        path.write_text(text)
+        assert read_bundle(str(path)).order == 9
+
+    def test_missing_distance_reported(self, g9, tmp_path):
+        path = tmp_path / "g9.bundle"
+        write_bundle(g9, str(path))
+        lines = [l for l in path.read_text().splitlines() if not l.startswith("distance ")]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(BundleFormatError, match="^missing distance record$"):
             read_bundle(str(path), verify=False)
 
     def test_empty_file(self, tmp_path):
@@ -238,6 +279,17 @@ class TestDimacs:
         ("p edge 3 1\ne 1 2\np edge 5 1\n", "line 3: repeated p record"),
     ])
     def test_parse_checks_the_edge_count(self, tmp_path, text, message):
+        path = tmp_path / "bad.col"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            parse_dimacs(str(path))
+
+    @pytest.mark.parametrize("text, message", [
+        ("p edge 3 1\ne 0 4\n", "line 2: vertex 0 out of range 1..3"),
+        ("p edge 3 1\ne 1 4\n", "line 2: vertex 4 out of range 1..3"),
+        ("p edge 3 1\ne 2 2\n", "line 2: self-loop at vertex 2"),
+    ])
+    def test_parse_checks_edge_endpoints_with_line(self, tmp_path, text, message):
         path = tmp_path / "bad.col"
         path.write_text(text)
         with pytest.raises(ValueError, match=f"^{message}$"):
