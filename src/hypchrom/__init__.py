@@ -16,7 +16,6 @@ import logging
 
 from .augment import (
     AugmentConfig,
-    CandidatePoint,
     EuclideanCircleRec,
     IdenticalCirclesError,
     circle_of,

@@ -103,28 +103,19 @@ def point_on_circle(p: ModulePoint, circ: EuclideanCircleRec) -> bool:
     return _q(p.x_elem - c.x_elem, p.y_elem - c.y_elem) == circ.rho
 
 
-@dataclass
-class CandidatePoint:
-    """An exact intersection point and its branch label."""
-
-    point: ModulePoint
-    branch: str
-
-
 # ---------------------------------------------------------------------------
 # exact intersection
 # ---------------------------------------------------------------------------
 
-def intersect_circles(
-    c1: EuclideanCircleRec, c2: EuclideanCircleRec
-) -> list[CandidatePoint]:
+def intersect_circles(c1: EuclideanCircleRec, c2: EuclideanCircleRec) -> list[ModulePoint]:
     """Module-point intersections of two distance circles: zero to two
-    candidates, the exact twin of _pair_intersections.
+    points, the exact twin of _pair_intersections.
 
     The points are returned exactly when disc is a square in Q(c); when it
     is not, the circles meet outside the module and the result is empty, as
-    it is when they do not meet.  Branch '-' is the point that is
-    lexicographically smaller in (x, y).
+    it is when they do not meet.  Two points come in exact lexicographic
+    order in (x, y); a point's position is its branch, 0 for '-' and 1 for
+    '+'.
     """
     ax, ay = c1.center.x_elem, c1.center.y_elem
     dx, dy = c2.center.x_elem - ax, c2.center.y_elem - ay
@@ -146,14 +137,13 @@ def intersect_circles(
     s = m * inv_delta
     base_x, base_y = ax + s * dx, ay + s * dy
     if sgn == 0:
-        return [CandidatePoint(point=ModulePoint(base_x, base_y), branch="-")]
+        return [ModulePoint(base_x, base_y)]
     # the offset t (-(1-c^2) D_y, D_x) is w (-D_y, D_x / (1-c^2)), w = root / delta
     w = root * inv_delta
     off_x, off_y = w * dy, w * dx * _INV_ONE_MINUS_CSQ
     p_plus = ModulePoint(base_x - off_x, base_y + off_y)
     p_minus = ModulePoint(base_x + off_x, base_y - off_y)
-    lo, hi = (p_plus, p_minus) if lex_less(p_plus, p_minus) else (p_minus, p_plus)
-    return [CandidatePoint(point=lo, branch="-"), CandidatePoint(point=hi, branch="+")]
+    return [p_plus, p_minus] if lex_less(p_plus, p_minus) else [p_minus, p_plus]
 
 
 # ---------------------------------------------------------------------------
@@ -329,11 +319,11 @@ def _numeric_neighbor_counts(
 
 
 def _match_exact_candidate(
-    cands: Sequence[CandidatePoint], x: float, y: float
-) -> Optional[CandidatePoint]:
-    """The first candidate nearest to (x, y), or None if there is none."""
-    dist = [math.dist(cand.point.to_floats(), (x, y)) for cand in cands]
-    return cands[dist.index(min(dist))] if dist else None
+    points: Sequence[ModulePoint], x: float, y: float
+) -> Optional[int]:
+    """The index of the first point nearest to (x, y), or None if there is none."""
+    dist = [math.dist(p.to_floats(), (x, y)) for p in points]
+    return dist.index(min(dist)) if dist else None
 
 
 def _max_denominator(point: ModulePoint) -> int:
@@ -412,17 +402,19 @@ def _exact_intersection(
     for i, j, x, y in survivors:
         if (i, j) != pair:
             pair, points = (i, j), intersect_circles(circles[i], circles[j])
-        exact = _match_exact_candidate(points, x, y)
-        if exact is None:
+        branch = _match_exact_candidate(points, x, y)
+        if branch is None:
             report.rejected_nonmodule += 1
-        elif _max_denominator(exact.point) > cfg.denom_bound:
+            continue
+        exact = points[branch]
+        if _max_denominator(exact) > cfg.denom_bound:
             report.rejected_denominator += 1
-        elif exact.point in cfg.excluded_points:
+        elif exact in cfg.excluded_points:
             report.excluded_by_selection += 1
-        elif exact.point in old:
+        elif exact in old:
             report.dropped_existing += 1
-        elif exact.point not in found:
-            found[exact.point] = VertexOrigin((i, j), exact.branch, phase_index)
+        elif exact not in found:
+            found[exact] = VertexOrigin((i, j), "-+"[branch], phase_index)
     return found
 
 

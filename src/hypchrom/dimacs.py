@@ -34,6 +34,8 @@ def parse_dimacs(path: str) -> AdjacencyGraph:
                 if n is not None:
                     raise ValueError(f"line {line_no}: repeated p record")
                 n, m = _int(parts[2], line_no), _int(parts[3], line_no)
+                if n < 0:
+                    raise ValueError(f"line {line_no}: negative vertex count {n}")
                 if m < 0:
                     raise ValueError(f"line {line_no}: negative edge count {m}")
             elif parts[0] == "e":

@@ -11,7 +11,10 @@ Multiplication and inversion work on the integer numerators only.
 
 Sign and interval queries evaluate the element on an isolating interval of
 the root and bisect until the answer is unambiguous; they are exact, never
-floating point.  The bisection levels have power-of-two denominators, so
+floating point.  The root's bisection chain is built once, at import,
+down to the level at most 1e-18 wide; a query that needs a deeper level
+halves on to it itself, so queries share no state and nothing is written
+after import.  The bisection levels have power-of-two denominators, so
 the evaluation is integer interval Horner, and only the bounds handed out
 by root_bounds and fe_to_interval become Fractions.  Square roots are
 decided exactly through the tower Q < Q(sqrt5) < Q(c): the quartic factors
@@ -29,8 +32,8 @@ Nothing else on the load, growth or export paths builds one.
 
 from __future__ import annotations
 
+import itertools
 import math
-import threading
 from fractions import Fraction
 from typing import Optional
 
@@ -347,64 +350,62 @@ def _minpoly_at(num: int, den: int) -> int:
     return out
 
 
-class _RootCache:
-    """The bisection chain of the designated root: level k is the interval
-    [L_k, L_k + 1] / (40 * 2^k), of width 1/(40 * 2^k), reached by k
-    deterministic halvings of the seed interval [27/40, 28/40], which
-    brackets the root and no other.  A level depends only on k, never on
-    which widths were asked for before."""
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        if not _minpoly_at(27, 40) * _minpoly_at(28, 40) < 0:
-            raise AssertionError("seed interval does not bracket the root")
-        self._lows = [27]  # L_k; the chain only grows
-
-    @staticmethod
-    def level(num: int, den: int) -> int:
-        """The coarsest level at most num/den wide (num, den > 0)."""
-        # smallest k with 1/(40 * 2^k) <= num/den, i.e. 2^k >= ceil(den / (40 num))
-        need = -(-den // (40 * num))
-        return (need - 1).bit_length()
-
-    @property
-    def depth(self) -> int:
-        """The deepest level computed so far."""
-        return len(self._lows) - 1
-
-    def at(self, level: int) -> tuple[int, int]:
-        """Level `level` as (L, D): the interval [L, L + 1] / D."""
-        lows = self._lows
-        if level >= len(lows):
-            with self._lock:
-                while len(lows) <= level:
-                    # halve [lo, lo + 2] / den at its midpoint lo + 1
-                    lo, den = 2 * lows[-1], 40 << len(lows)
-                    left = _minpoly_at(lo, den) * _minpoly_at(lo + 1, den) <= 0
-                    lows.append(lo if left else lo + 1)
-        return lows[level], 40 << level
-
-    def bounds(self, max_width: Fraction) -> tuple[Fraction, Fraction]:
-        """The coarsest level at most max_width wide, as rationals."""
-        lo, den = self.at(self.level(max_width.numerator, max_width.denominator))
-        return Fraction(lo, den), Fraction(lo + 1, den)
+def _one_root_in(lo: int, hi: int, den: int) -> bool:
+    """True when [lo, hi] / den, 0 <= lo < hi, holds exactly one root of the
+    minimal polynomial: it changes sign there, and its derivative
+    64x^3 + 24x^2 - 24x - 2 is at least
+    (64 lo^3 + 24 lo^2 den - 24 hi den^2 - 2 den^3) / den^3 > 0 on it."""
+    return (
+        _minpoly_at(lo, den) * _minpoly_at(hi, den) < 0
+        and 64 * lo**3 + 24 * lo**2 * den - 24 * hi * den**2 - 2 * den**3 > 0
+    )
 
 
-_ROOT = _RootCache()
+def _level(num: int, den: int) -> int:
+    """The coarsest level of the root chain at most num/den wide (num, den > 0)."""
+    # smallest k with 1/(40 * 2^k) <= num/den, i.e. 2^k >= ceil(den / (40 num))
+    need = -(-den // (40 * num))
+    return (need - 1).bit_length()
+
+
+def _bisect(lo: int, den: int):
+    """The chain from the level [lo, lo + 1] / den on, each level as (L, D):
+    the interval [L, L + 1] / D, then the half of it that holds the root."""
+    while True:
+        yield lo, den
+        lo, den = 2 * lo, 2 * den
+        if _minpoly_at(lo, den) * _minpoly_at(lo + 1, den) > 0:
+            lo += 1
+
+
+# The bisection chain of the designated root: level k is the interval
+# [L_k, L_k + 1] / (40 * 2^k), reached by k halvings of [27/40, 28/40], so
+# it depends only on k.  It is built once, to the coarsest level at most
+# 1e-18 wide, which carries the root to full double precision: c's float is
+# that level's midpoint (int / int rounds correctly), and signs and
+# intervals never use a coarser one.
+if not _one_root_in(27, 28, 40):
+    raise AssertionError("seed interval does not isolate the root")
+_FLOAT_ROOT_LEVEL = _level(1, 10**18)
+_LOWS = tuple(lo for lo, _ in itertools.islice(_bisect(27, 40), _FLOAT_ROOT_LEVEL + 1))
+_GEN_FLOAT = (2 * _LOWS[-1] + 1) / (2 * (40 << _FLOAT_ROOT_LEVEL))
+
+
+def _root_levels(start: int):
+    """Levels start, start + 1, ... of the chain as (L, D).  Levels past
+    _LOWS are halved on from its last one inside the call, never stored."""
+    for k in range(start, _FLOAT_ROOT_LEVEL + 1):
+        yield _LOWS[k], 40 << k
+    deeper = _bisect(_LOWS[-1], 40 << _FLOAT_ROOT_LEVEL)
+    yield from itertools.islice(deeper, max(start - _FLOAT_ROOT_LEVEL, 1), None)
 
 
 def root_bounds(max_width=Fraction(1, 10**12)) -> tuple[Fraction, Fraction]:
-    """Bounds in Q on the generator value, at most max_width wide; the
-    same bounds for the same width in every call history."""
-    return _ROOT.bounds(Fraction(max_width))
-
-
-# root enclosures at most 1e-18 wide carry the root to full double precision:
-# c's float is the midpoint of the coarsest one (int / int rounds correctly),
-# and fe_to_interval never uses a wider one
-_FLOAT_ROOT_LEVEL = _RootCache.level(1, 10**18)
-_L, _D = _ROOT.at(_FLOAT_ROOT_LEVEL)
-_GEN_FLOAT = (2 * _L + 1) / (2 * _D)
+    """Bounds in Q on the generator value, at most max_width wide: the
+    coarsest level of the chain that is narrow enough."""
+    w = Fraction(max_width)
+    lo, den = next(_root_levels(_level(w.numerator, w.denominator)))
+    return Fraction(lo, den), Fraction(lo + 1, den)
 
 
 def _interval_eval(n, lo: int, den: int) -> tuple[int, int]:
@@ -430,18 +431,16 @@ def fe_sign(a: FieldElement) -> int:
         return 0
     # the bounds are numerators over a._d * den^3 > 0, so they carry the
     # sign; any enclosure of the root decides it, so start from the deepest
-    # level computed so far and go 8 levels (256 times narrower) deeper per
-    # round
-    level = _ROOT.depth
-    while True:
-        vlo, vhi = _interval_eval(n, *_ROOT.at(level))
+    # level built at import and go 8 levels (256 times narrower) deeper per
+    # round, up to level 20000
+    levels = _root_levels(_FLOAT_ROOT_LEVEL)
+    for lo, den in itertools.islice(levels, 0, 20001 - _FLOAT_ROOT_LEVEL, 8):
+        vlo, vhi = _interval_eval(n, lo, den)
         if vlo > 0:
             return 1
         if vhi < 0:
             return -1
-        level += 8
-        if level > 20000:
-            raise ArithmeticError("sign refinement failed to terminate")
+    raise ArithmeticError("sign refinement failed to terminate")
 
 
 def _interval_raw(a: FieldElement, tn: int, td: int) -> tuple[int, int, int]:
@@ -451,14 +450,11 @@ def _interval_raw(a: FieldElement, tn: int, td: int) -> tuple[int, int, int]:
     if _raw_is_zero(n):
         return 0, 0, 1
     d = a._d
-    level = max(_RootCache.level(tn, td), _FLOAT_ROOT_LEVEL)
-    while True:
-        lo, den = _ROOT.at(level)
+    for lo, den in _root_levels(max(_level(tn, td), _FLOAT_ROOT_LEVEL)):
         vlo, vhi = _interval_eval(n, lo, den)
         scale = d * den**3
         if (vhi - vlo) * td <= tn * scale:
             return vlo, vhi, scale
-        level += 1
 
 
 def fe_to_interval(a: FieldElement, target_width) -> tuple[Fraction, Fraction]:

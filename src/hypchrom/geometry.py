@@ -119,7 +119,7 @@ class ModulePoint:
         )
 
     def as_strings(self) -> tuple[str, ...]:
-        """The octuple as format_rational writes it."""
+        """The octuple as write_bundle writes it."""
         x, y = self.x_elem.as_strings(), self.y_elem.as_strings()
         return x[::-1] + y[::-1]
 
@@ -402,19 +402,20 @@ _SEED_OCTUPLES = (
     (-8, -2, 4, Fraction(3, 2), 8, -4, 0, 1),
 )
 
-# 17 edges, 0-based: spindle on the first seven vertices plus the two
-# circumcenter vertices joined to their defining triangles
-SEED_EDGES = (
-    (0, 1), (0, 2), (0, 4), (0, 5),
-    (1, 2), (1, 3), (1, 7),
-    (2, 3), (2, 8),
-    (3, 6), (3, 7),
-    (4, 5), (4, 6), (4, 7),
-    (5, 6), (5, 8),
-    (6, 8),
+# the Moser spindle's eleven edges, 0-based
+SPINDLE_EDGES = (
+    (0, 1), (0, 2), (1, 2),
+    (1, 3), (2, 3),
+    (0, 4), (0, 5), (4, 5),
+    (4, 6), (5, 6),
+    (3, 6),
 )
 
+# the two circumcenter vertices joined to their defining triangles
 _CIRCUMCENTER_CHECKS = ((1, 7), (3, 7), (4, 7), (2, 8), (5, 8), (6, 8))
+
+# 17 edges: the spindle on the first seven vertices plus the circumcenter checks
+SEED_EDGES = SPINDLE_EDGES + _CIRCUMCENTER_CHECKS
 
 
 def build_g9() -> Graph:
@@ -448,15 +449,6 @@ def verify_condition1(g: Graph) -> bool:
 # ---------------------------------------------------------------------------
 # numeric spindle for arbitrary distance
 # ---------------------------------------------------------------------------
-
-SPINDLE_EDGES = (
-    (0, 1), (0, 2), (1, 2),
-    (1, 3), (2, 3),
-    (0, 4), (0, 5), (4, 5),
-    (4, 6), (5, 6),
-    (3, 6),
-)
-
 
 def spindle_numeric(d: float) -> tuple[list[tuple[float, float]], tuple[tuple[int, int], ...]]:
     """Seven-point double-rhombus embedding at hyperbolic distance d > 0.

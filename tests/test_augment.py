@@ -11,7 +11,6 @@ from hypchrom import augment
 from hypchrom.augment import (
     PHASE_LAYERS,
     AugmentConfig,
-    CandidatePoint,
     IdenticalCirclesError,
     circle_of,
     grow_pipeline,
@@ -127,23 +126,19 @@ class TestCircleOf:
 
 class TestIntersectCircles:
     def test_adjacent_seed_pair_yields_known_points(self, g9):
-        cands = intersect_circles(circle_of(g9.vertices[0]), circle_of(g9.vertices[1]))
-        assert len(cands) == 2
-        assert all(isinstance(c.point, ModulePoint) for c in cands)
-        points = {c.point for c in cands}
+        points = intersect_circles(circle_of(g9.vertices[0]), circle_of(g9.vertices[1]))
+        assert len(points) == 2
+        assert all(isinstance(p, ModulePoint) for p in points)
         assert g9.vertices[2] in points  # the apex already in the seed graph
         assert table_point(*TABLE1[0][:2]) in points  # its mirror image
 
     def test_pair_with_two_new_points(self, g9):
-        cands = intersect_circles(circle_of(g9.vertices[3]), circle_of(g9.vertices[6]))
-        points = {c.point for c in cands}
-        assert points == {table_point(*TABLE1[11][:2]), table_point(*TABLE1[12][:2])}
+        points = intersect_circles(circle_of(g9.vertices[3]), circle_of(g9.vertices[6]))
+        assert set(points) == {table_point(*TABLE1[11][:2]), table_point(*TABLE1[12][:2])}
 
     def test_branch_labels_are_lexicographic(self, g9):
-        cands = intersect_circles(circle_of(g9.vertices[3]), circle_of(g9.vertices[6]))
-        by_branch = {c.branch: c.point for c in cands}
-        assert set(by_branch) == {"-", "+"}
-        lo, hi = by_branch["-"], by_branch["+"]
+        # branch '-' is index 0, branch '+' index 1
+        lo, hi = intersect_circles(circle_of(g9.vertices[3]), circle_of(g9.vertices[6]))
         assert (lo.to_floats()[0], lo.to_floats()[1]) < (hi.to_floats()[0], hi.to_floats()[1])
 
     def test_distant_circles_do_not_intersect(self, g9):
@@ -173,25 +168,25 @@ class TestIntersectCircles:
         # origin, so the two circles touch at the seed vertex between them
         far = ModulePoint(ONE / GEN, ZERO)
         cands = intersect_circles(circle_of(g9.vertices[0]), circle_of(far))
-        assert [(c.point, c.branch) for c in cands] == [(g9.vertices[1], "-")]
+        assert cands == [g9.vertices[1]]
 
     def test_all_g28_candidates_lie_on_both_circles(self, g28):
         # exact oracle: every candidate of every pair is on both circles and
-        # at the target distance from both source vertices, branch '-' first
-        # and lexicographically smaller
+        # at the target distance from both source vertices, and of two the
+        # first (branch '-') is lexicographically smaller
         found = 0
         circles = [circle_of(v) for v in g28.vertices]
         for i in range(g28.order):
             for j in range(i + 1, g28.order):
                 cands = intersect_circles(circles[i], circles[j])
-                assert [c.branch for c in cands] == ["-", "+"][: len(cands)]
+                assert len(cands) <= 2
                 if len(cands) == 2:
-                    assert lex_less(cands[0].point, cands[1].point)
+                    assert lex_less(cands[0], cands[1])
                 for cand in cands:
-                    assert point_on_circle(cand.point, circles[i])
-                    assert point_on_circle(cand.point, circles[j])
-                    assert is_unit_edge(cand.point, g28.vertices[i])
-                    assert is_unit_edge(cand.point, g28.vertices[j])
+                    assert point_on_circle(cand, circles[i])
+                    assert point_on_circle(cand, circles[j])
+                    assert is_unit_edge(cand, g28.vertices[i])
+                    assert is_unit_edge(cand, g28.vertices[j])
                     found += 1
         assert found == 516
 
@@ -228,7 +223,7 @@ class TestIntersectCircles:
                     (base[0] + off * dy, base[1] - off * dx),
                 ]
             )
-            got = sorted(c.point.to_floats() for c in cands)
+            got = sorted(p.to_floats() for p in cands)
             assert len(got) == len(expected)
             for (gx, gy), (ex, ey) in zip(got, expected):
                 assert gx == pytest.approx(ex, abs=1e-9)
@@ -446,7 +441,7 @@ class TestDedup:
                         circle_of(g.vertices[i]), circle_of(g.vertices[j])
                     )
                 exact = augment._match_exact_candidate(circles[i, j], x, y)
-                on_vertex.append(exact is not None and exact.point in old)
+                on_vertex.append(exact is not None and circles[i, j][exact] in old)
             on_vertex = np.array(on_vertex)
             # every row on a vertex is dropped as existing, and no other row
             assert dedup(g, rows(cands, on_vertex), coords) == ([], on_vertex.sum())
@@ -471,7 +466,7 @@ class TestDedup:
                     exact[i, j] = intersect_circles(
                         circle_of(g.vertices[i]), circle_of(g.vertices[j])
                     )
-                return augment._match_exact_candidate(exact[i, j], x, y).point
+                return exact[i, j][augment._match_exact_candidate(exact[i, j], x, y)]
 
             # the grid compares a row only with the survivors before it
             repeats = before = 0

@@ -322,4 +322,4 @@ class TestDeclaredDependencies:
         path.write_text("p edge -3 0\n")
         done = self.run_cli("color", "--in", str(path), "--k", "3")
         assert done.returncode == 2
-        assert done.stderr == "error: negative vertex count -3\n"
+        assert done.stderr == "error: line 1: negative vertex count -3\n"

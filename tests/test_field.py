@@ -14,6 +14,7 @@ from hypchrom.field import (
     SQRT5,
     ZERO,
     FieldElement,
+    _one_root_in,
     _parse_ratio,
     fe_sign,
     fe_sqrt,
@@ -136,8 +137,9 @@ class TestSign:
         assert fe_sign(ZERO) == 0
 
     def test_sign_refines_below_cached_levels(self):
-        # c - lo and c - hi are smaller than every enclosure computed before
-        # root_bounds reached their level, so the sign needs deeper ones
+        # from exp 20 on, c - lo and c - hi are too small for the levels
+        # built at import to decide, so fe_sign halves on past them inside
+        # the query, as root_bounds did for its own level
         for exp in (20, 40, 80):
             lo, hi = root_bounds(Fraction(1, 10**exp))
             assert hi - lo <= Fraction(1, 10**exp)
@@ -163,6 +165,33 @@ class TestSign:
             else:
                 assert s in (-1, 1)
                 assert (a.to_float() > 0) == (s > 0)
+
+
+def minpoly_at(x):
+    return sum(coef * x**i for i, coef in enumerate(MIN_POLY))
+
+
+class TestRootChain:
+    def test_one_root_in(self):
+        assert _one_root_in(27, 28, 40)
+        # p(0) = 1, p(3/10) = -209/625 and p(1) = 11: two roots
+        assert minpoly_at(Fraction(3, 10)) == Fraction(-209, 625)
+        assert not _one_root_in(0, 40, 40)
+        # p(28/40) and p(29/40) are both positive: no sign change
+        assert not _one_root_in(28, 29, 40)
+
+    def test_levels_follow_the_definition_across_the_built_chain(self):
+        # level k is 1/(40 * 2^k) wide, one half of level k - 1, and has
+        # endpoints where the minimal polynomial changes sign, on both sides
+        # of level 55, the last one built at import
+        prev_lo, prev_hi = root_bounds(Fraction(1, 40 << 51))
+        for k in range(52, 61):
+            lo, hi = root_bounds(Fraction(1, 40 << k))
+            assert hi - lo == Fraction(1, 40 << k)
+            mid = (prev_lo + prev_hi) / 2
+            assert (lo, hi) in ((prev_lo, mid), (mid, prev_hi))
+            assert minpoly_at(lo) * minpoly_at(hi) < 0
+            prev_lo, prev_hi = lo, hi
 
 
 def interval_reference(a, target):

@@ -303,10 +303,12 @@ class TestDimacs:
         assert (back.n, back.size, back.edges()) == (3, 2, [(0, 1), (1, 2)])
 
     def test_parse_rejects_negative_vertex_count(self, tmp_path):
+        # rejected on the problem line, before any edge is range-checked
         path = tmp_path / "neg.col"
-        path.write_text("p edge -3 0\n")
-        with pytest.raises(ValueError, match="negative vertex count -3"):
-            parse_dimacs(str(path))
+        for text in ("p edge -3 0\n", "p edge -3 1\ne 1 2\n"):
+            path.write_text(text)
+            with pytest.raises(ValueError, match="^line 1: negative vertex count -3$"):
+                parse_dimacs(str(path))
 
 
 class TestSvg:
