@@ -94,6 +94,8 @@ def read_bundle(path: str, verify: bool = True) -> Graph:
     origins: dict[int, Optional[VertexOrigin]] = {}
     edges: list[tuple[int, int]] = []
     edge_seen: set[tuple[int, int]] = set()
+    # (line, vertex, source, source, phase) of each provenance, 1-based
+    provenance: list[tuple[int, int, int, int, int]] = []
     header_seen: set[str] = set()  # the kinds of record a bundle holds once
 
     for line_no, raw in enumerate(lines[1:], start=2):
@@ -152,6 +154,7 @@ def read_bundle(path: str, verify: bool = True) -> Graph:
                 if tail[3] not in ("-", "+"):
                     _fail(line_no, f"bad branch {tail[3]!r}")
                 origin = VertexOrigin((i, j), tail[3], phase)
+                provenance.append((line_no, idx, i + 1, j + 1, phase))
             else:
                 _fail(line_no, "malformed provenance")
             vertices[idx] = point
@@ -185,6 +188,16 @@ def read_bundle(path: str, verify: bool = True) -> Graph:
         )
     if sorted(vertices) != list(range(1, n_vertices + 1)):
         raise BundleFormatError("vertex indices are not contiguous from 1")
+    for line_no, idx, i, j, phase in provenance:
+        for source in (i, j):
+            if not 1 <= source <= n_vertices:
+                _fail(line_no, f"source index {source} outside 1..{n_vertices}")
+        if i == j:
+            _fail(line_no, f"source pair names vertex {i} twice")
+        if max(i, j) >= idx:
+            _fail(line_no, f"source {max(i, j)} is not earlier than vertex {idx}")
+        if phase < 1:
+            _fail(line_no, f"phase {phase} below 1")
     if len(edges) != n_edges:
         raise BundleFormatError(
             f"edge count mismatch: header says {n_edges}, found {len(edges)}"

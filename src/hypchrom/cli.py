@@ -126,7 +126,7 @@ def _cmd_color(args) -> int:
             f"stats: nodes={stats.nodes_visited} "
             f"max-depth={stats.max_depth} forced={stats.forced_assignments} "
             f"conflicts={stats.conflicts} backtracks={stats.backtracks} "
-            f"core={stats.core_order} "
+            f"core={stats.core_order} workers={stats.workers} "
             f"elapsed={stats.elapsed:.3f}s"
         )
     if coloring is not None:

@@ -11,7 +11,10 @@ vertices whose color is forced by propagation are never branched on.  The
 search itself is the pure-Python bitset kernel in _colorsearch_py, which
 breaks ties by index alone; search_k_coloring hands it the core's
 neighbour bitmasks, relabeled by decreasing core degree, and maps the
-coloring back.
+coloring back.  A search that visits more than the kernel's node budget
+hands its remaining subtrees to one forked worker per CPU of the process's
+affinity set, and rebuilds the serial coloring and counters from theirs;
+no worker outlives the search.
 """
 
 from __future__ import annotations
@@ -84,8 +87,11 @@ class SearchStats:
     backtracks: branching assignments that propagation accepted but whose
     subtree holds no coloring;
     core_order: vertices the kernel searched (the order of the k-core);
-    elapsed: wall-clock seconds spent in the kernel, building its neighbour
-    bitmasks (and the symmetry clique read from them) included.
+    workers: the processes that searched at once, 1 when the search ran in
+    the calling process alone (see _colorsearch_py.split_search);
+    elapsed: wall-clock seconds from building the kernel's neighbour
+    bitmasks (and the symmetry clique read from them) to its result, across
+    every process that searched, starting and stopping them included.
     """
 
     nodes_visited: int
@@ -94,6 +100,7 @@ class SearchStats:
     conflicts: int
     backtracks: int
     core_order: int
+    workers: int
     elapsed: float
 
 
@@ -168,8 +175,8 @@ def search_k_coloring(
     # the bits of distinct neighbours never carry, so their sum is their union
     masks = [sum(map(bits.__getitem__, g.neighbors[v])) for v in core]
     clique = greedy_seed_clique(masks) if symmetry_break else []
-    relabeled, (nodes, depth, forced, conflicts, backtracks) = (
-        _colorsearch_py.search(masks, k, [(v, c) for c, v in enumerate(clique[:k])])
+    relabeled, (nodes, depth, forced, conflicts, backtracks), workers = (
+        _colorsearch_py.split_search(masks, k, [(v, c) for c, v in enumerate(clique[:k])])
     )
     elapsed = time.perf_counter() - started
     stats = SearchStats(
@@ -179,6 +186,7 @@ def search_k_coloring(
         conflicts=conflicts,
         backtracks=backtracks,
         core_order=len(core),
+        workers=workers,
         elapsed=elapsed,
     )
     if relabeled is None:

@@ -1,6 +1,10 @@
 import hashlib
 import logging
+import multiprocessing
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -450,6 +454,84 @@ class TestSearchTreePins:
             digits = None if coloring is None else "".join(map(str, coloring))
             got.append((nodes, depth, conflicts, digits))
         assert got == SEEDED_TREES
+
+
+def core_kernel_input(g, k):
+    """The neighbour bitmasks and pre-colored clique that search_k_coloring
+    hands the kernel for g."""
+    core, _ = k_core(g, k)
+    bits = [0] * g.n
+    for i, v in enumerate(core):
+        bits[v] = 1 << i
+    masks = [sum(bits[w] for w in g.neighbors[v]) for v in core]
+    return masks, [(v, c) for c, v in enumerate(greedy_seed_clique(masks)[:k])]
+
+
+def failing_subtree(task):
+    raise RuntimeError("subtree search failed")
+
+
+class TestSplitSearch:
+    """split_search hands subtrees to forked workers and replays their
+    counters in depth-first order; its coloring and counters are search's."""
+
+    def test_seeded_instances_equal_serial_search(self):
+        pooled = 0
+        for g, k, pre in seeded_instances():
+            masks = neighbor_masks(g)
+            *got, workers = _colorsearch_py.split_search(
+                masks, k, pre, depth=2, workers=2, budget=0
+            )
+            assert tuple(got) == _colorsearch_py.search(masks, k, pre), (g.edges(), k, pre)
+            pooled += workers == 2
+        # the other 25 end above depth 2 (some in the pre-coloring), or
+        # leave one subtree there, which this process searches itself
+        assert pooled == 15
+        assert multiprocessing.active_children() == []
+
+    def test_prefix_708_stops_at_first_coloring(self, pipeline, caplog):
+        # at depth 3 the tree has 8 subtrees and the 6th holds the first
+        # coloring; the counters stop there, with subtrees still running
+        prefix = AdjacencyGraph.from_graph(pipeline[-1]).induced_prefix(708)
+        masks, pre = core_kernel_input(prefix, 4)
+        with caplog.at_level(logging.INFO, logger="hypchrom"):
+            coloring, counts, workers = _colorsearch_py.split_search(
+                masks, 4, pre, depth=3, workers=2, budget=0
+            )
+        assert multiprocessing.active_children() == []
+        assert (coloring, counts) == _colorsearch_py.search(masks, 4, pre)
+        assert counts[0] == 11268 and workers == 2
+        (record,) = [r for r in caplog.records if r.name == "hypchrom._colorsearch_py"]
+        assert record.getMessage().startswith("split search: 8 subtrees on 2 workers, ")
+
+    def test_worker_error_reaches_caller_and_ends_pool(self, monkeypatch):
+        g, k, pre = next(
+            (g, k, pre) for g, k, pre in seeded_instances() if k == 3 and not pre
+        )
+        monkeypatch.setattr(_colorsearch_py, "_search_subtree", failing_subtree)
+        with pytest.raises(RuntimeError, match="subtree search failed"):
+            _colorsearch_py.split_search(
+                neighbor_masks(g), k, pre, depth=1, workers=2, budget=0
+            )
+        assert multiprocessing.active_children() == []
+
+    def test_search_within_budget_starts_no_process(self):
+        # the order-226 graph's 4-decision: 37 nodes, 36 decisions deep
+        code = (
+            "import sys\n"
+            "from hypchrom.augment import DEFAULT_SCHEDULE, AugmentConfig, grow_pipeline\n"
+            "from hypchrom.coloring import AdjacencyGraph, search_k_coloring\n"
+            "from hypchrom.geometry import build_g9\n"
+            "g = grow_pipeline(build_g9(), DEFAULT_SCHEDULE[:5], AugmentConfig.reference())[-1]\n"
+            "_, stats = search_k_coloring(AdjacencyGraph.from_graph(g), 4)\n"
+            "assert (g.order, stats.nodes_visited, stats.workers) == (226, 37, 1), stats\n"
+            "assert 'multiprocessing' not in sys.modules\n"
+        )
+        src = os.path.dirname(os.path.dirname(_colorsearch_py.__file__))
+        done = subprocess.run([sys.executable, "-W", "error", "-c", code],
+                              env=dict(os.environ, PYTHONPATH=src),
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
 
 
 def with_pendants(rng, base):

@@ -152,6 +152,41 @@ class TestBundle:
         with pytest.raises(BundleFormatError, match="missing vertex"):
             read_bundle(str(path))
 
+    def write_provenance(self, g9, tmp_path, tail):
+        """The seed bundle with v 9's "seed" replaced by tail; returns its path."""
+        path = tmp_path / "g9.bundle"
+        write_bundle(g9, str(path))
+        lines = path.read_text().splitlines()
+        at = next(i for i, l in enumerate(lines) if l.startswith("v 9 "))
+        lines[at] = lines[at].removesuffix("seed") + tail
+        path.write_text("\n".join(lines) + "\n")
+        return path, at + 1
+
+    def test_provenance_source_outside_range_reports_line(self, g9, tmp_path):
+        for tail, source in (("from 0 40 + phase -2", 0), ("from 3 40 + phase 1", 40)):
+            path, line_no = self.write_provenance(g9, tmp_path, tail)
+            with pytest.raises(BundleFormatError) as err:
+                read_bundle(str(path))
+            assert str(err.value) == f"line {line_no}: source index {source} outside 1..9"
+
+    def test_provenance_repeated_source_reports_line(self, g9, tmp_path):
+        path, line_no = self.write_provenance(g9, tmp_path, "from 3 3 + phase 1")
+        with pytest.raises(BundleFormatError) as err:
+            read_bundle(str(path))
+        assert str(err.value) == f"line {line_no}: source pair names vertex 3 twice"
+
+    def test_provenance_source_not_earlier_reports_line(self, g9, tmp_path):
+        path, line_no = self.write_provenance(g9, tmp_path, "from 3 9 + phase 1")
+        with pytest.raises(BundleFormatError) as err:
+            read_bundle(str(path))
+        assert str(err.value) == f"line {line_no}: source 9 is not earlier than vertex 9"
+
+    def test_provenance_phase_below_one_reports_line(self, g9, tmp_path):
+        path, line_no = self.write_provenance(g9, tmp_path, "from 3 4 - phase 0")
+        with pytest.raises(BundleFormatError) as err:
+            read_bundle(str(path))
+        assert str(err.value) == f"line {line_no}: phase 0 below 1"
+
     @pytest.mark.parametrize("record, bad", [("vertices", "vertices"), ("edges", "edges x")])
     def test_malformed_count_reports_line(self, g9, tmp_path, record, bad):
         path = tmp_path / "g9.bundle"
