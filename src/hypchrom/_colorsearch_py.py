@@ -235,9 +235,9 @@ def split_search(masks, k, preassigned, depth=SPLIT_DEPTH, workers=None,
     1 where the platform reports none.  With one worker, or where the
     platform cannot fork, nothing is deferred; a single deferred subtree is
     searched in this process.  A search that stays within budget nodes
-    imports no multiprocessing.  Returns (colors_or_None, counters as for search,
-    the number of processes that searched at once).  No worker outlives
-    the call, on an early coloring or an error too.
+    imports no multiprocessing.  Returns (colors_or_None, counters as for
+    search, the number of processes that searched at once).  No worker
+    outlives the call, on an early coloring or an error too.
     """
     if workers is None:
         workers = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
