@@ -57,6 +57,9 @@ SPLIT_DEPTH = 5
 #: more than the final graph's 5-witness (711) and the order-226 graph's
 #: 4-decision (37) take, so those never start a process
 NODE_BUDGET = 1000
+#: seconds a split search waits for its next subtree result before it checks
+#: that no worker has died
+POLL_S = 0.25
 
 
 def make_search(masks, k):
@@ -294,20 +297,47 @@ def _replay(deferred, results, colored, counts):
 
 def _replay_in_pool(masks, k, deferred, workers, colored, counts):
     """_replay over the deferred subtrees searched by a pool of workers
-    forked processes, which it terminates before returning or raising."""
+    forked processes, which it terminates before returning or raising.
+
+    A pool replaces a worker that dies, say killed by the out-of-memory
+    killer, and never yields the subtree that worker held.  Each worker
+    counts itself in at start, so once the count is above workers a worker
+    has died, and the next wait of POLL_S seconds for a result raises
+    RuntimeError instead of waiting for ever."""
     import multiprocessing
 
     started = time.perf_counter()
     tasks = [task[:2] for task in deferred]
-    # forked, the workers inherit masks and the raised recursion limit
-    # without pickling; only the subtrees' states and results are pickled
-    with multiprocessing.get_context("fork").Pool(workers, _start_worker, (masks, k)) as pool:
-        found = _replay(deferred, pool.imap(_search_subtree, tasks), colored, counts)
+    context = multiprocessing.get_context("fork")
+    starts = context.Value("i", 0)
+    # forked, the workers inherit masks, the start count and the raised
+    # recursion limit without pickling; only the subtrees' states and
+    # results are pickled
+    with context.Pool(workers, _start_worker, (masks, k, starts)) as pool:
+        results = _checked_results(pool.imap(_search_subtree, tasks), starts, workers)
+        found = _replay(deferred, results, colored, counts)
     logger.info(
         "split search: %d subtrees on %d workers, %.3f s",
         len(tasks), workers, time.perf_counter() - started,
     )
     return found
+
+
+def _checked_results(iterator, starts, workers):
+    """The results of a pool's imap iterator, in order; RuntimeError when a
+    wait for one times out after more than workers processes started."""
+    from multiprocessing import TimeoutError
+
+    while True:
+        try:
+            yield iterator.next(timeout=POLL_S)
+        except StopIteration:
+            return
+        except TimeoutError:
+            if starts.value > workers:
+                raise RuntimeError(
+                    "a split-search worker died and its subtree was lost"
+                ) from None
 
 
 def _subtree_searcher(masks, k):
@@ -327,12 +357,14 @@ def _subtree_searcher(masks, k):
 _worker_search = None
 
 
-def _start_worker(masks, k):
+def _start_worker(masks, k, starts):
     global _worker_search
     import signal
 
     # an interrupt reaches the parent, which terminates the pool
     signal.signal(signal.SIGINT, signal.SIG_IGN)
+    with starts.get_lock():
+        starts.value += 1
     _worker_search = _subtree_searcher(masks, k)
 
 

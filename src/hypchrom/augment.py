@@ -25,8 +25,8 @@ edges among the new vertices.  The last two find their pairs with one
 blocked scan of the modular screen, geometry.screened_pairs: every exact
 candidate against all current vertices, then the accepted vertices against
 each other.  The image of the edge residual under c -> r mod p is a ring
-homomorphism as long as p does not divide 16 or a point's common
-denominator `_d` (points where it does are always passed on).  A nonzero
+homomorphism as long as p does not divide 16 or the common denominator of
+a point's operand row (points where it does are always passed on).  A nonzero
 image proves that a pair is not an edge, so only pairs with a zero image
 reach is_unit_edge, which alone decides every edge.
 """

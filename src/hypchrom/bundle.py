@@ -2,7 +2,8 @@
 
 The format is versioned, diffable, and round-trips bit-exactly: rationals
 are serialized as num/den strings, vertices carry their provenance, and
-reading re-certifies every edge in exact arithmetic unless told not to.
+reading re-certifies every edge, and that every vertex lies inside the
+disk, in exact arithmetic unless told not to.
 
 Coefficients are read into integer (num, den) pairs and written from the
 reduced integer numerators and denominators of each element; neither
@@ -15,7 +16,6 @@ NumericPoint).
 from __future__ import annotations
 
 import os
-import tempfile
 from dataclasses import dataclass
 from typing import Optional
 
@@ -66,9 +66,12 @@ def write_bundle(g: Graph, path: str) -> None:
         lines.append(f"e {i + 1} {j + 1}")
     data = "\n".join(lines) + "\n"
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".bundle-")
+    # a new file of a random name, created as open(path, "w") would create
+    # the bundle: mode 0666 less the umask (mkstemp would give 0600)
+    tmp = os.path.join(directory, f".bundle-{os.urandom(8).hex()}")
+    fh = open(tmp, "x")
     try:
-        with os.fdopen(fd, "w") as fh:
+        with fh:
             fh.write(data)
         os.replace(tmp, path)
     except BaseException:
@@ -78,8 +81,9 @@ def write_bundle(g: Graph, path: str) -> None:
 
 
 def read_bundle(path: str, verify: bool = True) -> Graph:
-    """Parse a bundle; with verify, every edge is re-certified exactly and
-    any failure is reported with the offending pair."""
+    """Parse a bundle; with verify, every vertex is checked to lie strictly
+    inside the unit disk and every edge is re-certified exactly, and any
+    failure is reported with the offending vertex or pair."""
     with open(path) as fh:
         lines = fh.read().splitlines()
     if not lines:
@@ -210,6 +214,9 @@ def read_bundle(path: str, verify: bool = True) -> Graph:
     ordered_origins = [origins[i] for i in range(1, n_vertices + 1)]
     g = Graph(ordered, [(i - 1, j - 1) for i, j in edges], ordered_origins)
     if verify:
+        for idx, point in enumerate(g.vertices):
+            if not point.is_inside_disk():
+                raise GraphIntegrityError(f"vertex {idx + 1} is not inside the unit disk")
         for i, j in g.edges:
             if not is_unit_edge(g.vertices[i], g.vertices[j]):
                 raise GraphIntegrityError(

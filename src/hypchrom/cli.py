@@ -95,7 +95,7 @@ def _cmd_certify(args) -> int:
     done = time.perf_counter()
     if args.json:
         record = dataclasses.asdict(report)
-        record["failures"] = [[kind, i + 1, j + 1] for kind, i, j in report.failures]
+        record["failures"] = [[kind, *(i + 1 for i in at)] for kind, *at in report.failures]
         record["load_elapsed"] = loaded - started
         record["certify_elapsed"] = done - loaded
         print(json.dumps(record))
@@ -105,8 +105,9 @@ def _cmd_certify(args) -> int:
         f"non-edges checked: {report.nonedges_checked}, "
         f"failures: {len(report.failures)}"
     )
-    for kind, i, j in report.failures:
-        print(f"  {kind} failure at pair ({i + 1},{j + 1})")
+    for kind, *at in report.failures:
+        where = ",".join(str(i + 1) for i in at)
+        print(f"  {kind} failure at {'vertex' if kind == 'disk' else 'pair'} ({where})")
     return EXIT_OK if report.ok else EXIT_INTEGRITY
 
 
@@ -248,14 +249,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=_cmd_augment)
 
-    p = sub.add_parser("certify", help="re-certify every pair of a bundle exactly")
+    p = sub.add_parser("certify", help="re-certify every vertex and pair of a bundle exactly")
     p.add_argument("--in", dest="input", required=True)
     p.add_argument(
         "--json",
         action="store_true",
         help="print one JSON object on stdout: the certification report "
-        "(failures as 1-based [kind, i, j]) and the load and certification "
-        "seconds",
+        "(failures as 1-based [\"disk\", i] or [kind, i, j]) and the load "
+        "and certification seconds",
     )
     p.set_defaults(func=_cmd_certify)
 

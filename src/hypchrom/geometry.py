@@ -9,31 +9,42 @@ Two points are at the target hyperbolic distance exactly when the quantity
 
     f(P, Q) = 2 * ((x1-x2)^2 + (y1-y2)^2) / ((1 - x1^2 - y1^2)(1 - x2^2 - y2^2))
 
-equals (2c-1)/(1-c); for module points f(P, Q) lies in Q(c) and the test is
-a comparison of canonical field elements, with no rounding anywhere.
+equals (2c-1)/(1-c), that is when the residual 2(1-c)*Delta(P, Q) - K_P*K_Q
+is zero, with Delta = (X1-X2)^2 + (1-c^2)(Y1-Y2)^2 and K = 1 - x^2 - y^2.
+Expanded, the residual is
+
+    A_P + A_Q - U*X_P*X_Q - V*Y_P*Y_Q - K_P*K_Q,
+
+with A = 2(1-c)(X^2 + (1-c^2)Y^2), U = 4(1-c) and V = U(1-c^2): terms of
+one point, and three cross products.  Each point builds, once and in
+integers, its operand row: X, Y, K, A, U*X and V*Y over one common
+denominator, kept as 64-bit ints (or Python ints when an entry is wider).
+is_unit_edge, the only test that accepts an edge, sums the three products
+of two rows as one unreduced polynomial, reduces it once by the minimal
+polynomial and compares it with A_P + A_Q coefficient by coefficient, with
+no rounding anywhere.  K is read from the same row, for the disk test and
+the circles of augment.
 
 Most pairs are not edges, and a modular screen proves that cheaply.  Fix a
 prime p and a root r of the minimal polynomial mod p.  Sending c to r and
 reducing mod p is a ring homomorphism from the elements of Q(c) whose
 coefficient denominators are prime to p, provided p does not divide 16
 (the leading coefficient, so reduction by the minimal polynomial keeps
-such elements p-integral).  An element is p-integral exactly when p does
-not divide its common denominator `_d`.  The edge test asks whether the
-residual 2(1-c)*Delta(P, Q) - K_P*K_Q is zero; if both points are
-p-integral, its image mod p is computed from the residues of X, Y and K,
-and a nonzero image proves the residual nonzero, so the pair is not an
-edge.  screened_pairs takes the points themselves: it reduces each point
-once, in Python ints, to a uint64 row of the operands the expanded
-residual needs, and scans blocks of rows against all columns.  A zero
-image proves nothing, and such pairs, with every pair involving a point
-that is not p-integral, go to is_unit_edge, the only test that accepts an
-edge.
+such elements p-integral).  A point's row is p-integral when p does not
+divide its common denominator; its image mod p then gives the residues of
+the same six operands, and the screen evaluates the same expanded residual
+on them.  A nonzero image proves the residual nonzero, so the pair is not
+an edge.  screened_pairs takes the points themselves: it maps each point's
+row once to a uint64 row of residues, and scans blocks of rows against all
+columns.  A zero image proves nothing, and such pairs, with every pair
+involving a point whose row is not p-integral, go to is_unit_edge.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
@@ -50,11 +61,6 @@ from .field import (
     fe_to_interval,
     interval_sqrt,
     _interval_raw,
-    _normalize,
-    _raw_add,
-    _raw_is_zero,
-    _raw_mul,
-    _raw_sub,
 )
 
 
@@ -62,22 +68,15 @@ class GraphIntegrityError(Exception):
     """An exact certification check failed on data that must be certified."""
 
 
-# raw constants for the hot edge test
-_RAW_ONE_MINUS_CSQ = ((1, 0, -1, 0), 1)
-_RAW_TWO_ONE_MINUS_C = ((2, -2, 0, 0), 1)
-_RAW_TWOC_MINUS_ONE = ((-1, 2, 0, 0), 1)
-_RAW_ONE = ((1, 0, 0, 0), 1)
-
-
 class ModulePoint:
     """A disk point with both scaled coordinates in Q(c)."""
 
-    __slots__ = ("x_elem", "y_elem", "_k")
+    __slots__ = ("x_elem", "y_elem", "_row")
 
     def __init__(self, x_elem: FieldElement, y_elem: FieldElement):
         self.x_elem = x_elem
         self.y_elem = y_elem
-        self._k = None
+        self._row = None
 
     @classmethod
     def from_octuple(cls, octuple: Sequence) -> "ModulePoint":
@@ -92,22 +91,16 @@ class ModulePoint:
         x, y = self.x_elem.coeffs, self.y_elem.coeffs
         return (x[3], x[2], x[1], x[0], y[3], y[2], y[1], y[0])
 
-    def _k_raw(self):
-        # K = 1 - x^2 - y^2 = 1 - (2c-1) * (X^2 + (1-c^2) Y^2)
-        if self._k is None:
-            xn, xd = self.x_elem._n, self.x_elem._d
-            yn, yd = self.y_elem._n, self.y_elem._d
-            s = _raw_mul(xn, xd, xn, xd)
-            t = _raw_mul(yn, yd, yn, yd)
-            t = _raw_mul(*t, *_RAW_ONE_MINUS_CSQ)
-            s = _raw_add(*s, *t)
-            s = _raw_mul(*s, *_RAW_TWOC_MINUS_ONE)
-            self._k = _normalize(*_raw_sub(*_RAW_ONE, *s))
-        return self._k
+    def _operands(self):
+        """The operand row, built on first use and cached (see _operand_row)."""
+        if self._row is None:
+            self._row = _operand_row(self.x_elem, self.y_elem)
+        return self._row
 
     def k_elem(self) -> FieldElement:
         """1 - x^2 - y^2 as a field element (positive inside the disk)."""
-        return FieldElement._from_raw(*self._k_raw())
+        row = self._operands()
+        return FieldElement._from_raw(tuple(row[_K : _K + 4]), row[_D])
 
     def is_inside_disk(self) -> bool:
         return fe_sign(self.k_elem()) > 0
@@ -167,30 +160,118 @@ _RS_FLOAT = _R_FLOAT * _S_FLOAT
 # the distance quantity and the exact edge test
 # ---------------------------------------------------------------------------
 
-def _delta_raw(p: ModulePoint, q: ModulePoint):
-    # (X1-X2)^2 + (1-c^2)(Y1-Y2)^2, scaled squared Euclidean separation / (2c-1)
-    dx = _raw_sub(p.x_elem._n, p.x_elem._d, q.x_elem._n, q.x_elem._d)
-    dy = _raw_sub(p.y_elem._n, p.y_elem._d, q.y_elem._n, q.y_elem._d)
-    dx2 = _raw_mul(*dx, *dx)
-    dy2 = _raw_mul(*dy, *dy)
-    dy2 = _raw_mul(*dy2, *_RAW_ONE_MINUS_CSQ)
-    return _raw_add(*dx2, *dy2)
+# An operand row holds, over one common denominator D > 0, the numerators
+# of X, Y, K = 1 - (2c-1) S, A = 2(1-c) S, U*X and V*Y, where
+# S = X^2 + (1-c^2) Y^2, U = 4(1-c) and V = U (1-c^2) = 4(1 - c - c^2 + c^3):
+# 24 integers, four per element by ascending degree, then D.  These are the
+# starting offsets of the six elements and of D.
+_X, _Y, _K, _A, _UX, _VY, _D = range(0, 25, 4)
+
+
+def _operand_row(x_elem: FieldElement, y_elem: FieldElement):
+    """The operand row of the point (X, Y), in integers, with the common
+    gcd of its 25 entries divided out.  It is an array of signed 64-bit
+    ints, or a tuple when an entry does not fit one."""
+    xn, xd = x_elem._n, x_elem._d
+    yn, yd = y_elem._n, y_elem._d
+    el = math.lcm(xd, yd)
+    # X = x / L and Y = y / L
+    mx, my = el // xd, el // yd
+    x0, x1, x2, x3 = xn[0] * mx, xn[1] * mx, xn[2] * mx, xn[3] * mx
+    y0, y1, y2, y3 = yn[0] * my, yn[1] * my, yn[2] * my, yn[3] * my
+    # S L^2 = x^2 + (1 - c^2) y^2 = q0 + q1 c + ... + q8 c^8, with y^2 = e
+    e0, e1, e2 = y0 * y0, 2 * y0 * y1, 2 * y0 * y2 + y1 * y1
+    e3, e4 = 2 * (y0 * y3 + y1 * y2), 2 * y1 * y3 + y2 * y2
+    e5, e6 = 2 * y2 * y3, y3 * y3
+    q0 = x0 * x0 + e0
+    q1 = 2 * x0 * x1 + e1
+    q2 = 2 * x0 * x2 + x1 * x1 + e2 - e0
+    q3 = 2 * (x0 * x3 + x1 * x2) + e3 - e1
+    q4 = 2 * x1 * x3 + x2 * x2 + e4 - e2
+    q5 = 2 * x2 * x3 + e5 - e3
+    q6 = x3 * x3 + e6 - e4
+    # s = 64 S L^2, by 64 c^4 .. 64 c^8 = (-4, 8, 48, -32), (2, -8, -16, 64),
+    # (-4, 10, 40, -48), (3, -10, -26, 64), (-4, 11, 38, -58); q7 = -e5 and
+    # q8 = -e6
+    s0 = 64 * q0 - 4 * q4 + 2 * q5 - 4 * q6 - 3 * e5 + 4 * e6
+    s1 = 64 * q1 + 8 * q4 - 8 * q5 + 10 * q6 + 10 * e5 - 11 * e6
+    s2 = 64 * q2 + 48 * q4 - 16 * q5 + 40 * q6 + 26 * e5 - 38 * e6
+    s3 = 64 * q3 - 32 * q4 + 64 * q5 - 48 * q6 - 64 * e5 + 58 * e6
+    # 16 c s, by 16 c^4 = (-1, 2, 12, -8); then with D = 1024 L^2 and
+    # t = 16 s - 2 (16 c s), A = (t + 16 s) / D and K = (D + t) / D
+    c0, c1, c2, c3 = -s3, 16 * s0 + 2 * s3, 16 * s1 + 12 * s3, 16 * s2 - 8 * s3
+    t0, t1, t2, t3 = 16 * s0 - 2 * c0, 16 * s1 - 2 * c1, 16 * s2 - 2 * c2, 16 * s3 - 2 * c3
+    d = 1024 * el * el
+    # 4 L U X = 16 (1 - c) x, reduced as above
+    u0, u1 = 16 * x0 + x3, 16 * (x1 - x0) - 2 * x3
+    u2, u3 = 16 * (x2 - x1) - 12 * x3, 16 * (x3 - x2) + 8 * x3
+    # 8 L V Y = 32 w, w = (1 - c - c^2 + c^3) y reduced by 32 c^4 .. 32 c^6 =
+    # (-2, 4, 24, -16), (1, -4, -8, 32), (-2, 5, 20, -24)
+    w4, w5 = y1 - y2 - y3, y2 - y3
+    v0 = 32 * y0 - 2 * w4 + w5 - 2 * y3
+    v1 = 32 * (y1 - y0) + 4 * w4 - 4 * w5 + 5 * y3
+    v2 = 32 * (y2 - y1 - y0) + 24 * w4 - 8 * w5 + 20 * y3
+    v3 = 32 * (y3 - y2 - y1 + y0) - 16 * w4 + 32 * w5 - 24 * y3
+    sx, su, sv = 1024 * el, 256 * el, 128 * el
+    row = (
+        x0 * sx, x1 * sx, x2 * sx, x3 * sx,
+        y0 * sx, y1 * sx, y2 * sx, y3 * sx,
+        d + t0, t1, t2, t3,
+        t0 + 16 * s0, t1 + 16 * s1, t2 + 16 * s2, t3 + 16 * s3,
+        u0 * su, u1 * su, u2 * su, u3 * su,
+        v0 * sv, v1 * sv, v2 * sv, v3 * sv,
+        d,
+    )
+    g = math.gcd(*row)
+    if g > 1:
+        row = tuple(v // g for v in row)
+    try:
+        return array("q", row)
+    except OverflowError:
+        return row
 
 
 def f_of(p: ModulePoint, q: ModulePoint) -> FieldElement:
-    """The distance quantity f(P, Q) as an exact field element."""
-    delta = _raw_mul(*_delta_raw(p, q), *_RAW_TWOC_MINUS_ONE)
-    num = FieldElement._from_raw(*_raw_add(*delta, *delta))
-    den = FieldElement._from_raw(*_raw_mul(*p._k_raw(), *q._k_raw()))
-    return num / den
+    """The distance quantity f(P, Q) as an exact field element:
+    (2c-1)/(1-c) * (A_P + A_Q - U X_P X_Q - V Y_P Y_Q) / (K_P K_Q)."""
+
+    def elems(point):
+        row = point._operands()
+        d = row[_D]
+        return [FieldElement._from_raw(tuple(row[i : i + 4]), d) for i in range(0, 24, 4)]
+
+    xp, yp, kp, ap, uxp, vyp = elems(p)
+    xq, yq, kq, aq, _, _ = elems(q)
+    return EDGE_INVARIANT * (ap + aq - uxp * xq - vyp * yq) / (kp * kq)
 
 
 def is_unit_edge(p: ModulePoint, q: ModulePoint) -> bool:
-    """True iff f(P, Q) equals the edge value exactly."""
-    lhs = _raw_mul(*_delta_raw(p, q), *_RAW_TWO_ONE_MINUS_C)
-    rhs = _raw_mul(*p._k_raw(), *q._k_raw())
-    n, _ = _raw_sub(*lhs, *rhs)
-    return _raw_is_zero(n)
+    """True iff f(P, Q) equals the edge value exactly, that is iff the
+    residual A_P + A_Q - U X_P X_Q - V Y_P Y_Q - K_P K_Q is zero.
+
+    On the operand rows, with P's and Q's denominators D_P and D_Q, that
+    holds iff (U X_P) X_Q + (V Y_P) Y_Q + K_P K_Q, one degree-6 sum of
+    integer products over D_P D_Q, reduced once by 32 c^4, 32 c^5 and
+    32 c^6, equals 32 (D_Q A_P + D_P A_Q) coefficient by coefficient."""
+    (_, _, _, _, _, _, _, _, k0, k1, k2, k3, a0, a1, a2, a3,
+     u0, u1, u2, u3, v0, v1, v2, v3, d) = p._row or p._operands()
+    (x0, x1, x2, x3, y0, y1, y2, y3, l0, l1, l2, l3, b0, b1, b2, b3,
+     _, _, _, _, _, _, _, _, e) = q._row or q._operands()
+    s4 = u1 * x3 + u2 * x2 + u3 * x1 + v1 * y3 + v2 * y2 + v3 * y1 + k1 * l3 + k2 * l2 + k3 * l1
+    s5 = u2 * x3 + u3 * x2 + v2 * y3 + v3 * y2 + k2 * l3 + k3 * l2
+    s6 = u3 * x3 + v3 * y3 + k3 * l3
+    # 32 (s_i - D_Q A_P - D_P A_Q) + the c^4 .. c^6 terms of the reduction
+    return (
+        32 * (u0 * x0 + v0 * y0 + k0 * l0 - e * a0 - d * b0) - 2 * s4 + s5 - 2 * s6 == 0
+        and 32 * (u0 * x1 + u1 * x0 + v0 * y1 + v1 * y0 + k0 * l1 + k1 * l0 - e * a1 - d * b1)
+        + 4 * s4 - 4 * s5 + 5 * s6 == 0
+        and 32 * (u0 * x2 + u1 * x1 + u2 * x0 + v0 * y2 + v1 * y1 + v2 * y0
+                  + k0 * l2 + k1 * l1 + k2 * l0 - e * a2 - d * b2)
+        + 24 * s4 - 8 * s5 + 20 * s6 == 0
+        and 32 * (u0 * x3 + u1 * x2 + u2 * x1 + u3 * x0 + v0 * y3 + v1 * y2 + v2 * y1 + v3 * y0
+                  + k0 * l3 + k1 * l2 + k2 * l1 + k3 * l0 - e * a3 - d * b3)
+        - 16 * s4 + 32 * s5 - 24 * s6 == 0
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -204,17 +285,16 @@ SCREEN_ROOT = 39333461
 
 _RES_ONE_MINUS_CSQ = (1 - SCREEN_ROOT * SCREEN_ROOT) % SCREEN_PRIME
 _RES_TWO_ONE_MINUS_C = 2 * (1 - SCREEN_ROOT) % SCREEN_PRIME
-_RES_TWOC_MINUS_ONE = (2 * SCREEN_ROOT - 1) % SCREEN_PRIME
 _RES_U = 2 * _RES_TWO_ONE_MINUS_C % SCREEN_PRIME
 _RES_V = _RES_U * _RES_ONE_MINUS_CSQ % SCREEN_PRIME
 
 _SCAN_BLOCK = 64  # rows compared at once with every column in screened_pairs
 
 
-def _residue(a: FieldElement) -> int:
-    p, r = SCREEN_PRIME, SCREEN_ROOT
-    n = a._n
-    return (n[0] + r * (n[1] + r * (n[2] + r * n[3]))) * pow(a._d, -1, p) % p
+def _residue(n) -> int:
+    """n0 + n1 r + n2 r^2 + n3 r^3 for four integers n, not yet reduced mod p."""
+    r = SCREEN_ROOT
+    return n[0] + r * (n[1] + r * (n[2] + r * n[3]))
 
 
 def _screen_row(x: int, y: int, k: int) -> tuple[int, ...]:
@@ -227,19 +307,22 @@ def _screen_row(x: int, y: int, k: int) -> tuple[int, ...]:
 
 
 def _screen_rows(points: Sequence[ModulePoint]) -> np.ndarray:
-    """One uint64 operand row per point.  A point with a coordinate
-    denominator divisible by the prime has no image; its row is zero but
-    for the flag 1, and the screen never rules it out."""
+    """One uint64 operand row per point, the image mod p of its exact
+    operand row.  A point whose row denominator is divisible by the prime
+    has no image; its row is zero but for the flag 1, and the screen never
+    rules it out."""
     p = SCREEN_PRIME
     rows = []
     for pt in points:
-        if pt.x_elem._d % p == 0 or pt.y_elem._d % p == 0:
+        row = pt._operands()
+        d = row[_D]
+        if d % p == 0:
             rows.append((0, 0, 0, 0, 0, 0, 1))
             continue
-        x = _residue(pt.x_elem)
-        y = _residue(pt.y_elem)
-        # K = 1 - (2c-1) * (X^2 + (1-c^2) Y^2)
-        k = (1 - _RES_TWOC_MINUS_ONE * (x * x + _RES_ONE_MINUS_CSQ * y * y)) % p
+        inv = pow(d, -1, p)
+        x = _residue(row[_X : _X + 4]) * inv % p
+        y = _residue(row[_Y : _Y + 4]) * inv % p
+        k = _residue(row[_K : _K + 4]) * inv % p
         rows.append(_screen_row(x, y, k))
     return np.array(rows, dtype=np.uint64).reshape(len(rows), 7)
 
@@ -362,14 +445,17 @@ class CertificationReport:
 
 
 def certify_graph(g: Graph, seed: int = 0) -> CertificationReport:
-    """Exact certification of every pair: the recorded edges are exactly
-    the pairs with f = f_edge.
+    """Exact certification of a graph: every vertex lies strictly inside
+    the unit disk, and the recorded edges are exactly the pairs with
+    f = f_edge.
 
     Every pair goes through the modular screen, which proves most of them
     non-edges, and the pairs it cannot rule out through is_unit_edge.
-    Failures are ("edge", i, j) for a recorded pair that is not an edge and
-    ("nonedge", i, j) for an unrecorded pair that is one, sorted by pair.
-    seed is accepted for callers that still pass it and has no effect."""
+    Failures are ("disk", i) for a vertex on or outside the unit circle,
+    ("edge", i, j) for a recorded pair that is not an edge and
+    ("nonedge", i, j) for an unrecorded pair that is one, sorted by their
+    indices.  seed is accepted for callers that still pass it and has no
+    effect."""
     v = g.vertices
     maybe = screened_pairs(v)
     # every exact test before any new object: building tuples or a set between
@@ -378,7 +464,8 @@ def certify_graph(g: Graph, seed: int = 0) -> CertificationReport:
     found = {pair for pair, hit in zip(maybe, hits) if hit}
     recorded = g.edge_set()
     failures = sorted(
-        [("edge", i, j) for i, j in recorded - found]
+        [("disk", i) for i, point in enumerate(v) if not point.is_inside_disk()]
+        + [("edge", i, j) for i, j in recorded - found]
         + [("nonedge", i, j) for i, j in found - recorded],
         key=lambda f: f[1:],
     )
@@ -421,19 +508,18 @@ SEED_EDGES = SPINDLE_EDGES + _CIRCUMCENTER_CHECKS
 def build_g9() -> Graph:
     """The certified order-9, size-17 seed graph.
 
-    Every listed edge is verified exactly and every non-edge pair is
-    verified to fail; any discrepancy raises GraphIntegrityError.
+    Every vertex is verified to lie inside the disk, every listed edge is
+    verified exactly and every non-edge pair is verified to fail; any
+    discrepancy raises GraphIntegrityError.
     """
     g = Graph([ModulePoint.from_octuple(o) for o in _SEED_OCTUPLES], SEED_EDGES)
     report = certify_graph(g)
     if not report.ok:
-        _, i, j = min(report.failures, key=lambda f: f[1:])
+        kind, *at = report.failures[0]
+        where = ", ".join(str(i + 1) for i in at)
         raise GraphIntegrityError(
-            f"seed graph self-check failed on pair ({i + 1}, {j + 1})"
+            f"seed graph self-check failed on {'vertex' if kind == 'disk' else 'pair'} ({where})"
         )
-    for v in g.vertices:
-        if not v.is_inside_disk():
-            raise GraphIntegrityError("seed vertex outside the unit disk")
     return g
 
 

@@ -36,6 +36,19 @@ class TestCli:
         seed_bundle.write_text("\n".join(lines) + "\n")
         assert main(["certify", "--in", str(seed_bundle)]) == 1
 
+    def test_certify_reports_vertex_outside_disk(self, seed_bundle, capsys):
+        lines = seed_bundle.read_text().replace("vertices 9\n", "vertices 10\n").splitlines()
+        lines.append("v 10 0/1 0/1 0/1 5/1 0/1 0/1 0/1 0/1 seed")
+        seed_bundle.write_text("\n".join(lines) + "\n")
+        assert main(["certify", "--in", str(seed_bundle)]) == 1
+        out = capsys.readouterr().out
+        assert "failures: 1\n  disk failure at vertex (10)\n" in out
+        assert main(["certify", "--in", str(seed_bundle), "--json"]) == 1
+        assert json.loads(capsys.readouterr().out)["failures"] == [["disk", 10]]
+        # a verified load refuses the bundle
+        assert main(["color", "--in", str(seed_bundle), "--k", "4"]) == 1
+        assert "vertex 10 is not inside the unit disk" in capsys.readouterr().err
+
     def test_color_seed_graph(self, seed_bundle, capsys):
         assert main(["color", "--in", str(seed_bundle), "--k", "4"]) == 0
         out = capsys.readouterr().out

@@ -3,6 +3,7 @@ import logging
 import multiprocessing
 import os
 import random
+import signal
 import subprocess
 import sys
 
@@ -471,6 +472,20 @@ def failing_subtree(task):
     raise RuntimeError("subtree search failed")
 
 
+#: the file whose creation claims the one worker killing_subtree kills
+KILL_CLAIM = None
+
+
+def killing_subtree(task):
+    """Search the subtree, except in the first worker to get here, which
+    kills itself with SIGKILL, as the out-of-memory killer would."""
+    try:
+        os.close(os.open(KILL_CLAIM, os.O_CREAT | os.O_EXCL | os.O_WRONLY))
+    except FileExistsError:
+        return _colorsearch_py._worker_search(task)
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
 class TestSplitSearch:
     """split_search hands subtrees to forked workers and replays their
     counters in depth-first order; its coloring and counters are search's."""
@@ -513,6 +528,26 @@ class TestSplitSearch:
             _colorsearch_py.split_search(
                 neighbor_masks(g), k, pre, depth=1, workers=2, budget=0
             )
+        assert multiprocessing.active_children() == []
+
+    def test_killed_worker_raises_and_ends_pool(self, monkeypatch, tmp_path):
+        # the spindle has no 3-coloring, so the search reads every subtree
+        masks = neighbor_masks(moser_spindle())
+        monkeypatch.setattr(sys.modules[__name__], "KILL_CLAIM", str(tmp_path / "claim"))
+        monkeypatch.setattr(_colorsearch_py, "_search_subtree", killing_subtree)
+
+        def hung(signum, frame):
+            raise TimeoutError("split search still waiting after 60 s")
+
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(60)
+        try:
+            with pytest.raises(RuntimeError, match="worker died"):
+                _colorsearch_py.split_search(masks, 3, (), depth=1, workers=2, budget=0)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert (tmp_path / "claim").exists()
         assert multiprocessing.active_children() == []
 
     def test_search_within_budget_starts_no_process(self):

@@ -1,4 +1,6 @@
 import math
+import random
+from array import array
 from fractions import Fraction
 
 import numpy as np
@@ -209,11 +211,216 @@ class TestSeedGraph:
         with pytest.raises(GraphIntegrityError, match=r"pair \(1, 2\)"):
             build_g9()
 
+    def test_certify_flags_vertex_outside_disk(self, g9):
+        # x = 5R: K = 1 - 25 (2c - 1) < 0; it is at the target distance from no vertex
+        outside = ModulePoint.from_octuple((0, 0, 0, 5, 0, 0, 0, 0))
+        report = certify_graph(Graph(g9.vertices + [outside], g9.edges))
+        assert not report.ok
+        assert report.failures == [("disk", 9)]
+        assert (report.edges_checked, report.nonedges_checked) == (17, 28)
+
+    def test_build_g9_names_vertex_outside_disk(self, monkeypatch):
+        octuples = geometry._SEED_OCTUPLES + ((0, 0, 0, 5, 0, 0, 0, 0),)
+        monkeypatch.setattr(geometry, "_SEED_OCTUPLES", octuples)
+        with pytest.raises(GraphIntegrityError, match=r"failed on vertex \(10\)$"):
+            build_g9()
+
     def test_certify_flags_injected_edge(self, g9):
         bad = Graph(g9.vertices, list(g9.edges) + [(1, 6)], g9.origins)
         report = certify_graph(bad)
         assert not report.ok
         assert ("edge", 1, 6) in report.failures
+
+
+# An independent reference for the exact test, from the definition of f:
+# elements of Q(c) as (four integer numerators by ascending degree, one
+# denominator), products reduced by 16 c^4 = -(1 - 2c - 12c^2 + 8c^3) one
+# degree at a time, and the points entering only through their octuples.
+
+def ref_elem(coeffs):
+    fracs = [Fraction(v) for v in coeffs]
+    den = math.lcm(*(f.denominator for f in fracs))
+    return [int(f * den) for f in fracs], den
+
+
+def ref_mul(a, b):
+    (an, ad), (bn, bd) = a, b
+    prod = [0] * 7
+    for i, ai in enumerate(an):
+        for j, bj in enumerate(bn):
+            prod[i + j] += ai * bj
+    den = ad * bd
+    for deg in range(6, 3, -1):
+        top, prod[deg] = prod[deg], 0
+        prod = [MIN_POLY[4] * v for v in prod]
+        den *= MIN_POLY[4]
+        for i in range(4):
+            prod[deg - 4 + i] -= top * MIN_POLY[i]
+    return prod[:4], den
+
+
+def ref_add(a, b):
+    (an, ad), (bn, bd) = a, b
+    return [u * bd + v * ad for u, v in zip(an, bn)], ad * bd
+
+
+def ref_sub(a, b):
+    (bn, bd) = b
+    return ref_add(a, ([-v for v in bn], bd))
+
+
+def ref_equal(a, b):
+    (an, ad), (bn, bd) = a, b
+    return all(u * bd == v * ad for u, v in zip(an, bn))
+
+
+REF_ONE = ref_elem((1, 0, 0, 0))
+REF_R2 = ref_elem((-1, 2, 0, 0))         # R^2 = 2c - 1
+REF_S2 = ref_elem((1, 0, -1, 0))         # s^2 = 1 - c^2
+REF_TWO_ONE_MINUS_C = ref_elem((2, -2, 0, 0))
+
+
+def ref_coords(point):
+    """X and Y, from the octuple [m, n, p, q, u, v, w, z]."""
+    o = point.octuple
+    return ref_elem(o[3::-1]), ref_elem(o[:3:-1])
+
+
+def ref_norm(x, y):
+    """x^2 + y^2 for the disk point (R X, R s Y): R^2 (X^2 + s^2 Y^2)."""
+    return ref_mul(REF_R2, ref_add(ref_mul(x, x), ref_mul(REF_S2, ref_mul(y, y))))
+
+
+def ref_k(point):
+    """1 - x^2 - y^2."""
+    return ref_sub(REF_ONE, ref_norm(*ref_coords(point)))
+
+
+def ref_sq_distance(p, q):
+    """(x_P - x_Q)^2 + (y_P - y_Q)^2."""
+    (xp, yp), (xq, yq) = ref_coords(p), ref_coords(q)
+    return ref_norm(ref_sub(xp, xq), ref_sub(yp, yq))
+
+
+def ref_is_edge(p, q, kp=None, kq=None):
+    """f(P, Q) = 2 |P - Q|^2 / (K_P K_Q) equals (2c-1)/(1-c), multiplied
+    out: 2 (1-c) |P - Q|^2 = (2c-1) K_P K_Q."""
+    kk = ref_mul(kp or ref_k(p), kq or ref_k(q))
+    return ref_equal(
+        ref_mul(REF_TWO_ONE_MINUS_C, ref_sq_distance(p, q)), ref_mul(REF_R2, kk)
+    )
+
+
+def ref_is_f(f, p, q, kp=None, kq=None):
+    """f K_P K_Q = 2 |P - Q|^2, for the field element f."""
+    kk = ref_mul(kp or ref_k(p), kq or ref_k(q))
+    twice = ref_mul(ref_elem((2, 0, 0, 0)), ref_sq_distance(p, q))
+    return ref_equal(ref_mul(ref_elem(f.coeffs), kk), twice)
+
+
+def as_field(elem):
+    nums, den = elem
+    return FieldElement(*(Fraction(v, den) for v in nums))
+
+
+# module point coordinates with zero entries and with denominators that the
+# screen prime divides
+screen_entries = st.one_of(
+    st.just(Fraction(0)),
+    st.builds(
+        Fraction,
+        st.integers(min_value=-30, max_value=30),
+        st.sampled_from([1, 2, 3, 24, SCREEN_PRIME, 6 * SCREEN_PRIME]),
+    ),
+)
+screen_points = st.builds(
+    lambda *vals: ModulePoint.from_octuple(vals), *([screen_entries] * 8)
+)
+
+
+def on_base_circle(t: Fraction) -> ModulePoint:
+    """A point at the target distance from the origin: X^2 + (1-c^2) Y^2 = 1,
+    with X = (1 - u)/(1 + u), Y = 2t/(1 + u) and u = t^2 (1 - c^2)."""
+    u = SIN_SQ * (t * t)
+    inv = ONE / (ONE + u)
+    return ModulePoint((ONE - u) * inv, inv * (2 * t))
+
+
+class TestExactEdgeTest:
+    """is_unit_edge, f_of and k_elem on the operand rows, against the
+    Fraction reference above."""
+
+    def test_equal_to_reference_on_order_226_graph(self, pipeline):
+        g = pipeline[4]
+        v = g.vertices
+        ks = [ref_k(point) for point in v]
+        rng = random.Random(226)
+        pairs = set(screened_pairs(v))
+        assert len(pairs) == g.size == 786
+        pairs |= {tuple(sorted(rng.sample(range(g.order), 2))) for _ in range(2000)}
+        hits = 0
+        for i, j in sorted(pairs):
+            edge = ref_is_edge(v[i], v[j], ks[i], ks[j])
+            hits += edge
+            for p, q in ((v[i], v[j]), (v[j], v[i])):
+                assert is_unit_edge(p, q) == edge, (i, j)
+                assert ref_is_f(f_of(p, q), v[i], v[j], ks[i], ks[j]), (i, j)
+        assert hits == g.size
+
+    @given(screen_points, screen_points)
+    @settings(max_examples=60, deadline=None)
+    def test_equal_to_reference_on_any_points(self, p, q):
+        for a, b in ((p, q), (q, p)):
+            assert is_unit_edge(a, b) == ref_is_edge(a, b)
+        assert p.k_elem() == as_field(ref_k(p))
+        if not (p.k_elem().is_zero() or q.k_elem().is_zero()):
+            assert f_of(p, q) == f_of(q, p)
+            assert ref_is_f(f_of(p, q), p, q)
+
+    def test_perturbed_endpoint_is_not_an_edge(self, pipeline):
+        g = pipeline[4]
+        for i, j in g.edges[::97]:
+            p, q = g.vertices[i], g.vertices[j]
+            assert is_unit_edge(p, q)
+            for at in range(8):
+                for step in (Fraction(1, 7), Fraction(-1, 2**20)):
+                    octuple = list(p.octuple)
+                    octuple[at] += step
+                    moved = ModulePoint.from_octuple(octuple)
+                    assert not ref_is_edge(moved, q)
+                    assert not is_unit_edge(moved, q) and not is_unit_edge(q, moved)
+
+    def test_k_equals_direct_formula(self, g9, pipeline):
+        for point in g9.vertices + pipeline[4].vertices:
+            x, y = point.x_elem, point.y_elem
+            k = point.k_elem()
+            assert k == ONE - RADIUS_SQ * (x * x + SIN_SQ * y * y)
+            assert k == as_field(ref_k(point))
+        assert [v.k_elem() for v in g9.vertices[:3]] == [ONE, ONE - RADIUS_SQ, ONE - RADIUS_SQ]
+
+    def test_rows_of_the_final_graph_fit_64_bits(self, pipeline):
+        # the compact row; the largest entry is 18 bits on the default schedule
+        rows = [v._operands() for v in pipeline[-1].vertices]
+        assert {type(row) for row in rows} == {array}
+        assert max(abs(e) for row in rows for e in row) < 2**20
+
+    def test_row_too_wide_for_64_bits(self, g9):
+        origin = g9.vertices[0]
+        far = on_base_circle(Fraction(3**40, 2**70 + 1))
+        assert isinstance(far._operands(), tuple)
+        assert max(abs(e) for e in far._operands()) >= 2**63
+        assert is_unit_edge(origin, far) and is_unit_edge(far, origin)
+        assert ref_is_edge(origin, far)
+        assert f_of(far, origin) == EDGE_INVARIANT
+        assert ref_is_f(EDGE_INVARIANT, origin, far)
+        assert far.k_elem() == as_field(ref_k(far)) == 2 * (ONE - GEN)
+        assert far.is_inside_disk()
+        # the screen reads the wide row too, and keeps the pair
+        assert screened_pairs([origin, far]) == [(0, 1)]
+        x, y = far.x_elem, far.y_elem
+        moved = ModulePoint(x, y + FieldElement(Fraction(1, 3**30)))
+        assert isinstance(moved._operands(), tuple)
+        assert not is_unit_edge(origin, moved) and not ref_is_edge(origin, moved)
 
 
 class TestCondition1:

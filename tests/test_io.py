@@ -1,5 +1,7 @@
 import hashlib
 import math
+import os
+import stat
 
 import pytest
 
@@ -32,6 +34,15 @@ def test_pinned_bundle_and_svg_digests(pipeline, tmp_path):
         emit_svg(g, str(svg))
         digests = tuple(hashlib.sha256(p.read_bytes()).hexdigest() for p in (bundle, svg))
         assert digests == PINNED_DIGESTS[g.order]
+
+
+def with_outside_vertex(text: str) -> str:
+    """A seed bundle's text with a tenth vertex at x = 5R, y = 0, outside the
+    unit disk (K < 0), before the first edge."""
+    lines = text.replace("vertices 9\n", "vertices 10\n").splitlines()
+    at = next(i for i, line in enumerate(lines) if line.startswith("e "))
+    lines.insert(at, "v 10 0/1 0/1 0/1 5/1 0/1 0/1 0/1 0/1 seed")
+    return "\n".join(lines) + "\n"
 
 
 class TestBundle:
@@ -78,6 +89,31 @@ class TestBundle:
         assert "(2,7)" in str(err.value)
         # without verification the tampered bundle parses
         assert read_bundle(str(path), verify=False).size == 18
+
+    def test_vertex_outside_disk_fails_verification(self, g9, tmp_path):
+        path = tmp_path / "outside.bundle"
+        write_bundle(g9, str(path))
+        path.write_text(with_outside_vertex(path.read_text()))
+        with pytest.raises(GraphIntegrityError) as err:
+            read_bundle(str(path))
+        assert str(err.value) == "vertex 10 is not inside the unit disk"
+        # without verification it parses
+        assert read_bundle(str(path), verify=False).order == 10
+
+    def test_file_mode_follows_umask(self, g9, tmp_path):
+        # the mode open(path, "w") gives a new file: 0666 less the umask
+        process_umask = os.umask(0)
+        os.umask(process_umask)
+        for umask in (process_umask, 0o077, 0o002):
+            path = tmp_path / f"umask-{umask:03o}.bundle"
+            previous = os.umask(umask)
+            try:
+                write_bundle(g9, str(path))
+            finally:
+                os.umask(previous)
+            assert stat.S_IMODE(path.stat().st_mode) == 0o666 & ~umask
+        # no temporary file is left behind
+        assert all(p.name.startswith("umask-") for p in tmp_path.iterdir())
 
     def test_malformed_rational_reports_line(self, g9, tmp_path):
         path = tmp_path / "g9.bundle"
