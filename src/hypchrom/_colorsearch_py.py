@@ -21,6 +21,17 @@ are forced in the next round.  Unit propagation has a unique fixpoint, so
 this reaches the same state and the same conflicts as propagating one
 vertex at a time.
 
+Per node, the search's cost is the interpreter's dispatch of these
+per-color steps, not the big-int work.  So the propagation, the assignment
+of each color and the choice of the branching vertex are rendered from one
+source template for the requested k (_render), with the k feasible and k
+colored sets as locals f0.. and c0.. and every per-color step written out:
+the forced batches (a single vertex takes a fast path), the carry and the
+layers of fewest.  The code is compiled once per k in a process, on the
+first search with that k, so forked workers inherit it.  The loop form it
+was unrolled from is the tests' reference (tests/test_coloring.py): the
+rendered kernel must match it in trees, counters and states.
+
 Branching is saturation-first (DSATUR, Brélaz 1979): each decision colors
 the uncolored vertex with the fewest feasible colors, the lowest index of
 the graph it is given among ties, trying its feasible colors in increasing
@@ -42,12 +53,11 @@ error under -W error.
 
 from __future__ import annotations
 
+import functools
 import logging
 import os
 import sys
 import time
-from itertools import accumulate
-from operator import or_
 
 logger = logging.getLogger(__name__)
 
@@ -78,64 +88,20 @@ def make_search(masks, k):
     in; assign adds to forced the vertices each propagation round left with
     one color, in every round that ends without a conflict.
     """
+    root, assign, _, _, stats = _kernel_parts(masks, k)
+    return root, assign, stats
+
+
+def _kernel_parts(masks, k):
+    """make_search's root, assign and stats, with the rendered kernel's
+    child steps and fewest (see _kernel) between them."""
     if k < 1 or k > 32:
         raise ValueError("color count must be between 1 and 32")
     n = len(masks)
-    bits = [1 << v for v in range(n)]
     stats = [0, 0, 0, 0, 0]
-
-    def propagate(uncolored, feasible, colored, forced):
-        # colors each vertex of forced with its one feasible color, and then
-        # every vertex that propagation forces in turn, updating the lists
-        # feasible and colored in place.  No vertex of feasible[c]
-        # neighbours colored[c], as coloring a vertex strips its color from
-        # its neighbours, so only vertices forced to c together can clash.
-        while forced:
-            # one: the uncolored vertices with a feasible color; two: with two
-            lost = one = two = 0
-            for c, left in enumerate(feasible):
-                batch = left & forced
-                if batch:
-                    v = batch.bit_length() - 1
-                    hit = masks[v]
-                    rest = batch ^ bits[v]
-                    while rest:
-                        v = rest.bit_length() - 1
-                        hit |= masks[v]
-                        rest ^= bits[v]
-                    if hit & batch:
-                        return None
-                    colored[c] |= batch
-                    uncolored ^= batch
-                    left ^= batch
-                    stripped = left & hit
-                    lost |= stripped
-                    left ^= stripped
-                    feasible[c] = left
-                two |= one & left
-                one |= left
-            if one != uncolored:
-                return None
-            # a vertex with one color left that lost none in this round was
-            # never narrowed (k == 1 before any decision), so it is branched on
-            forced = lost & ~two
-            stats[2] += forced.bit_count()
-        return uncolored, tuple(feasible), tuple(colored)
-
-    def assign(state, v, color):
-        uncolored, feasible, colored = state
-        bit = bits[v]
-        if colored[color] & bit:
-            return state
-        if not feasible[color] & bit:
-            return None
-        others = ~bit
-        child = [left & others for left in feasible]
-        child[color] = feasible[color]
-        return propagate(uncolored, child, list(colored), bit)
-
+    assign, steps, fewest = _kernel(k)(masks, [1 << v for v in range(n)], stats)
     everyone = (1 << n) - 1
-    return (everyone, (everyone,) * k, (0,) * k), assign, stats
+    return (everyone, (everyone,) * k, (0,) * k), assign, steps, fewest, stats
 
 
 def make_walk(masks, k, split=-1, budget=0):
@@ -151,25 +117,9 @@ def make_walk(masks, k, split=-1, budget=0):
     list deferred and returns None, as if that subtree held no coloring.
     With split = -1 it defers nothing.
     """
-    root, assign, stats = make_search(masks, k)
+    root, assign, steps, fewest, stats = _kernel_parts(masks, k)
     colors = range(k)
     deferred = []
-
-    def fewest(feasible):
-        # the lowest-index vertex with the fewest feasible colors; for
-        # j = 1, 2, ... in turn, layer[c] holds the vertices with at least j
-        # feasible colors among colors 0..c, and above those with j + 1
-        layer = list(accumulate(feasible, or_))
-        while True:
-            above = 0
-            next_layer = [0]
-            for c in range(1, k):
-                above |= layer[c - 1] & feasible[c]
-                next_layer.append(above)
-            exact = layer[-1] ^ above
-            if exact:
-                return (exact & -exact).bit_length() - 1
-            layer = next_layer
 
     def walk(state, depth):
         if depth == split and stats[0] >= budget:
@@ -186,7 +136,7 @@ def make_walk(masks, k, split=-1, budget=0):
         bit = 1 << vertex
         for c in colors:
             if feasible[c] & bit:
-                child = assign(state, vertex, c)
+                child = steps[c](uncolored, feasible, colored, vertex)
                 if child is None:
                     stats[3] += 1
                     continue
@@ -370,3 +320,145 @@ def _start_worker(masks, k, starts):
 
 def _search_subtree(task):
     return _worker_search(task)
+
+
+@functools.cache
+def _kernel(k):
+    """The kernel for k colors: _render(k), compiled on first use in this
+    process, so forked workers inherit it.  Calling it with (masks, bits,
+    stats), bits[v] being 1 << v, returns (assign, steps, fewest): assign
+    is make_search's; steps[c](uncolored, feasible, colored, v) is assign
+    of color c to the uncolored vertex v, where c is feasible, without
+    assign's checks; fewest(feasible) is the branching vertex."""
+    namespace = {}
+    exec(compile(_render(k), f"<colorsearch kernel, k={k}>", "exec"), namespace)
+    return namespace["kernel"]
+
+
+def _render(k):
+    """The source of the kernel for k colors: _KERNEL, with _STRIP and
+    _STEP once per color, and the carry and fewest's layers written out
+    over the locals f0.. (feasible) and c0.. (colored)."""
+    colors = range(k)
+    f = ", ".join(f"f{c}" for c in colors)
+    cs = ", ".join(f"c{c}" for c in colors)
+    # one: the vertices with a feasible color; two: with two
+    carry = ["one = f0", "two = 0"] if k == 1 else ["two = f0 & f1", "one = f0 | f1"]
+    for c in range(2, k):
+        carry += [f"two |= one & f{c}", f"one |= f{c}"]
+    # l{j}_{c}: the vertices with at least j feasible colors among 0..c; the
+    # lowest of those with exactly j over all colors, for j = 1, 2, ...
+    lowest = "return (exact & -exact).bit_length() - 1"
+    layers = ["l1_0 = f0"] + [f"l1_{c} = l1_{c - 1} | f{c}" for c in range(1, k)]
+    for j in range(2, k + 1):
+        layers.append(f"l{j}_{j - 1} = l{j - 1}_{j - 2} & f{j - 1}")
+        layers += [f"l{j}_{c} = l{j}_{c - 1} | l{j - 1}_{c - 1} & f{c}" for c in range(j, k)]
+        layers += [f"exact = l{j - 1}_{k - 1} ^ l{j}_{k - 1}", "if exact:", f"    {lowest}"]
+    layers += [f"exact = l{k}_{k - 1}", lowest]
+
+    def lines(code, indent):
+        return "".join(f"{' ' * indent}{line}\n" for line in code)
+
+    return _KERNEL.format(
+        f=f,
+        cs=cs,
+        strip="".join(_STRIP.format(c=c) for c in colors),
+        carry=lines(carry, 12),
+        steps="".join(
+            _STEP.format(
+                c=c, f=f, cs=cs, carry=lines(carry, 8),
+                others=lines([f"f{d} &= others" for d in colors if d != c], 8),
+            )
+            for c in colors
+        ),
+        step_names=", ".join(f"step{c}" for c in colors),
+        layers=lines(layers, 8),
+    )
+
+
+# The rendered kernel; see the module docstring for what propagate does,
+# and make_search for assign.  No vertex of feasible[c] neighbours
+# colored[c], as coloring a vertex strips its color from its neighbours,
+# so only vertices forced to c together can clash.  A forced vertex has one
+# feasible color, so the batches of one round are disjoint and together
+# are forced.
+_KERNEL = """\
+def kernel(masks, bits, stats):
+    def propagate(uncolored, {f}, {cs}, forced):
+        while forced:
+            uncolored ^= forced
+            lost = 0
+{strip}{carry}\
+            if one != uncolored:
+                return None
+            # a vertex with one color left that lost none in this round was
+            # never narrowed (k == 1 before any decision), so it is branched on
+            forced = lost & ~two
+            stats[2] += forced.bit_count()
+        return uncolored, ({f},), ({cs},)
+{steps}
+    steps = ({step_names},)
+
+    def assign(state, v, color):
+        uncolored, feasible, colored = state
+        bit = bits[v]
+        if colored[color] & bit:
+            return state
+        if not feasible[color] & bit:
+            return None
+        return steps[color](uncolored, feasible, colored, v)
+
+    def fewest(feasible):
+        # the lowest-index vertex with the fewest feasible colors
+        {f}, = feasible
+{layers}
+    return assign, steps, fewest
+"""
+
+# one color's forced batch in a round of propagate: color it, and strip the
+# color from the neighbours of the batch, which holds none of them once
+# hit & batch is 0
+_STRIP = """\
+            batch = f{c} & forced
+            if batch:
+                if batch & (batch - 1):
+                    hit = 0
+                    rest = batch
+                    while rest:
+                        v = rest.bit_length() - 1
+                        hit |= masks[v]
+                        rest ^= bits[v]
+                else:
+                    hit = masks[batch.bit_length() - 1]
+                if hit & batch:
+                    return None
+                c{c} |= batch
+                stripped = f{c} & hit
+                lost |= stripped
+                f{c} ^= batch | stripped
+"""
+
+# assign of color c to the uncolored vertex v, where c is feasible: the
+# first round of propagate, with the batch v alone, then the rounds it forces
+_STEP = """
+    def step{c}(uncolored, feasible, colored, v):
+        {f}, = feasible
+        {cs}, = colored
+        bit = bits[v]
+        hit = masks[v]
+        if hit & bit:
+            return None
+        uncolored ^= bit
+        c{c} |= bit
+        lost = f{c} & hit
+        f{c} ^= bit | lost
+        others = ~bit
+{others}{carry}\
+        if one != uncolored:
+            return None
+        forced = lost & ~two
+        if forced:
+            stats[2] += forced.bit_count()
+            return propagate(uncolored, {f}, {cs}, forced)
+        return uncolored, ({f},), ({cs},)
+"""

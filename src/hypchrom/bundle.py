@@ -16,6 +16,7 @@ NumericPoint).
 from __future__ import annotations
 
 import os
+import stat
 from dataclasses import dataclass
 from typing import Optional
 
@@ -67,12 +68,19 @@ def write_bundle(g: Graph, path: str) -> None:
     data = "\n".join(lines) + "\n"
     directory = os.path.dirname(os.path.abspath(path))
     # a new file of a random name, created as open(path, "w") would create
-    # the bundle: mode 0666 less the umask (mkstemp would give 0600)
+    # the bundle: mode 0666 less the umask (mkstemp would give 0600), or
+    # the mode of the bundle it replaces, which open(path, "w") would keep
     tmp = os.path.join(directory, f".bundle-{os.urandom(8).hex()}")
     fh = open(tmp, "x")
     try:
         with fh:
             fh.write(data)
+        try:
+            mode = stat.S_IMODE(os.stat(path).st_mode)
+        except FileNotFoundError:
+            pass
+        else:
+            os.chmod(tmp, mode)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -6,6 +6,8 @@ import random
 import signal
 import subprocess
 import sys
+from itertools import accumulate
+from operator import or_
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -455,6 +457,201 @@ class TestSearchTreePins:
             digits = None if coloring is None else "".join(map(str, coloring))
             got.append((nodes, depth, conflicts, digits))
         assert got == SEEDED_TREES
+
+
+def reference_kernel(masks, k):
+    """The kernel's loop form, the reference for the kernel rendered per k:
+    (root, assign, fewest, stats) with make_search's root, assign and stats,
+    and fewest(feasible), the branching vertex."""
+    if k < 1 or k > 32:
+        raise ValueError("color count must be between 1 and 32")
+    n = len(masks)
+    bits = [1 << v for v in range(n)]
+    stats = [0, 0, 0, 0, 0]
+
+    def propagate(uncolored, feasible, colored, forced):
+        while forced:
+            # one: the uncolored vertices with a feasible color; two: with two
+            lost = one = two = 0
+            for c, left in enumerate(feasible):
+                batch = left & forced
+                if batch:
+                    v = batch.bit_length() - 1
+                    hit = masks[v]
+                    rest = batch ^ bits[v]
+                    while rest:
+                        v = rest.bit_length() - 1
+                        hit |= masks[v]
+                        rest ^= bits[v]
+                    if hit & batch:
+                        return None
+                    colored[c] |= batch
+                    uncolored ^= batch
+                    left ^= batch
+                    stripped = left & hit
+                    lost |= stripped
+                    left ^= stripped
+                    feasible[c] = left
+                two |= one & left
+                one |= left
+            if one != uncolored:
+                return None
+            forced = lost & ~two
+            stats[2] += forced.bit_count()
+        return uncolored, tuple(feasible), tuple(colored)
+
+    def assign(state, v, color):
+        uncolored, feasible, colored = state
+        bit = bits[v]
+        if colored[color] & bit:
+            return state
+        if not feasible[color] & bit:
+            return None
+        others = ~bit
+        child = [left & others for left in feasible]
+        child[color] = feasible[color]
+        return propagate(uncolored, child, list(colored), bit)
+
+    def fewest(feasible):
+        # for j = 1, 2, ... in turn, layer[c] holds the vertices with at
+        # least j feasible colors among colors 0..c, and above those with
+        # j + 1
+        layer = list(accumulate(feasible, or_))
+        while True:
+            above = 0
+            next_layer = [0]
+            for c in range(1, k):
+                above |= layer[c - 1] & feasible[c]
+                next_layer.append(above)
+            exact = layer[-1] ^ above
+            if exact:
+                return (exact & -exact).bit_length() - 1
+            layer = next_layer
+
+    everyone = (1 << n) - 1
+    return (everyone, (everyone,) * k, (0,) * k), assign, fewest, stats
+
+
+def reference_search(masks, k, preassigned):
+    """_colorsearch_py.search on the reference kernel."""
+    state, assign, fewest, stats = reference_kernel(masks, k)
+
+    def walk(state, depth):
+        stats[0] += 1
+        uncolored, feasible, colored = state
+        if not uncolored:
+            return colored
+        depth += 1
+        stats[1] = max(stats[1], depth)
+        vertex = fewest(feasible)
+        for c in range(k):
+            if feasible[c] >> vertex & 1:
+                child = assign(state, vertex, c)
+                if child is None:
+                    stats[3] += 1
+                    continue
+                found = walk(child, depth)
+                if found is not None:
+                    return found
+                stats[4] += 1
+        return None
+
+    for v, color in preassigned:
+        state = assign(state, v, color) if 0 <= color < k else None
+        if state is None:
+            return None, tuple(stats)
+    colored = walk(state, 0)
+    if colored is None:
+        return None, tuple(stats)
+    coloring = [0] * len(masks)
+    for c, members in enumerate(colored):
+        for v in range(len(masks)):
+            if members >> v & 1:
+                coloring[v] = c
+    return coloring, tuple(stats)
+
+
+class TestRenderedKernel:
+    """The kernel is rendered and compiled per k; the loop form above is
+    its reference."""
+
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_search_matches_reference(self, k):
+        rng = random.Random(40 + k)
+        for _ in range(30):
+            n = rng.randint(1, 12)
+            masks = neighbor_masks(random_graph(rng, n, rng.choice([0.3, 0.5, 0.7])))
+            if rng.random() < 0.2:
+                # a self-loop: coloring its vertex is a conflict
+                v = rng.randrange(n)
+                masks[v] |= 1 << v
+            pre = [(v, rng.randrange(k + 1)) for v in rng.sample(range(n), min(n, 2))]
+            for preassigned in ([], pre):
+                want = reference_search(masks, k, preassigned)
+                assert _colorsearch_py.search(masks, k, preassigned) == want, (masks, preassigned)
+
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_assign_matches_reference(self, k):
+        rng = random.Random(50 + k)
+        for _ in range(30):
+            n = rng.randint(1, 12)
+            masks = neighbor_masks(random_graph(rng, n, rng.choice([0.3, 0.5, 0.7])))
+            state, assign, stats = _colorsearch_py.make_search(masks, k)
+            want_state, want_assign, _, want_stats = reference_kernel(masks, k)
+            # a random partial coloring, with moves that recolor a colored
+            # vertex or take an infeasible color among them
+            for _ in range(rng.randint(1, n + 2)):
+                v, color = rng.randrange(n), rng.randrange(k)
+                child, want = assign(state, v, color), want_assign(want_state, v, color)
+                assert child == want and stats == want_stats, (masks, v, color)
+                assert (child is state) == (want is want_state)
+                if child is None:
+                    break
+                state, want_state = child, want
+
+    def test_thirty_two_colors(self):
+        rng = random.Random(70)
+        for n in (1, 8, 12):
+            g = random_graph(rng, n, 0.7)
+            masks = neighbor_masks(g)
+            coloring, counts = _colorsearch_py.search(masks, 32, [(0, 31)])
+            assert (coloring, counts) == reference_search(masks, 32, [(0, 31)])
+            assert verify_coloring(g, coloring) and coloring[0] == 31
+
+    def test_bad_k_raises_before_rendering(self, monkeypatch):
+        def no_render(k):
+            raise AssertionError(f"rendered a kernel for k = {k}")
+
+        monkeypatch.setattr(_colorsearch_py, "_render", no_render)
+        for k in (0, 33):
+            with pytest.raises(ValueError):
+                _colorsearch_py.search([0b10, 0b1], k, [])
+
+    def test_compiled_once_per_k(self, monkeypatch):
+        # rendering and compiling the kernel takes about as long as the
+        # order-226 graph's 4-decision, so a search must not repeat it
+        rendered = []
+        render = _colorsearch_py._render
+        monkeypatch.setattr(_colorsearch_py, "_render", lambda k: rendered.append(k) or render(k))
+        _colorsearch_py._kernel.cache_clear()
+        searches = [(moser_spindle(), 4), (octahedron(), 4), (moser_spindle(), 5)]
+        assigns = [_colorsearch_py.make_search(neighbor_masks(g), k)[1] for g, k in searches]
+        assert _colorsearch_py.search(neighbor_masks(octahedron()), 4, [])[0] is not None
+        assert rendered == [4, 5]
+        assert assigns[1].__code__ is assigns[0].__code__
+        assert assigns[2].__code__ is not assigns[0].__code__
+
+    def test_import_renders_nothing(self):
+        code = (
+            "import hypchrom\n"
+            "from hypchrom import _colorsearch_py\n"
+            "assert _colorsearch_py._kernel.cache_info().currsize == 0\n"
+        )
+        src = os.path.dirname(os.path.dirname(_colorsearch_py.__file__))
+        done = subprocess.run([sys.executable, "-W", "error", "-c", code],
+                              env=dict(os.environ, PYTHONPATH=src),
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
 
 
 def core_kernel_input(g, k):

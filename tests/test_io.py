@@ -115,6 +115,15 @@ class TestBundle:
         # no temporary file is left behind
         assert all(p.name.startswith("umask-") for p in tmp_path.iterdir())
 
+    def test_rewrite_keeps_existing_mode(self, g9, tmp_path):
+        # as open(path, "w") would: a bundle made 0640 stays 0640
+        path = tmp_path / "g9.bundle"
+        write_bundle(g9, str(path))
+        path.chmod(0o640)
+        write_bundle(g9, str(path))
+        assert stat.S_IMODE(path.stat().st_mode) == 0o640
+        assert [p.name for p in tmp_path.iterdir()] == ["g9.bundle"]
+
     def test_malformed_rational_reports_line(self, g9, tmp_path):
         path = tmp_path / "g9.bundle"
         write_bundle(g9, str(path))
