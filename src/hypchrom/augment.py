@@ -14,7 +14,13 @@ points are C1 + (m/delta) D +- t (-(1-c^2) D_y, D_x), where
 t = sqrt(disc) / ((1-c^2) delta) and disc = (1-c^2)(rho1 delta - m^2).
 When disc is a square in the field the intersection points are module
 points, produced exactly; otherwise no candidate is returned, since only
-module points can become vertices.
+module points can become vertices.  The foot of the radical line is the
+midpoint of the two points, so when one of them, w, is known, the other is
+2 (C1 + (m/delta) D) - w, with no disc and no square root: growth knows w
+for every pair with one common neighbour in the graph, the vertex on both
+circles, and takes the square root only for the other pairs.  Each vertex's
+circle is built once, on first use, and cached on the point until
+grow_pipeline ends.
 
 A phase is six layers, one function each, named in PHASE_LAYERS: float
 circle intersections of all vertex pairs, a float neighbour prefilter
@@ -97,6 +103,13 @@ def circle_of(c: ModulePoint) -> EuclideanCircleRec:
     return EuclideanCircleRec(center=ModulePoint(a, b), rho=_q(a, b) - e)
 
 
+def _circle(p: ModulePoint) -> EuclideanCircleRec:
+    """p's circle, built by circle_of on first use and cached on p."""
+    if p._circle is None:
+        p._circle = circle_of(p)
+    return p._circle
+
+
 def point_on_circle(p: ModulePoint, circ: EuclideanCircleRec) -> bool:
     """Exact incidence test: Q(P - C) == rho."""
     c = circ.center
@@ -107,7 +120,9 @@ def point_on_circle(p: ModulePoint, circ: EuclideanCircleRec) -> bool:
 # exact intersection
 # ---------------------------------------------------------------------------
 
-def intersect_circles(c1: EuclideanCircleRec, c2: EuclideanCircleRec) -> list[ModulePoint]:
+def intersect_circles(
+    c1: EuclideanCircleRec, c2: EuclideanCircleRec, known: Optional[ModulePoint] = None
+) -> list[ModulePoint]:
     """Module-point intersections of two distance circles: zero to two
     points, the exact twin of _pair_intersections.
 
@@ -116,6 +131,12 @@ def intersect_circles(c1: EuclideanCircleRec, c2: EuclideanCircleRec) -> list[Mo
     it is when they do not meet.  Two points come in exact lexicographic
     order in (x, y); a point's position is its branch, 0 for '-' and 1 for
     '+'.
+
+    known, if given, must lie on both circles.  The other point is then its
+    mirror in the foot of the radical line, found without disc or a square
+    root, and known alone is returned when the two coincide, where the
+    circles touch.  A known point off either circle gives a point off them
+    too.
     """
     ax, ay = c1.center.x_elem, c1.center.y_elem
     dx, dy = c2.center.x_elem - ax, c2.center.y_elem - ay
@@ -125,25 +146,33 @@ def intersect_circles(c1: EuclideanCircleRec, c2: EuclideanCircleRec) -> list[Mo
             raise IdenticalCirclesError("circles coincide")
         return []
     m = (delta + c1.rho - c2.rho) * _HALF
-    disc = SIN_SQ * (c1.rho * delta - m * m)
-    sgn = fe_sign(disc)
-    if sgn < 0:
-        return []
-    root = fe_sqrt(disc) if sgn > 0 else ZERO
-    if root is None:
-        return []
+    if known is None:
+        disc = SIN_SQ * (c1.rho * delta - m * m)
+        sgn = fe_sign(disc)
+        if sgn < 0:
+            return []
+        root = fe_sqrt(disc) if sgn > 0 else ZERO
+        if root is None:
+            return []
 
     inv_delta = ONE / delta
     s = m * inv_delta
     base_x, base_y = ax + s * dx, ay + s * dy
-    if sgn == 0:
+    if known is not None:
+        # the foot is the midpoint of known and the other point
+        p = known
+        q = ModulePoint(base_x + base_x - known.x_elem, base_y + base_y - known.y_elem)
+        if p == q:
+            return [known]
+    elif sgn == 0:
         return [ModulePoint(base_x, base_y)]
-    # the offset t (-(1-c^2) D_y, D_x) is w (-D_y, D_x / (1-c^2)), w = root / delta
-    w = root * inv_delta
-    off_x, off_y = w * dy, w * dx * _INV_ONE_MINUS_CSQ
-    p_plus = ModulePoint(base_x - off_x, base_y + off_y)
-    p_minus = ModulePoint(base_x + off_x, base_y - off_y)
-    return [p_plus, p_minus] if lex_less(p_plus, p_minus) else [p_minus, p_plus]
+    else:
+        # the offset t (-(1-c^2) D_y, D_x) is w (-D_y, D_x / (1-c^2)), w = root / delta
+        w = root * inv_delta
+        off_x, off_y = w * dy, w * dx * _INV_ONE_MINUS_CSQ
+        p = ModulePoint(base_x - off_x, base_y + off_y)
+        q = ModulePoint(base_x + off_x, base_y - off_y)
+    return [p, q] if lex_less(p, q) else [q, p]
 
 
 # ---------------------------------------------------------------------------
@@ -194,8 +223,10 @@ class AugmentConfig:
 # with a leading underscore and timed as a whole in PhaseReport.timings:
 # float circles and intersections, the float neighbour prefilter, dedup
 # (existing points by common neighbours, repeats by a float grid), exact
-# intersection (circle_of, intersect_circles), exact neighbour
-# certification (the modular screen and is_unit_edge), accidental edges
+# intersection (circle_of once per vertex, intersect_circles, from the
+# pair's common neighbour when it has exactly one, else by the square
+# root), exact neighbour certification (the modular screen and
+# is_unit_edge), accidental edges
 PHASE_LAYERS = (
     "float_intersections",
     "prefilter",
@@ -350,21 +381,29 @@ def _prefilter(report: PhaseReport, cands, coords: np.ndarray, min_neighbors: in
     return cands
 
 
-def _dedup(report: PhaseReport, g: Graph, cands, coords: np.ndarray) -> list[tuple]:
-    """The survivors (i, j, x, y), in the candidates' processing order.
-
-    g must record every unit pair among its vertices, as the seed, every
-    growth output, induced subgraphs and any bundle certify passes do.  Two
-    distinct circles meet in at most two points, so the vertices on both
-    circles of pair (i, j) are then their common neighbours: a candidate is
-    existing when the pair has two, or when it lies within DEDUP_RADIUS of
-    the one.  A candidate within DEDUP_RADIUS of an earlier survivor is
-    dropped silently.  _exact_intersection still drops any vertex the rule
-    misses."""
+def _neighbor_sets(g: Graph) -> list[set[int]]:
+    """Each vertex's neighbours in g.  When g records every unit pair among
+    its vertices, the common neighbours of i and j are the vertices on both
+    circles of pair (i, j): at most two, as two distinct circles meet in at
+    most two points."""
     nbrs: list[set[int]] = [set() for _ in range(g.order)]
     for u, v in g.edges:
         nbrs[u].add(v)
         nbrs[v].add(u)
+    return nbrs
+
+
+def _dedup(report: PhaseReport, g: Graph, cands, coords: np.ndarray) -> list[tuple]:
+    """The survivors (i, j, x, y), in the candidates' processing order.
+
+    g must record every unit pair among its vertices, as the seed, every
+    growth output, induced subgraphs and any bundle certify passes do.  The
+    vertices on both circles of pair (i, j) are then their common
+    neighbours (see _neighbor_sets): a candidate is existing when the pair
+    has two, or when it lies within DEDUP_RADIUS of the one.  A candidate
+    within DEDUP_RADIUS of an earlier survivor is dropped silently.
+    _exact_intersection still drops any vertex the rule misses."""
+    nbrs = _neighbor_sets(g)
     pts = coords.tolist()
     cell = 1.0 / DEDUP_RADIUS
     seen: dict[tuple[int, int], list[tuple[float, float]]] = {}
@@ -392,16 +431,25 @@ def _exact_intersection(
 ) -> dict[ModulePoint, VertexOrigin]:
     """The distinct exact candidates in processing order, each with its
     origin.  Each pair is intersected once, and each of its survivors takes
-    the exact point nearer its float (x, y).  A survivor of a pair with no
-    module point, or whose point has a denominator above cfg.denom_bound or
-    is in cfg.excluded_points, is rejected and counted; one on a vertex of g
-    is dropped as existing; the first occurrence wins."""
-    used = {v for i, j, _, _ in survivors for v in (i, j)}
-    circles = {v: circle_of(g.vertices[v]) for v in used}
-    old, found, pair = set(g.vertices), {}, None
+    the exact point nearer its float (x, y).  A pair with one common
+    neighbour in g is intersected from that vertex, one of its two points,
+    the others by the square root.  A survivor of a pair with no module
+    point, or whose point has a denominator above cfg.denom_bound or is in
+    cfg.excluded_points, is rejected and counted; one on a vertex of g is
+    dropped as existing; the first occurrence wins.
+
+    A false edge of g can give a pair a common neighbour off its circles,
+    and so a wrong point, but never a wrong vertex: _exact_neighbors accepts
+    only points exactly adjacent to both sources, which are on both circles."""
+    nbrs, old, found, pair = _neighbor_sets(g), set(g.vertices), {}, None
     for i, j, x, y in survivors:
         if (i, j) != pair:
-            pair, points = (i, j), intersect_circles(circles[i], circles[j])
+            pair, c1, c2 = (i, j), _circle(g.vertices[i]), _circle(g.vertices[j])
+            common = nbrs[i] & nbrs[j]
+            if len(common) == 1:
+                points = intersect_circles(c1, c2, g.vertices[min(common)])
+            else:
+                points = intersect_circles(c1, c2)
         branch = _match_exact_candidate(points, x, y)
         if branch is None:
             report.rejected_nonmodule += 1
@@ -519,7 +567,8 @@ def grow_pipeline(
 ) -> list[Graph]:
     """Fold phase_augment with cfg over the schedule, returning each phase output.
 
-    An empty schedule returns [g0] unchanged.
+    An empty schedule returns [g0] unchanged.  The vertices' cached circles
+    are cleared at the end.
     """
     if not schedule:
         return [g0]
@@ -528,4 +577,8 @@ def grow_pipeline(
     for phase_no, min_nb in enumerate(schedule, start=1):
         g = phase_augment(g, min_nb, cfg=cfg, phase_index=phase_no)
         out.append(g)
+    # the circles cached for the later phases are dropped: kept alive, they
+    # slow every cyclic garbage collection after growth
+    for v in g.vertices:
+        v._circle = None
     return out

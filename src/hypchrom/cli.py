@@ -45,23 +45,37 @@ def _cmd_build_g9(args) -> int:
     return EXIT_OK
 
 
+def _min_neighbors_schedule(text: str) -> list[int]:
+    """The --min-neighbors list, every entry an integer of at least 2; a
+    ValueError names the first entry that is not, and its position."""
+    schedule = []
+    for pos, tok in enumerate(text.split(","), start=1):
+        if not tok.strip().isdecimal() or int(tok) < 2:
+            raise ValueError(
+                f"--min-neighbors entry {pos} is {tok.strip()!r}; "
+                "each entry must be an integer of at least 2"
+            )
+        schedule.append(int(tok))
+    return schedule
+
+
 def _cmd_augment(args) -> int:
     if (args.phases or 0) < 0 or args.denom_bound < 1:
         print("--phases must be at least 0, --denom-bound at least 1", file=sys.stderr)
         return EXIT_USAGE
-    g = read_bundle(args.input, verify=not args.no_verify)
-    if args.no_reference_selection:
-        cfg = AugmentConfig(denom_bound=args.denom_bound)
-    else:
-        cfg = AugmentConfig.reference(denom_bound=args.denom_bound)
     if args.min_neighbors:
-        schedule = [int(tok) for tok in args.min_neighbors.split(",")]
+        schedule = _min_neighbors_schedule(args.min_neighbors)
         if args.phases is not None and args.phases != len(schedule):
             print("--phases disagrees with --min-neighbors list", file=sys.stderr)
             return EXIT_USAGE
     else:
         phases = args.phases if args.phases is not None else len(DEFAULT_SCHEDULE)
         schedule = (list(DEFAULT_SCHEDULE) + [3] * phases)[:phases]
+    g = read_bundle(args.input, verify=not args.no_verify)
+    if args.no_reference_selection:
+        cfg = AugmentConfig(denom_bound=args.denom_bound)
+    else:
+        cfg = AugmentConfig.reference(denom_bound=args.denom_bound)
     graphs = grow_pipeline(g, schedule, cfg=cfg)
     for stage in graphs:
         report = stage.phase_report
@@ -231,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--min-neighbors",
         default=None,
-        help="comma-separated per-phase minimum neighbor counts",
+        help="comma-separated per-phase minimum neighbor counts, each at least 2",
     )
     p.add_argument("--denom-bound", type=int, default=10_000)
     p.add_argument(

@@ -71,12 +71,15 @@ class GraphIntegrityError(Exception):
 class ModulePoint:
     """A disk point with both scaled coordinates in Q(c)."""
 
-    __slots__ = ("x_elem", "y_elem", "_row")
+    # _row is the operand row and _circle the distance circle of
+    # augment.circle_of, each built on first use and cached
+    __slots__ = ("x_elem", "y_elem", "_row", "_circle")
 
     def __init__(self, x_elem: FieldElement, y_elem: FieldElement):
         self.x_elem = x_elem
         self.y_elem = y_elem
         self._row = None
+        self._circle = None
 
     @classmethod
     def from_octuple(cls, octuple: Sequence) -> "ModulePoint":

@@ -1,3 +1,4 @@
+import functools
 import importlib.util
 import math
 import random
@@ -22,7 +23,9 @@ from hypchrom.field import GEN, ONE, RADIUS_SQ, ZERO, fe_sign
 from hypchrom.geometry import (
     F_NUMERIC,
     Graph,
+    GraphIntegrityError,
     ModulePoint,
+    build_g9,
     certify_graph,
     is_unit_edge,
     lex_less,
@@ -169,6 +172,32 @@ class TestIntersectCircles:
         far = ModulePoint(ONE / GEN, ZERO)
         cands = intersect_circles(circle_of(g9.vertices[0]), circle_of(far))
         assert cands == [g9.vertices[1]]
+
+    def test_tangent_pair_given_its_point_returns_it_alone(self, g9):
+        far = ModulePoint(ONE / GEN, ZERO)
+        c1, c2 = circle_of(g9.vertices[0]), circle_of(far)
+        assert intersect_circles(c1, c2, g9.vertices[1]) == [g9.vertices[1]]
+
+    def test_known_point_gives_the_square_root_result(self, g9, pipeline):
+        # every survivor pair with one common neighbour in phases 1-6, given
+        # that neighbour, yields the square-root path's points in its order
+        pairs = 0
+        for g, min_neighbors in zip([g9] + pipeline[:5], augment.DEFAULT_SCHEDULE):
+            report = augment.PhaseReport(phase=0, min_neighbors=min_neighbors)
+            coords, cands = augment._float_intersections(report, g)
+            cands = augment._prefilter(report, cands, coords, min_neighbors)
+            survivors = augment._dedup(report, g, cands, coords)
+            nbrs = augment._neighbor_sets(g)
+            for i, j in dict.fromkeys((i, j) for i, j, _, _ in survivors):
+                common = nbrs[i] & nbrs[j]
+                if len(common) != 1:
+                    continue
+                [w] = common
+                c1, c2 = circle_of(g.vertices[i]), circle_of(g.vertices[j])
+                known = intersect_circles(c1, c2, g.vertices[w])
+                assert known == intersect_circles(c1, c2), (g.order, i, j)
+                pairs += 1
+        assert pairs == 444
 
     def test_all_g28_candidates_lie_on_both_circles(self, g28):
         # exact oracle: every candidate of every pair is on both circles and
@@ -591,6 +620,22 @@ class TestPhaseLayers:
         )
         assert {o.branch for o in found.values()} == {"-", "+"}
 
+    def test_false_edge_adds_no_wrong_vertex(self, g28, g42, reference_cfg):
+        # vertices 2 and 21 are not adjacent; with a false edge between them,
+        # a surviving pair takes one of them as its common neighbour, a point
+        # off its circles, so the other point it yields is wrong too
+        assert not is_unit_edge(g28.vertices[1], g28.vertices[20])
+        h = Graph(g28.vertices, list(g28.edges) + [(1, 20)], g28.origins)
+        try:
+            out = phase_augment(h, 3, cfg=reference_cfg, phase_index=2)
+        except GraphIntegrityError:
+            return
+        for v, origin in zip(out.vertices[h.order :], out.origins[h.order :]):
+            assert all(is_unit_edge(v, out.vertices[s]) for s in origin.source_pair)
+        # the wrong point is rejected on its neighbour count: a vertex lost
+        assert out.phase_report.rejected_neighbor_mismatch == 1
+        assert set(out.vertices[h.order :]) < set(g42.vertices[h.order :])
+
     def test_neighbor_count_rejection_keeps_survivor_floats(self, g28):
         point = table_point(*TABLE2[0][:2])
         origin = augment.VertexOrigin((1, 9), "-", 2)
@@ -703,6 +748,35 @@ class TestPipeline:
         r = phase_augment(g28, 3, cfg=reference_cfg, phase_index=2).phase_report
         assert r.exact_edge_tests == len(calls) == sum(calls) == 50
         assert r.screened_pairs == 14 * 28 + 14 * 13 // 2
+
+    def test_each_circle_built_once_per_pipeline(self, reference_cfg, monkeypatch):
+        # a fresh seed, so that no vertex holds its circle yet
+        built, endpoints, roots = [], set(), []
+        circle, sqrt = augment.circle_of, augment.fe_sqrt
+        exact_intersection = augment._exact_intersection
+
+        def counting_circle_of(p):
+            built.append(p)
+            return circle(p)
+
+        def counting_sqrt(d):
+            roots.append(d)
+            return sqrt(d)
+
+        @functools.wraps(exact_intersection)
+        def recording_exact_intersection(report, g, survivors, *args):
+            endpoints.update(g.vertices[v] for i, j, _, _ in survivors for v in (i, j))
+            return exact_intersection(report, g, survivors, *args)
+
+        monkeypatch.setattr(augment, "circle_of", counting_circle_of)
+        monkeypatch.setattr(augment, "_exact_intersection", recording_exact_intersection)
+        monkeypatch.setattr(augment, "fe_sqrt", counting_sqrt)
+        grow_pipeline(build_g9(), cfg=reference_cfg)
+        assert len(built) == len(set(built)) == 427
+        assert set(built) == endpoints
+        # of the 1,381 pairs intersected, only those without one common
+        # neighbour take a square root
+        assert len(roots) == 165
 
     def test_phase_timings(self, pipeline):
         for g in pipeline:

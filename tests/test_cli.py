@@ -214,6 +214,28 @@ class TestCli:
         assert main(["augment", "--in", str(seed_bundle), "--out", str(out), *flags]) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("schedule, position, entry", [
+        ("3,3,3,3,1", 5, "'1'"),
+        ("2,x,3", 2, "'x'"),
+        ("2,,3", 2, "''"),
+        ("2.5", 1, "'2.5'"),
+        ("3,0", 2, "'0'"),
+    ])
+    def test_augment_rejects_bad_min_neighbors_before_any_work(
+        self, tmp_path, capsys, schedule, position, entry
+    ):
+        # the input does not exist: the schedule is refused before it is read
+        out = tmp_path / "grown.bundle"
+        argv = ["augment", "--in", str(tmp_path / "missing.bundle"), "--out", str(out)]
+        assert main([*argv, "--min-neighbors", schedule]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"error: --min-neighbors entry {position} is {entry}; "
+            "each entry must be an integer of at least 2\n"
+        )
+        assert captured.out == ""
+        assert not out.exists()
+
     def test_malformed_dimacs_usage_error(self, tmp_path, capsys):
         path = tmp_path / "bad.col"
         path.write_text("p edge 3 1\ne 1 x\n")
