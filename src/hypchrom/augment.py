@@ -195,11 +195,15 @@ def intersect_circles(
 # 4.5e-12 of f_e, far inside it, but no bound on it is proven either
 NEIGHBOR_REL_TOL = 3e-5
 DEDUP_RADIUS = 2e-9
-# candidates per block of the neighbour prefilter; each block makes one
-# float64 buffer of CHUNK_SIZE x (vertices) entries for cosh d, about 8 MB
-# against the 501 vertices of the last default phase; larger blocks make
-# this buffer the peak memory of growth
-CHUNK_SIZE = 2048
+# candidates per block of the neighbour prefilter, whose buffers are reused
+# for every block: cosh d as CHUNK_SIZE x (vertices) float64 and two bool
+# masks of the same shape, 10 bytes per entry.  Against the 501 vertices of
+# the last default phase that is 1.03 MB of cosh d and 0.26 MB of masks, so
+# a block and its masks stay in a 2 MB per-core L2 cache.  In phase 7 (best
+# of 9, three runs on a 2-core Xeon) the prefilter took 0.046-0.063 s with
+# 128 to 256 rows, 0.084-0.107 s with 512 and 0.075-0.094 s with 2,048,
+# whose block of 10 MB does not fit
+CHUNK_SIZE = 256
 
 
 @dataclass
@@ -293,30 +297,32 @@ def _pair_intersections(centers: np.ndarray, rad2: np.ndarray):
     pair m, the one lexicographically smaller in (x, y) first."""
     n = centers.shape[0]
     iu, ju = np.triu_indices(n, 1)
-    ci = centers[iu]
-    cj = centers[ju]
-    dvec = cj - ci
-    d2 = dvec[:, 0] ** 2 + dvec[:, 1] ** 2
+    cx, cy = centers[:, 0], centers[:, 1]
+    dx = cx[ju] - cx[iu]
+    dy = cy[ju] - cy[iu]
+    d2 = dx**2 + dy**2
+    rad2_i = rad2[iu]
     with np.errstate(divide="ignore", invalid="ignore"):
-        a = (d2 + rad2[iu] - rad2[ju]) / (2.0 * d2)
-        h2 = rad2[iu] - a * a * d2
-    mask = (d2 > 0) & (h2 >= 0)
-    iu, ju, a, h2, d2, ci, dvec = (
-        iu[mask], ju[mask], a[mask], h2[mask], d2[mask], ci[mask], dvec[mask],
-    )
-    base = ci + a[:, None] * dvec
+        a = (d2 + rad2_i - rad2[ju]) / (2.0 * d2)
+        h2 = rad2_i - a * a * d2
+    kept = np.flatnonzero((d2 > 0) & (h2 >= 0))
+    iu, ju, a, h2, d2, dx, dy = (v[kept] for v in (iu, ju, a, h2, d2, dx, dy))
+    base_x = cx[iu] + a * dx
+    base_y = cy[iu] + a * dy
     scale = np.sqrt(h2 / d2)
-    perp = np.stack([-dvec[:, 1], dvec[:, 0]], axis=1) * scale[:, None]
-    p_plus = base + perp
-    p_minus = base - perp
+    perp_x = -dy * scale
+    perp_y = dx * scale
+    plus_x, plus_y = base_x + perp_x, base_y + perp_y
+    minus_x, minus_y = base_x - perp_x, base_y - perp_y
     # orient so the lexicographically smaller point comes first
-    swap = (p_plus[:, 0] < p_minus[:, 0]) | (
-        (p_plus[:, 0] == p_minus[:, 0]) & (p_plus[:, 1] < p_minus[:, 1])
-    )
-    lo = np.where(swap[:, None], p_plus, p_minus)
-    hi = np.where(swap[:, None], p_minus, p_plus)
-    both = np.stack([lo, hi], axis=1).reshape(-1, 2)
-    return np.repeat(iu, 2), np.repeat(ju, 2), both[:, 0], both[:, 1]
+    swap = (plus_x < minus_x) | ((plus_x == minus_x) & (plus_y < minus_y))
+    xs = np.empty(2 * len(kept))
+    ys = np.empty(2 * len(kept))
+    xs[0::2] = np.where(swap, plus_x, minus_x)
+    xs[1::2] = np.where(swap, minus_x, plus_x)
+    ys[0::2] = np.where(swap, plus_y, minus_y)
+    ys[1::2] = np.where(swap, minus_y, plus_y)
+    return np.repeat(iu, 2), np.repeat(ju, 2), xs, ys
 
 
 def _hyperboloid(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
@@ -332,19 +338,30 @@ def _numeric_neighbor_counts(
     xs: np.ndarray, ys: np.ndarray, coords: np.ndarray
 ) -> np.ndarray:
     """For each candidate (xs[i], ys[i]), the number of vertices (rows of
-    coords) whose float cosh d lies in the window of NEIGHBOR_REL_TOL."""
+    coords) whose float cosh d lies in the window of NEIGHBOR_REL_TOL.
+
+    The candidates go in blocks of CHUNK_SIZE rows.  One buffer for a
+    block's cosh d and two masks are allocated once and refilled in place
+    for every block, and each row's count is a byte-wise sum of its mask."""
     cand = _hyperboloid(xs, ys)
-    # the vertex side signed (+, -, -), so one product gives cosh d
-    vt = (_hyperboloid(coords[:, 0], coords[:, 1]) * [1, -1, -1]).T
+    # the vertex side signed (+, -, -), so one product gives cosh d; a
+    # C-ordered vt takes a faster matrix product than the transposed view
+    vt = np.ascontiguousarray((_hyperboloid(coords[:, 0], coords[:, 1]) * [1, -1, -1]).T)
     lo = 1.0 + F_NUMERIC * (1.0 - NEIGHBOR_REL_TOL)
     hi = 1.0 + F_NUMERIC * (1.0 + NEIGHBOR_REL_TOL)
-    counts = np.zeros(len(xs), dtype=np.int32)
-    buf = np.empty((min(CHUNK_SIZE, len(xs)), vt.shape[1]))
+    counts = np.empty(len(xs), dtype=np.int32)
+    shape = (min(CHUNK_SIZE, len(xs)), vt.shape[1])
+    cosh_d, inside, below = np.empty(shape), np.empty(shape, bool), np.empty(shape, bool)
     for start in range(0, len(xs), CHUNK_SIZE):
         block = cand[start : start + CHUNK_SIZE]
-        cosh_d = np.matmul(block, vt, out=buf[: len(block)])
-        counts[start : start + len(block)] = np.count_nonzero(
-            (cosh_d >= lo) & (cosh_d <= hi), axis=1
+        rows = len(block)
+        np.matmul(block, vt, out=cosh_d[:rows])
+        np.greater_equal(cosh_d[:rows], lo, out=inside[:rows])
+        np.less_equal(cosh_d[:rows], hi, out=below[:rows])
+        np.logical_and(inside[:rows], below[:rows], out=inside[:rows])
+        np.add.reduce(
+            inside[:rows].view(np.uint8), axis=1, dtype=np.int32,
+            out=counts[start : start + rows],
         )
     return counts
 
@@ -393,6 +410,10 @@ def _neighbor_sets(g: Graph) -> list[set[int]]:
     return nbrs
 
 
+# the grid cell of a point and its eight neighbours, as offsets
+_NEAR_CELLS = tuple((dx, dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1))
+
+
 def _dedup(report: PhaseReport, g: Graph, cands, coords: np.ndarray) -> list[tuple]:
     """The survivors (i, j, x, y), in the candidates' processing order.
 
@@ -407,19 +428,23 @@ def _dedup(report: PhaseReport, g: Graph, cands, coords: np.ndarray) -> list[tup
     pts = coords.tolist()
     cell = 1.0 / DEDUP_RADIUS
     seen: dict[tuple[int, int], list[tuple[float, float]]] = {}
-    survivors = []
+    survivors, pair = [], None
     for i, j, x, y in zip(*(a.tolist() for a in cands)):
-        common = nbrs[i] & nbrs[j]
-        if len(common) > 1 or any(
-            math.dist(pts[w], (x, y)) <= DEDUP_RADIUS for w in common
+        if (i, j) != pair:
+            # a pair's rows are adjacent: its common neighbours once per pair
+            pair, common = (i, j), nbrs[i] & nbrs[j]
+            known = pts[min(common)] if len(common) == 1 else None
+        if len(common) > 1 or (
+            known is not None and math.dist(known, (x, y)) <= DEDUP_RADIUS
         ):
             report.dropped_existing += 1
             continue
         cx, cy = round(x * cell), round(y * cell)
-        cells = ((cx + dx, cy + dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1))
-        if not any(
-            math.dist(p, (x, y)) <= DEDUP_RADIUS for c in cells for p in seen.get(c, ())
-        ):
+        for dx, dy in _NEAR_CELLS:
+            near = seen.get((cx + dx, cy + dy))
+            if near and any(math.dist(p, (x, y)) <= DEDUP_RADIUS for p in near):
+                break
+        else:
             seen.setdefault((cx, cy), []).append((x, y))
             survivors.append((i, j, x, y))
     report.distinct = len(survivors)
@@ -568,17 +593,22 @@ def grow_pipeline(
     """Fold phase_augment with cfg over the schedule, returning each phase output.
 
     An empty schedule returns [g0] unchanged.  The vertices' cached circles
-    are cleared at the end.
+    are cleared at the end, also when a phase raises.
     """
     if not schedule:
         return [g0]
     out: list[Graph] = []
     g = g0
-    for phase_no, min_nb in enumerate(schedule, start=1):
-        g = phase_augment(g, min_nb, cfg=cfg, phase_index=phase_no)
-        out.append(g)
-    # the circles cached for the later phases are dropped: kept alive, they
-    # slow every cyclic garbage collection after growth
-    for v in g.vertices:
-        v._circle = None
+    try:
+        for phase_no, min_nb in enumerate(schedule, start=1):
+            g = phase_augment(g, min_nb, cfg=cfg, phase_index=phase_no)
+            out.append(g)
+    finally:
+        # the circles cached for the later phases are dropped: kept alive,
+        # they slow every cyclic garbage collection after growth.  Only
+        # vertices of g, the last graph built, can hold one: every earlier
+        # graph's vertices are among them, and a phase builds circles only
+        # for the vertices of its input
+        for v in g.vertices:
+            v._circle = None
     return out

@@ -63,7 +63,7 @@ def _cmd_augment(args) -> int:
     if (args.phases or 0) < 0 or args.denom_bound < 1:
         print("--phases must be at least 0, --denom-bound at least 1", file=sys.stderr)
         return EXIT_USAGE
-    if args.min_neighbors:
+    if args.min_neighbors is not None:
         schedule = _min_neighbors_schedule(args.min_neighbors)
         if args.phases is not None and args.phases != len(schedule):
             print("--phases disagrees with --min-neighbors list", file=sys.stderr)

@@ -351,7 +351,45 @@ def float_coords(g):
     return np.array(g.float_coords(), dtype=np.float64)
 
 
+def pair_intersections_reference(centers, rad2):
+    """_pair_intersections as it was written with (m, 2) arrays: the points
+    stacked, oriented by np.where and interleaved by a reshape."""
+    n = centers.shape[0]
+    iu, ju = np.triu_indices(n, 1)
+    ci = centers[iu]
+    cj = centers[ju]
+    dvec = cj - ci
+    d2 = dvec[:, 0] ** 2 + dvec[:, 1] ** 2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a = (d2 + rad2[iu] - rad2[ju]) / (2.0 * d2)
+        h2 = rad2[iu] - a * a * d2
+    mask = (d2 > 0) & (h2 >= 0)
+    iu, ju, a, h2, d2, ci, dvec = (
+        iu[mask], ju[mask], a[mask], h2[mask], d2[mask], ci[mask], dvec[mask],
+    )
+    base = ci + a[:, None] * dvec
+    scale = np.sqrt(h2 / d2)
+    perp = np.stack([-dvec[:, 1], dvec[:, 0]], axis=1) * scale[:, None]
+    p_plus = base + perp
+    p_minus = base - perp
+    swap = (p_plus[:, 0] < p_minus[:, 0]) | (
+        (p_plus[:, 0] == p_minus[:, 0]) & (p_plus[:, 1] < p_minus[:, 1])
+    )
+    lo = np.where(swap[:, None], p_plus, p_minus)
+    hi = np.where(swap[:, None], p_minus, p_plus)
+    both = np.stack([lo, hi], axis=1).reshape(-1, 2)
+    return np.repeat(iu, 2), np.repeat(ju, 2), both[:, 0], both[:, 1]
+
+
 class TestFloatIntersections:
+    def test_equal_to_reference_on_every_phase_input(self, g9, pipeline):
+        for g in [g9] + pipeline[:6]:
+            circles = augment._euclidean_circles(float_coords(g))
+            got = augment._pair_intersections(*circles)
+            want = pair_intersections_reference(*circles)
+            for a, b in zip(got, want):
+                assert a.dtype == b.dtype and np.array_equal(a, b), g.order
+
     def test_rows_in_processing_order(self, g9, pipeline):
         for g in [g9] + pipeline[:4]:
             coords = float_coords(g)
@@ -377,6 +415,25 @@ class TestNeighborPrefilter:
             got = augment._numeric_neighbor_counts(xs, ys, coords)
             assert got.dtype == np.int32
             assert np.array_equal(got, counts_reference(xs, ys, coords)), g.order
+
+    @pytest.mark.parametrize("rows", [1, 7, 10**6])
+    def test_counts_do_not_depend_on_the_block_size(self, pipeline, monkeypatch, rows):
+        coords = float_coords(pipeline[4])
+        _, _, xs, ys = augment._pair_intersections(*augment._euclidean_circles(coords))
+        want = augment._numeric_neighbor_counts(xs, ys, coords)
+        assert len(xs) < 10**6
+        monkeypatch.setattr(augment, "CHUNK_SIZE", rows)
+        assert np.array_equal(augment._numeric_neighbor_counts(xs, ys, coords), want)
+
+    def test_counts_at_one_block_and_its_neighbours(self, pipeline):
+        # exactly one full block, one row short of it and one row over
+        coords = float_coords(pipeline[4])
+        _, _, xs, ys = augment._pair_intersections(*augment._euclidean_circles(coords))
+        want = augment._numeric_neighbor_counts(xs, ys, coords)
+        for n in (augment.CHUNK_SIZE - 1, augment.CHUNK_SIZE, augment.CHUNK_SIZE + 1):
+            got = augment._numeric_neighbor_counts(xs[:n], ys[:n], coords)
+            assert got.dtype == np.int32 and np.array_equal(got, want[:n]), n
+            assert np.array_equal(got, counts_reference(xs[:n], ys[:n], coords)), n
 
     def test_edge_endpoints_count_each_other(self, pipeline):
         g = pipeline[3]
@@ -777,6 +834,27 @@ class TestPipeline:
         # of the 1,381 pairs intersected, only those without one common
         # neighbour take a square root
         assert len(roots) == 165
+
+    def test_circles_cleared_when_a_phase_raises(self, reference_cfg, monkeypatch):
+        # a fresh seed, so that no circle comes from another test's growth
+        g9, inputs, cached = build_g9(), [], []
+        exact_neighbors = augment._exact_neighbors
+
+        @functools.wraps(exact_neighbors)
+        def failing_in_phase_2(report, g, *args):
+            if report.phase == 2:
+                # exact intersection has built circles for g28 by now
+                inputs.append(g)
+                cached.extend(v for v in g.vertices if v._circle is not None)
+                raise GraphIntegrityError("injected")
+            return exact_neighbors(report, g, *args)
+
+        monkeypatch.setattr(augment, "_exact_neighbors", failing_in_phase_2)
+        with pytest.raises(GraphIntegrityError, match="injected"):
+            grow_pipeline(g9, (2, 3, 3), cfg=reference_cfg)
+        (g28,) = inputs
+        assert g28.order == 28 and cached
+        assert all(v._circle is None for v in g9.vertices + g28.vertices)
 
     def test_phase_timings(self, pipeline):
         for g in pipeline:

@@ -236,6 +236,19 @@ class TestCli:
         assert captured.out == ""
         assert not out.exists()
 
+    def test_augment_rejects_empty_min_neighbors_before_any_work(self, tmp_path, capsys):
+        # an empty list is a given list, not the default schedule
+        out = tmp_path / "grown.bundle"
+        argv = ["augment", "--in", str(tmp_path / "missing.bundle"), "--out", str(out)]
+        assert main([*argv, "--min-neighbors", ""]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "error: --min-neighbors entry 1 is ''; "
+            "each entry must be an integer of at least 2\n"
+        )
+        assert captured.out == ""
+        assert not out.exists()
+
     def test_malformed_dimacs_usage_error(self, tmp_path, capsys):
         path = tmp_path / "bad.col"
         path.write_text("p edge 3 1\ne 1 x\n")
