@@ -4,8 +4,10 @@ the Poincare disk.
 The package builds a family of graphs whose vertices are disk points with
 coordinates in a fixed quartic number field and whose edges join pairs at
 one exact hyperbolic distance; every edge is certified in exact arithmetic.
-A backtracking search with unit propagation decides k-colorability; the
-final graph of the default growth schedule admits no proper 4-coloring.
+A backtracking search with unit propagation (search_k_coloring) decides
+k-colorability and, when the graph is k-colorable, returns a verified
+k-coloring; the final graph of the default growth schedule admits no proper
+4-coloring, and search_k_coloring finds and verifies its 5-coloring.
 
 Progress is logged under the "hypchrom" logger (for example one INFO line
 per probe of the prefix search); nothing is printed unless the caller
@@ -27,7 +29,6 @@ from .coloring import (
     AdjacencyGraph,
     SearchStats,
     chromatic_number,
-    find_coloring_reordered,
     minimal_non_k_prefix,
     moser_spindle,
     search_k_coloring,

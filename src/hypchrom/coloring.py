@@ -11,7 +11,9 @@ vertices whose color is forced by propagation are never branched on.  The
 search itself is the pure-Python bitset kernel in _colorsearch_py, which
 breaks ties by index alone; search_k_coloring hands it the core's
 neighbour bitmasks, relabeled by decreasing core degree, and maps the
-coloring back.  A search that visits more than the kernel's node budget
+coloring back.  It is the one witness path: every coloring the package
+returns, the final graph's 5-coloring included, is its result, verified
+against the whole graph.  A search that visits more than the kernel's node budget
 hands its remaining subtrees to one forked worker per CPU of the process's
 affinity set, and rebuilds the serial coloring and counters from theirs;
 no worker outlives the search.
@@ -326,64 +328,18 @@ def minimal_non_k_prefix(g: AdjacencyGraph, k: int) -> int:
     return hi
 
 
-def smallest_last_order(g: AdjacencyGraph) -> list[int]:
-    """Degeneracy (smallest-last) vertex order: repeatedly peel a minimum
-    degree vertex, then reverse."""
-    import heapq
-
-    deg = [len(g.neighbors[v]) for v in range(g.n)]
-    removed = [False] * g.n
-    heap = [(deg[v], v) for v in range(g.n)]
-    heapq.heapify(heap)
-    peeled: list[int] = []
-    while heap:
-        d, v = heapq.heappop(heap)
-        if removed[v] or d != deg[v]:
-            continue
-        removed[v] = True
-        peeled.append(v)
-        for w in g.neighbors[v]:
-            if not removed[w]:
-                deg[w] -= 1
-                heapq.heappush(heap, (deg[w], w))
-    peeled.reverse()
-    return peeled
-
-
 def find_coloring_reordered(
     g: AdjacencyGraph, k: int
 ) -> tuple[Optional[list[int]], SearchStats]:
-    """Witness finder: run the search over a degeneracy order and map the
-    coloring back to the original vertex numbering.
+    """search_k_coloring(g, k), under the name that perfbench's witness5_s
+    still calls.
 
-    search_k_coloring searches the k-core and breaks saturation ties by
-    degree within the core and then by index, so on the graph renumbered
-    in smallest-last order the degeneracy order breaks the ties among equal
-    core degrees.  In smallest-last order every vertex has at most
-    degeneracy-many earlier neighbors, which favors a short, greedy-like
-    descent on satisfiable instances.  Verdicts agree with
-    search_k_coloring on the original numbering; only the tie-breaking (and
-    hence the witness) differs.
+    It exists only for perfbench, like certify_graph's inert seed, and the
+    next refresh of the benchmark retires both.  It calls through the module
+    global, so perfbench's tracer, which replaces search_k_coloring, still
+    counts this search.
     """
-    order = smallest_last_order(g)
-    pos = [0] * g.n  # vertex v is renamed pos[v]
-    for i, v in enumerate(order):
-        pos[v] = i
-    # g's lists are already symmetric and free of repeats, so the
-    # constructor's edge list and per-vertex sets (about 4 ms at order 1378)
-    # are skipped
-    permuted = AdjacencyGraph.__new__(AdjacencyGraph)
-    permuted.n = g.n
-    permuted.neighbors = tuple(
-        tuple(sorted([pos[w] for w in g.neighbors[v]])) for v in order
-    )
-    coloring, stats = search_k_coloring(permuted, k)
-    if coloring is None:
-        return None, stats
-    back = [coloring[p] for p in pos]
-    if not verify_coloring(g, back):
-        raise AssertionError("permuted witness failed verification")
-    return back, stats
+    return search_k_coloring(g, k)
 
 
 def moser_spindle() -> AdjacencyGraph:

@@ -17,7 +17,6 @@ from hypchrom.coloring import (
     brute_force_chromatic,
     brute_force_k_colorable,
     chromatic_number,
-    find_coloring_reordered,
     minimal_non_k_prefix,
     search_k_coloring,
     verify_coloring,
@@ -144,7 +143,7 @@ def test_criterion_07_final_graph_not_four_colorable(final_adjacency):
     started = time.perf_counter()
     coloring, stats = search_k_coloring(final_adjacency, 4)
     unsat_time = time.perf_counter() - started
-    five, _ = find_coloring_reordered(final_adjacency, 5)
+    five, _ = search_k_coloring(final_adjacency, 5)
     ok = (
         coloring is None
         and unsat_time <= 60.0

@@ -610,22 +610,6 @@ class TestModularScreen:
         assert pipeline[3].order == 119
         return [g28, g42, pipeline[3]]
 
-    def test_recorded_edges_have_zero_residue(self, screened_graphs):
-        for g in screened_graphs:
-            assert set(g.edges) <= set(screened_pairs(g.vertices))
-
-    def test_nonzero_residue_pairs_fail_exact_test(self, screened_graphs):
-        for g in screened_graphs:
-            v = g.vertices
-            maybe = set(screened_pairs(v))
-            ruled_out = [
-                (i, j) for i in range(g.order) for j in range(i + 1, g.order)
-                if (i, j) not in maybe
-            ]
-            assert not any(is_unit_edge(v[i], v[j]) for i, j in ruled_out)
-            # the screen passes on the edges and nothing else here
-            assert len(ruled_out) == g.order * (g.order - 1) // 2 - g.size
-
     def test_expanded_residual_matches_direct_form(self):
         # 2(1-c)*Delta - K_P*K_Q computed directly with Python integers
         p, r = SCREEN_PRIME, SCREEN_ROOT
@@ -656,6 +640,9 @@ class TestModularScreen:
 
         for g in screened_graphs:
             verts = list(g.vertices)
+            # the screen passes the recorded edges and nothing else here; the
+            # brute-force check below shows it rules out no unit pair
+            assert screened_pairs(verts) == g.edges
             for points in (verts, verts[:at] + [no_image] + verts[at:]):
                 n = len(points)
                 brute = [
