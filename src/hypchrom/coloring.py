@@ -13,10 +13,10 @@ breaks ties by index alone; search_k_coloring hands it the core's
 neighbour bitmasks, relabeled by decreasing core degree, and maps the
 coloring back.  It is the one witness path: every coloring the package
 returns, the final graph's 5-coloring included, is its result, verified
-against the whole graph.  A search that visits more than the kernel's node budget
-hands its remaining subtrees to one forked worker per CPU of the process's
-affinity set, and rebuilds the serial coloring and counters from theirs;
-no worker outlives the search.
+against the whole graph.  A search that visits more than the kernel's
+node budget hands its remaining subtrees to one forked worker per CPU of
+the process's affinity set, and rebuilds the serial coloring and counters
+from theirs; no worker outlives the search.
 """
 
 from __future__ import annotations
