@@ -414,17 +414,18 @@ def _neighbor_sets(g: Graph) -> list[set[int]]:
 _NEAR_CELLS = tuple((dx, dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1))
 
 
-def _dedup(report: PhaseReport, g: Graph, cands, coords: np.ndarray) -> list[tuple]:
+def _dedup(
+    report: PhaseReport, g: Graph, nbrs: list[set[int]], cands, coords: np.ndarray
+) -> list[tuple]:
     """The survivors (i, j, x, y), in the candidates' processing order.
 
     g must record every unit pair among its vertices, as the seed, every
     growth output, induced subgraphs and any bundle certify passes do.  The
     vertices on both circles of pair (i, j) are then their common
-    neighbours (see _neighbor_sets): a candidate is existing when the pair
-    has two, or when it lies within DEDUP_RADIUS of the one.  A candidate
-    within DEDUP_RADIUS of an earlier survivor is dropped silently.
-    _exact_intersection still drops any vertex the rule misses."""
-    nbrs = _neighbor_sets(g)
+    neighbours, read from nbrs, its _neighbor_sets: a candidate is existing
+    when the pair has two, or when it lies within DEDUP_RADIUS of the one.
+    A candidate within DEDUP_RADIUS of an earlier survivor is dropped
+    silently.  _exact_intersection still drops any vertex the rule misses."""
     pts = coords.tolist()
     cell = 1.0 / DEDUP_RADIUS
     seen: dict[tuple[int, int], list[tuple[float, float]]] = {}
@@ -452,21 +453,27 @@ def _dedup(report: PhaseReport, g: Graph, cands, coords: np.ndarray) -> list[tup
 
 
 def _exact_intersection(
-    report: PhaseReport, g: Graph, survivors, cfg: AugmentConfig, phase_index: int
+    report: PhaseReport,
+    g: Graph,
+    nbrs: list[set[int]],
+    survivors,
+    cfg: AugmentConfig,
+    phase_index: int,
 ) -> dict[ModulePoint, VertexOrigin]:
     """The distinct exact candidates in processing order, each with its
     origin.  Each pair is intersected once, and each of its survivors takes
     the exact point nearer its float (x, y).  A pair with one common
-    neighbour in g is intersected from that vertex, one of its two points,
-    the others by the square root.  A survivor of a pair with no module
-    point, or whose point has a denominator above cfg.denom_bound or is in
-    cfg.excluded_points, is rejected and counted; one on a vertex of g is
-    dropped as existing; the first occurrence wins.
+    neighbour in g (nbrs is g's _neighbor_sets) is intersected from that
+    vertex, one of its two points, the others by the square root.  A
+    survivor of a pair with no module point, or whose point has a
+    denominator above cfg.denom_bound or is in cfg.excluded_points, is
+    rejected and counted; one on a vertex of g is dropped as existing; the
+    first occurrence wins.
 
     A false edge of g can give a pair a common neighbour off its circles,
     and so a wrong point, but never a wrong vertex: _exact_neighbors accepts
     only points exactly adjacent to both sources, which are on both circles."""
-    nbrs, old, found, pair = _neighbor_sets(g), set(g.vertices), {}, None
+    old, found, pair = set(g.vertices), {}, None
     for i, j, x, y in survivors:
         if (i, j) != pair:
             pair, c1, c2 = (i, j), _circle(g.vertices[i]), _circle(g.vertices[j])
@@ -573,8 +580,10 @@ def phase_augment(
     if g.order >= 2:
         coords, cands = _timed(report, _float_intersections, g)
         cands = _timed(report, _prefilter, cands, coords, min_neighbors)
-        survivors = _timed(report, _dedup, g, cands, coords)
-        found = _timed(report, _exact_intersection, g, survivors, cfg, phase_index)
+        # read by dedup and exact intersection alike, so built once
+        nbrs = _neighbor_sets(g)
+        survivors = _timed(report, _dedup, g, nbrs, cands, coords)
+        found = _timed(report, _exact_intersection, g, nbrs, survivors, cfg, phase_index)
         accepted, origins, edges = _timed(report, _exact_neighbors, g, found, min_neighbors)
         edges += _timed(report, _accidental_edges, g.order, accepted)
     report.elapsed = time.perf_counter() - started

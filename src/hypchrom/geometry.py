@@ -19,11 +19,13 @@ with A = 2(1-c)(X^2 + (1-c^2)Y^2), U = 4(1-c) and V = U(1-c^2): terms of
 one point, and three cross products.  Each point builds, once and in
 integers, its operand row: X, Y, K, A, U*X and V*Y over one common
 denominator, kept as 64-bit ints (or Python ints when an entry is wider).
-is_unit_edge, the only test that accepts an edge, sums the three products
-of two rows as one unreduced polynomial, reduces it once by the minimal
-polynomial and compares it with A_P + A_Q coefficient by coefficient, with
-no rounding anywhere.  K is read from the same row, for the disk test and
-the circles of augment.
+One formula, _residual_is_zero, sums the three products of two rows as one
+unreduced polynomial, reduces it once by the minimal polynomial and
+compares it with A_P + A_Q coefficient by coefficient, with no rounding
+anywhere.  It alone accepts an edge: is_unit_edge evaluates it on two rows
+of Python ints, and unit_edges on a block of pairs at once, in int64 when a
+proven magnitude bound keeps it exact.  K is read from the same row, for
+the disk test and the circles of augment.
 
 Most pairs are not edges, and a modular screen proves that cheaply.  Fix a
 prime p and a root r of the minimal polynomial mod p.  Sending c to r and
@@ -47,6 +49,7 @@ import math
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, compress
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -248,33 +251,76 @@ def f_of(p: ModulePoint, q: ModulePoint) -> FieldElement:
     return EDGE_INVARIANT * (ap + aq - uxp * xq - vyp * yq) / (kp * kq)
 
 
-def is_unit_edge(p: ModulePoint, q: ModulePoint) -> bool:
-    """True iff f(P, Q) equals the edge value exactly, that is iff the
-    residual A_P + A_Q - U X_P X_Q - V Y_P Y_Q - K_P K_Q is zero.
+# An operand row entry below this in magnitude keeps every partial sum of
+# _residual_is_zero inside int64 (see unit_edges).
+_INT64_ENTRY_BOUND = 2**26
 
-    On the operand rows, with P's and Q's denominators D_P and D_Q, that
-    holds iff (U X_P) X_Q + (V Y_P) Y_Q + K_P K_Q, one degree-6 sum of
-    integer products over D_P D_Q, reduced once by 32 c^4, 32 c^5 and
-    32 c^6, equals 32 (D_Q A_P + D_P A_Q) coefficient by coefficient."""
+
+def _residual_is_zero(p, q):
+    """Whether the residual of the operand rows p and q is zero, coefficient
+    by coefficient: a bool for two rows of ints, a bool array for two blocks
+    of 25 rows (one column per pair), as unpacking a 2-D array yields its
+    rows.
+
+    With P's and Q's denominators D_P and D_Q, the residual is zero iff
+    (U X_P) X_Q + (V Y_P) Y_Q + K_P K_Q, one degree-6 sum of integer
+    products over D_P D_Q, reduced once by 32 c^4, 32 c^5 and 32 c^6,
+    equals 32 (D_Q A_P + D_P A_Q) coefficient by coefficient."""
     (_, _, _, _, _, _, _, _, k0, k1, k2, k3, a0, a1, a2, a3,
-     u0, u1, u2, u3, v0, v1, v2, v3, d) = p._row or p._operands()
+     u0, u1, u2, u3, v0, v1, v2, v3, d) = p
     (x0, x1, x2, x3, y0, y1, y2, y3, l0, l1, l2, l3, b0, b1, b2, b3,
-     _, _, _, _, _, _, _, _, e) = q._row or q._operands()
+     _, _, _, _, _, _, _, _, e) = q
     s4 = u1 * x3 + u2 * x2 + u3 * x1 + v1 * y3 + v2 * y2 + v3 * y1 + k1 * l3 + k2 * l2 + k3 * l1
     s5 = u2 * x3 + u3 * x2 + v2 * y3 + v3 * y2 + k2 * l3 + k3 * l2
     s6 = u3 * x3 + v3 * y3 + k3 * l3
     # 32 (s_i - D_Q A_P - D_P A_Q) + the c^4 .. c^6 terms of the reduction
     return (
-        32 * (u0 * x0 + v0 * y0 + k0 * l0 - e * a0 - d * b0) - 2 * s4 + s5 - 2 * s6 == 0
-        and 32 * (u0 * x1 + u1 * x0 + v0 * y1 + v1 * y0 + k0 * l1 + k1 * l0 - e * a1 - d * b1)
-        + 4 * s4 - 4 * s5 + 5 * s6 == 0
-        and 32 * (u0 * x2 + u1 * x1 + u2 * x0 + v0 * y2 + v1 * y1 + v2 * y0
-                  + k0 * l2 + k1 * l1 + k2 * l0 - e * a2 - d * b2)
-        + 24 * s4 - 8 * s5 + 20 * s6 == 0
-        and 32 * (u0 * x3 + u1 * x2 + u2 * x1 + u3 * x0 + v0 * y3 + v1 * y2 + v2 * y1 + v3 * y0
-                  + k0 * l3 + k1 * l2 + k2 * l1 + k3 * l0 - e * a3 - d * b3)
-        - 16 * s4 + 32 * s5 - 24 * s6 == 0
+        (32 * (u0 * x0 + v0 * y0 + k0 * l0 - e * a0 - d * b0) - 2 * s4 + s5 - 2 * s6 == 0)
+        & (32 * (u0 * x1 + u1 * x0 + v0 * y1 + v1 * y0 + k0 * l1 + k1 * l0 - e * a1 - d * b1)
+           + 4 * s4 - 4 * s5 + 5 * s6 == 0)
+        & (32 * (u0 * x2 + u1 * x1 + u2 * x0 + v0 * y2 + v1 * y1 + v2 * y0
+                 + k0 * l2 + k1 * l1 + k2 * l0 - e * a2 - d * b2)
+           + 24 * s4 - 8 * s5 + 20 * s6 == 0)
+        & (32 * (u0 * x3 + u1 * x2 + u2 * x1 + u3 * x0 + v0 * y3 + v1 * y2 + v2 * y1 + v3 * y0
+                 + k0 * l3 + k1 * l2 + k2 * l1 + k3 * l0 - e * a3 - d * b3)
+           - 16 * s4 + 32 * s5 - 24 * s6 == 0)
     )
+
+
+def is_unit_edge(p: ModulePoint, q: ModulePoint) -> bool:
+    """True iff f(P, Q) equals the edge value exactly, that is iff the
+    residual A_P + A_Q - U X_P X_Q - V Y_P Y_Q - K_P K_Q is zero: the one
+    residual formula, _residual_is_zero, on the two operand rows in Python
+    integers.  Growth tests its pairs one at a time here; unit_edges tests
+    a list of pairs at once with the same formula."""
+    return _residual_is_zero(p._row or p._operands(), q._row or q._operands())
+
+
+def unit_edges(points: Sequence[ModulePoint], pairs: Sequence[tuple[int, int]]) -> np.ndarray:
+    """is_unit_edge(points[i], points[j]) for each pair (i, j), as one bool
+    array in the order of pairs, from one evaluation of _residual_is_zero
+    on the pairs' rows as columns.
+
+    The rows are stacked into one int64 matrix when every row is an int64
+    array whose entries are below 2^26 in magnitude, and into Python ints
+    (dtype object) otherwise.  Under that bound the int64 result is exact.
+    Each coefficient is a signed sum of products of two entries, each below
+    2^52, weighted by constants; the total weight is 190, 331, 676 and 856
+    for the coefficients of 1, c, c^2 and c^3 (for c^3: 32 * 14 products,
+    16 * 9 in s4, 32 * 6 in s5 and 24 * 3 in s6).  Every partial sum is one
+    of these sums with terms left out, so its magnitude stays below
+    856 * 2^52 < 2^62 and nothing wraps."""
+    rows = [pt._row or pt._operands() for pt in points]
+    narrow = all(type(row) is array for row in rows)
+    if narrow:
+        block = np.frombuffer(b"".join(rows), dtype=np.int64).reshape(len(rows), 25)
+        narrow = ((block < _INT64_ENTRY_BOUND) & (block > -_INT64_ENTRY_BOUND)).all()
+    if not narrow:
+        # Python ints, which never wrap
+        block = np.array([tuple(row) for row in rows], dtype=object).reshape(len(rows), 25)
+    cols = np.ascontiguousarray(block.T)
+    at = np.fromiter(chain.from_iterable(pairs), dtype=np.intp, count=2 * len(pairs))
+    return _residual_is_zero(cols[:, at[0::2]], cols[:, at[1::2]])
 
 
 # ---------------------------------------------------------------------------
@@ -453,18 +499,18 @@ def certify_graph(g: Graph, seed: int = 0) -> CertificationReport:
     f = f_edge.
 
     Every pair goes through the modular screen, which proves most of them
-    non-edges, and the pairs it cannot rule out through is_unit_edge.
-    Failures are ("disk", i) for a vertex on or outside the unit circle,
-    ("edge", i, j) for a recorded pair that is not an edge and
-    ("nonedge", i, j) for an unrecorded pair that is one, sorted by their
-    indices.  seed is accepted for callers that still pass it and has no
+    non-edges, and the pairs it cannot rule out through one unit_edges
+    call, the batch form of is_unit_edge.  Failures are ("disk", i) for a
+    vertex on or outside the unit circle, ("edge", i, j) for a recorded
+    pair that is not an edge and ("nonedge", i, j) for an unrecorded pair
+    that is one, sorted by their indices.  seed is accepted for callers that still pass it and has no
     effect."""
     v = g.vertices
     maybe = screened_pairs(v)
-    # every exact test before any new object: building tuples or a set between
-    # them fragmented the heap and slowed a later coloring search by about 25%
-    hits = [is_unit_edge(v[i], v[j]) for i, j in maybe]
-    found = {pair for pair, hit in zip(maybe, hits) if hit}
+    # every exact test before any new object, as one batch: building tuples
+    # or a set between per-pair tests fragmented the heap and slowed a later
+    # coloring search by about 25%
+    found = set(compress(maybe, unit_edges(v, maybe).tolist()))
     recorded = g.edge_set()
     failures = sorted(
         [("disk", i) for i, point in enumerate(v) if not point.is_inside_disk()]

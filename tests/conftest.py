@@ -1,7 +1,42 @@
+import signal
+
 import pytest
 
 from hypchrom.augment import AugmentConfig, grow_pipeline, phase_augment
 from hypchrom.geometry import build_g9
+
+#: CPU seconds one test may use; the slowest, acceptance criterion 8, takes
+#: about 12 s
+CPU_BUDGET_S = 120
+
+
+class CPUBudgetExceeded(Exception):
+    """A test used more CPU time than its budget."""
+
+
+@pytest.fixture
+def cpu_budget():
+    return CPU_BUDGET_S
+
+
+@pytest.fixture(autouse=True)
+def cpu_guard(cpu_budget):
+    """Fail a test that runs past its CPU budget, so a search that never ends
+    fails there instead of holding the run.  The virtual timer counts this
+    process's user CPU time and signals SIGVTALRM, so it leaves alone the
+    SIGALRM that test_killed_worker_raises_and_ends_pool arms; forked
+    workers do not inherit it."""
+
+    def expired(signum, frame):
+        raise CPUBudgetExceeded(f"test used more than {cpu_budget} s of CPU time")
+
+    previous = signal.signal(signal.SIGVTALRM, expired)
+    signal.setitimer(signal.ITIMER_VIRTUAL, cpu_budget)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_VIRTUAL, 0)
+        signal.signal(signal.SIGVTALRM, previous)
 
 
 @pytest.fixture(scope="session")

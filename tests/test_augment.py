@@ -186,8 +186,8 @@ class TestIntersectCircles:
             report = augment.PhaseReport(phase=0, min_neighbors=min_neighbors)
             coords, cands = augment._float_intersections(report, g)
             cands = augment._prefilter(report, cands, coords, min_neighbors)
-            survivors = augment._dedup(report, g, cands, coords)
             nbrs = augment._neighbor_sets(g)
+            survivors = augment._dedup(report, g, nbrs, cands, coords)
             for i, j in dict.fromkeys((i, j) for i, j, _, _ in survivors):
                 common = nbrs[i] & nbrs[j]
                 if len(common) != 1:
@@ -488,7 +488,7 @@ def dedup_reference(cands, coords):
 
 def dedup(g, cands, coords):
     report = augment.PhaseReport(phase=0, min_neighbors=2)
-    survivors = augment._dedup(report, g, cands, coords)
+    survivors = augment._dedup(report, g, augment._neighbor_sets(g), cands, coords)
     assert report.distinct == len(survivors)
     return survivors, report.dropped_existing
 
@@ -543,7 +543,7 @@ class TestDedup:
             report = augment.PhaseReport(phase=0, min_neighbors=min_neighbors)
             coords, cands = augment._float_intersections(report, g)
             cands = augment._prefilter(report, cands, coords, min_neighbors)
-            survivors = augment._dedup(report, g, cands, coords)
+            survivors = augment._dedup(report, g, augment._neighbor_sets(g), cands, coords)
             kept = np.array([(x, y) for _, _, x, y in survivors])
             exact = {}
 
@@ -618,10 +618,11 @@ class TestDedup:
         report = augment.PhaseReport(phase=2, min_neighbors=3)
         coords, cands = augment._float_intersections(report, h)
         cands = augment._prefilter(report, cands, coords, 3)
-        survivors = augment._dedup(report, h, cands, coords)
+        nbrs = augment._neighbor_sets(h)
+        survivors = augment._dedup(report, h, nbrs, cands, coords)
         in_dedup = report.dropped_existing
         assert in_dedup < g42.phase_report.dropped_existing
-        found = augment._exact_intersection(report, h, survivors, reference_cfg, 2)
+        found = augment._exact_intersection(report, h, nbrs, survivors, reference_cfg, 2)
         assert list(found) == g42.vertices[28:]
         extra = len(survivors) - g42.phase_report.distinct
         assert extra > 0 and report.dropped_existing - in_dedup == extra
@@ -637,7 +638,7 @@ class TestPhaseLayers:
         survivors = [(1, 9, x, y), (1, 24, x + 1e-7, y), (0, 1, apex_x, apex_y)]
         report = augment.PhaseReport(phase=2, min_neighbors=3)
         found = augment._exact_intersection(
-            report, g28, survivors, AugmentConfig.reference(), 2
+            report, g28, augment._neighbor_sets(g28), survivors, AugmentConfig.reference(), 2
         )
         assert list(found) == [point]
         origin = found[point]
@@ -652,7 +653,8 @@ class TestPhaseLayers:
         x, y = point.to_floats()
         report = augment.PhaseReport(phase=2, min_neighbors=3)
         found = augment._exact_intersection(
-            report, g28, [(1, 9, x + 2e-5, y)], AugmentConfig.reference(), 2
+            report, g28, augment._neighbor_sets(g28), [(1, 9, x + 2e-5, y)],
+            AugmentConfig.reference(), 2,
         )
         assert list(found) == [point]
         assert report.rejected_nonmodule == 0
@@ -670,7 +672,9 @@ class TestPhaseLayers:
         points = [table_point(*row[:2]) for row in TABLE1 if row[2] == (3, 9)]
         survivors = [(2, 8, *p.to_floats()) for p in points]
         report = augment.PhaseReport(phase=1, min_neighbors=2)
-        found = augment._exact_intersection(report, g9, survivors, AugmentConfig(), 1)
+        found = augment._exact_intersection(
+            report, g9, augment._neighbor_sets(g9), survivors, AugmentConfig(), 1
+        )
         assert len(calls) == 1
         assert sorted(found, key=lambda p: p.to_floats()) == sorted(
             points, key=lambda p: p.to_floats()
@@ -821,9 +825,9 @@ class TestPipeline:
             return sqrt(d)
 
         @functools.wraps(exact_intersection)
-        def recording_exact_intersection(report, g, survivors, *args):
+        def recording_exact_intersection(report, g, nbrs, survivors, *args):
             endpoints.update(g.vertices[v] for i, j, _, _ in survivors for v in (i, j))
-            return exact_intersection(report, g, survivors, *args)
+            return exact_intersection(report, g, nbrs, survivors, *args)
 
         monkeypatch.setattr(augment, "circle_of", counting_circle_of)
         monkeypatch.setattr(augment, "_exact_intersection", recording_exact_intersection)

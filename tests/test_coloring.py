@@ -12,6 +12,7 @@ from itertools import accumulate
 from operator import or_
 
 import pytest
+from conftest import CPUBudgetExceeded
 from hypothesis import given, settings, strategies as st
 
 from hypchrom import _colorsearch_py, coloring as coloring_module
@@ -30,39 +31,6 @@ from hypchrom.coloring import (
     search_k_coloring,
     verify_coloring,
 )
-
-#: CPU seconds one test here may use; the slowest takes about 3.5 s
-CPU_BUDGET_S = 120
-
-
-class CPUBudgetExceeded(Exception):
-    """A test used more CPU time than its budget."""
-
-
-@pytest.fixture
-def cpu_budget():
-    return CPU_BUDGET_S
-
-
-@pytest.fixture(autouse=True)
-def cpu_guard(cpu_budget):
-    """Fail a test that runs past its CPU budget, so a search that never ends
-    fails here instead of holding the run.  The virtual timer counts this
-    process's user CPU time and signals SIGVTALRM, so it leaves alone the
-    SIGALRM that test_killed_worker_raises_and_ends_pool arms; forked
-    workers do not inherit it."""
-
-    def expired(signum, frame):
-        raise CPUBudgetExceeded(f"test used more than {cpu_budget} s of CPU time")
-
-    previous = signal.signal(signal.SIGVTALRM, expired)
-    signal.setitimer(signal.ITIMER_VIRTUAL, cpu_budget)
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_VIRTUAL, 0)
-        signal.signal(signal.SIGVTALRM, previous)
-
 
 @pytest.mark.parametrize("cpu_budget", [0.3])
 def test_cpu_guard_fails_a_busy_test(cpu_budget):
@@ -461,17 +429,13 @@ class TestSearchTreePins:
         assert coloring is None
         assert (stats.nodes_visited, stats.max_depth, stats.conflicts) == (26468, 37, 26469)
 
-    def test_reordered_five_witness_nodes(self, pipeline):
-        adj = AdjacencyGraph.from_graph(pipeline[-1])
-        coloring, stats = search_k_coloring(adj, 5)
-        assert coloring is not None and verify_coloring(adj, coloring)
-        assert stats.nodes_visited == 711
-
     def test_reordered_name_is_the_search(self, pipeline, monkeypatch):
         # perfbench's witness5_s still calls find_coloring_reordered; it must
         # run the one witness path, so the same tree and the same coloring
         adj = AdjacencyGraph.from_graph(pipeline[-1])
         coloring, stats = search_k_coloring(adj, 5)
+        assert coloring is not None and verify_coloring(adj, coloring)
+        assert stats.nodes_visited == 711
         shim_coloring, shim_stats = find_coloring_reordered(adj, 5)
         assert shim_coloring == coloring
         assert dataclasses.replace(shim_stats, elapsed=0) == dataclasses.replace(stats, elapsed=0)
@@ -479,17 +443,15 @@ class TestSearchTreePins:
         monkeypatch.setattr(coloring_module, "search_k_coloring", lambda g, k: (g, k))
         assert find_coloring_reordered(adj, 5) == (adj, 5)
 
-    @pytest.mark.parametrize("find, order, k, digest", [
-        (search_k_coloring, 1378, 5,
-         "dac7907f9a7f2eaa25b57cd180647e3852a13ad27e63825e1dd1317147c9c543"),
-        (search_k_coloring, 226, 4,
-         "7a9b401924476c1a87d851e21db6ca5e488c90b283f3a59e0a46fe78fd076c1a"),
+    @pytest.mark.parametrize("order, k, digest", [
+        (1378, 5, "dac7907f9a7f2eaa25b57cd180647e3852a13ad27e63825e1dd1317147c9c543"),
+        (226, 4, "7a9b401924476c1a87d851e21db6ca5e488c90b283f3a59e0a46fe78fd076c1a"),
     ], ids=["search-1378-5", "search-226-4"])
-    def test_witness_digest(self, pipeline, find, order, k, digest):
+    def test_witness_digest(self, pipeline, order, k, digest):
         # the witness, mapped back to the caller's numbering, is fixed too;
         # SHA-256 of its colors as bytes
         (g,) = [g for g in pipeline if g.order == order]
-        coloring, _ = find(AdjacencyGraph.from_graph(g), k)
+        coloring, _ = search_k_coloring(AdjacencyGraph.from_graph(g), k)
         assert hashlib.sha256(bytes(coloring)).hexdigest() == digest
 
     def test_one_color_branches_on_every_vertex(self):

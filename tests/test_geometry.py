@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hypchrom import geometry
+from hypchrom.augment import circle_of, intersect_circles
 from hypchrom.field import (
     EDGE_INVARIANT,
     GEN,
@@ -39,6 +40,7 @@ from hypchrom.geometry import (
     point_coords_numeric,
     screened_pairs,
     spindle_numeric,
+    unit_edges,
     verify_condition1,
 )
 
@@ -188,16 +190,17 @@ class TestSeedGraph:
         assert report.failures == [("edge", *false_pair)]
 
     def test_certify_tests_exactly_the_screened_pairs(self, pipeline, monkeypatch):
-        calls = []
+        batches = []
 
-        def counting_edge_test(p, q):
-            calls.append((p, q))
-            return is_unit_edge(p, q)
+        def counting_edge_tests(points, pairs):
+            batches.append(list(pairs))
+            return unit_edges(points, pairs)
 
-        monkeypatch.setattr(geometry, "is_unit_edge", counting_edge_test)
+        monkeypatch.setattr(geometry, "unit_edges", counting_edge_tests)
         report = certify_graph(pipeline[4])
         assert report.ok
-        assert len(calls) == report.edges_checked == 786
+        # one batch of exactly the screened pairs
+        assert [len(pairs) for pairs in batches] == [report.edges_checked] == [786]
         assert report.nonedges_checked == 226 * 225 // 2 - 786 == 24639
 
     def test_graph_rejects_repeated_pair_and_self_loop(self, g9):
@@ -421,6 +424,110 @@ class TestExactEdgeTest:
         moved = ModulePoint(x, y + FieldElement(Fraction(1, 3**30)))
         assert isinstance(moved._operands(), tuple)
         assert not is_unit_edge(origin, moved) and not ref_is_edge(origin, moved)
+
+
+class TestBatchedEdgeTest:
+    """unit_edges against is_unit_edge: one formula, so equal answers in
+    int64 under the entry bound and in Python ints above it."""
+
+    @pytest.fixture
+    def block_dtypes(self, monkeypatch):
+        """The dtype of each block unit_edges evaluates (is_unit_edge's rows
+        are not recorded).  Wrapped int64 arithmetic is exact mod 2^64, so
+        it keeps every true edge, and only a rare non-edge would show a
+        missing bound; the dtype shows it."""
+        dtypes = []
+        residual_is_zero = geometry._residual_is_zero
+
+        def recording(p, q):
+            if isinstance(p, np.ndarray):
+                dtypes.append(p.dtype)
+            return residual_is_zero(p, q)
+
+        monkeypatch.setattr(geometry, "_residual_is_zero", recording)
+        return dtypes
+
+    def test_int64_bound_holds_for_the_formula(self):
+        # the formula evaluated on magnitude bounds: an entry counts 1, a
+        # product the product of its factors, a sum or difference the sum of
+        # its terms, so the largest count any partial sum reaches is the
+        # total weight of unit_edges' docstring
+        seen = []
+
+        class Magnitude:
+            def __init__(self, m):
+                self.m = m
+                seen.append(m)
+
+            def __add__(self, other):
+                return Magnitude(self.m + other.m)
+
+            __sub__ = __add__
+
+            def __mul__(self, other):
+                return Magnitude(self.m * (other.m if isinstance(other, Magnitude) else abs(other)))
+
+            __rmul__ = __mul__
+
+            def __eq__(self, other):
+                return True
+
+        row = [Magnitude(1) for _ in range(25)]
+        assert geometry._residual_is_zero(row, row) is True
+        assert max(seen) == 856
+        # every partial sum of products of entries below the bound fits int64
+        bound = geometry._INT64_ENTRY_BOUND
+        assert max(seen) * (bound - 1) ** 2 < 2**62
+
+    def test_equal_on_the_final_graph(self, pipeline, block_dtypes):
+        g = pipeline[-1]
+        v = g.vertices
+        rows = [point._operands() for point in v]
+        assert max(abs(e) for row in rows for e in row) < geometry._INT64_ENTRY_BOUND
+        maybe = screened_pairs(v)
+        assert len(maybe) == g.size == 5447
+        rng = random.Random(1378)
+        edges = g.edge_set()
+        others = []
+        while len(others) < 10_000:
+            pair = tuple(sorted(rng.sample(range(g.order), 2)))
+            if pair not in edges:
+                others.append(pair)
+        for pairs in (maybe, others, [(j, i) for i, j in others[:500]]):
+            assert unit_edges(v, pairs).tolist() == [is_unit_edge(v[i], v[j]) for i, j in pairs]
+        assert unit_edges(v, maybe).all() and not unit_edges(v, others).any()
+        assert set(block_dtypes) == {np.dtype(np.int64)}
+
+    def test_rows_above_the_bound_take_python_ints(self, g9, block_dtypes):
+        # the circles of two points on the base circle meet at the origin and
+        # at a point whose row has 50-bit entries: int64 rows, but past the
+        # bound, where int64 products would wrap
+        origin = g9.vertices[0]
+        p = on_base_circle(Fraction(1, 3))
+        q = on_base_circle(Fraction(2, 7))
+        wide = [r for r in intersect_circles(circle_of(p), circle_of(q)) if r != origin]
+        assert len(wide) == 1
+        [r] = wide
+        assert isinstance(r._operands(), array)
+        assert max(abs(e) for e in r._operands()) >= 2**32
+        points = [origin, p, q, r]
+        pairs = [(3, 1), (1, 3), (2, 3), (0, 3), (3, 0), (0, 1), (1, 2)]
+        want = [is_unit_edge(points[i], points[j]) for i, j in pairs]
+        assert want[:3] == [True] * 3 and want[3:5] == [False] * 2
+        assert want == [ref_is_edge(points[i], points[j]) for i, j in pairs]
+        assert unit_edges(points, pairs).tolist() == want
+        assert block_dtypes == [np.dtype(object)]
+        # and a tuple row, too wide for int64
+        far = on_base_circle(Fraction(3**40, 2**70 + 1))
+        assert isinstance(far._operands(), tuple)
+        assert unit_edges([origin, far, p], [(0, 1), (1, 2)]).tolist() == [True, False]
+        assert block_dtypes == [np.dtype(object)] * 2
+        assert not ref_is_edge(far, p)
+
+    def test_no_pairs(self, g9):
+        for points in (g9.vertices, []):
+            hits = unit_edges(points, [])
+            assert hits.dtype == bool and hits.shape == (0,)
 
 
 class TestCondition1:

@@ -90,6 +90,24 @@ class TestBundle:
         # without verification the tampered bundle parses
         assert read_bundle(str(path), verify=False).size == 18
 
+    def test_first_of_two_bad_edges_is_named(self, g9, tmp_path):
+        path = tmp_path / "bad.bundle"
+        # {1,8} and {2,7} are not edges; the file lists {2,7} first, and the
+        # first in the graph's edge order is named
+        tampered = Graph(g9.vertices, list(g9.edges) + [(1, 6), (0, 7)], g9.origins)
+        write_bundle(tampered, str(path))
+        lines = path.read_text().splitlines()
+        lines.remove("e 1 8")
+        path.write_text("\n".join(lines + ["e 1 8"]) + "\n")
+        with pytest.raises(GraphIntegrityError, match=r"^edge \(1,8\) failed exact re-certification$"):
+            read_bundle(str(path))
+
+    def test_bundle_without_edges_verifies(self, g9, tmp_path):
+        path = tmp_path / "no-edges.bundle"
+        write_bundle(Graph(g9.vertices, [], g9.origins), str(path))
+        back = read_bundle(str(path))
+        assert (back.order, back.size) == (9, 0)
+
     def test_vertex_outside_disk_fails_verification(self, g9, tmp_path):
         path = tmp_path / "outside.bundle"
         write_bundle(g9, str(path))
