@@ -429,13 +429,17 @@ class TestSearchTreePins:
         assert coloring is None
         assert (stats.nodes_visited, stats.max_depth, stats.conflicts) == (26468, 37, 26469)
 
+    def test_reordered_five_witness_nodes(self, pipeline):
+        adj = AdjacencyGraph.from_graph(pipeline[-1])
+        coloring, stats = search_k_coloring(adj, 5)
+        assert coloring is not None and verify_coloring(adj, coloring)
+        assert stats.nodes_visited == 711
+
     def test_reordered_name_is_the_search(self, pipeline, monkeypatch):
         # perfbench's witness5_s still calls find_coloring_reordered; it must
         # run the one witness path, so the same tree and the same coloring
         adj = AdjacencyGraph.from_graph(pipeline[-1])
         coloring, stats = search_k_coloring(adj, 5)
-        assert coloring is not None and verify_coloring(adj, coloring)
-        assert stats.nodes_visited == 711
         shim_coloring, shim_stats = find_coloring_reordered(adj, 5)
         assert shim_coloring == coloring
         assert dataclasses.replace(shim_stats, elapsed=0) == dataclasses.replace(stats, elapsed=0)
