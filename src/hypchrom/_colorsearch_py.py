@@ -72,57 +72,41 @@ NODE_BUDGET = 1000
 POLL_S = 0.25
 
 
-def make_search(masks, k):
-    """The search's root state and its propagation step for a k-coloring of
-    the graph with neighbour bitmasks masks (bit w of masks[v] is set when
-    w neighbours v).
+def make_walk(masks, k, split=-1):
+    """The depth-first search over the graph with neighbour bitmasks masks
+    (bit w of masks[v] is set when w neighbours v) for a k-coloring,
+    branching saturation-first.
 
-    Returns (root, assign, stats).  A state is a tuple (uncolored, feasible,
-    colored) of an int and two k-tuples of ints, as described above; in
-    root every vertex is uncolored with every color feasible.
-    assign(state, v, color) returns the state with v colored color and
-    propagated to its fixpoint, or None on a conflict; it returns state
-    itself if v is colored color already, and None if color is not
+    Returns (root, assign, walk, stats, deferred).  A state is a tuple
+    (uncolored, feasible, colored) of an int and two k-tuples of ints, as
+    described above; in root every vertex is uncolored with every color
+    feasible.  assign(state, v, color) returns the state with v colored
+    color and propagated to its fixpoint, or None on a conflict; it returns
+    state itself if v is colored color already, and None if color is not
     feasible for v.  It never changes state.  stats is the list [nodes
-    visited, max depth, forced, conflicts, backtracks], which search fills
+    visited, max depth, forced, conflicts, backtracks], which walk fills
     in; assign adds to forced the vertices each propagation round left with
     one color, in every round that ends without a conflict.
+
+    walk(state, depth) searches the subtree below state, a node depth
+    branching decisions below the root, and returns the colored tuple of
+    the first coloring it finds in depth-first order, or None.  Once stats
+    counts NODE_BUDGET nodes, walk enters no node split decisions deep: it
+    appends (state, depth, the counters so far) to the list deferred and
+    returns None, as if that subtree held no coloring.  With split = -1 it
+    defers nothing.
     """
-    root, assign, _, _, stats = _kernel_parts(masks, k)
-    return root, assign, stats
-
-
-def _kernel_parts(masks, k):
-    """make_search's root, assign and stats, with the rendered kernel's
-    child steps and fewest (see _kernel) between them."""
     if k < 1 or k > 32:
         raise ValueError("color count must be between 1 and 32")
     n = len(masks)
     stats = [0, 0, 0, 0, 0]
     assign, steps, fewest = _kernel(k)(masks, [1 << v for v in range(n)], stats)
     everyone = (1 << n) - 1
-    return (everyone, (everyone,) * k, (0,) * k), assign, steps, fewest, stats
-
-
-def make_walk(masks, k, split=-1, budget=0):
-    """The depth-first search over the graph with neighbour bitmasks masks
-    for a k-coloring, branching saturation-first.
-
-    Returns (root, assign, walk, stats, deferred): root, assign and stats
-    are those of make_search.  walk(state, depth) searches the subtree below
-    state, a node depth branching decisions below the root, and returns the
-    colored tuple of the first coloring it finds in depth-first order, or
-    None.  Once stats counts budget nodes, walk enters no node split
-    decisions deep: it appends (state, depth, the counters so far) to the
-    list deferred and returns None, as if that subtree held no coloring.
-    With split = -1 it defers nothing.
-    """
-    root, assign, steps, fewest, stats = _kernel_parts(masks, k)
     colors = range(k)
     deferred = []
 
     def walk(state, depth):
-        if depth == split and stats[0] >= budget:
+        if depth == split and stats[0] >= NODE_BUDGET:
             deferred.append((state, depth, tuple(stats)))
             return None
         stats[0] += 1
@@ -146,21 +130,21 @@ def make_walk(masks, k, split=-1, budget=0):
                 stats[4] += 1
         return None
 
-    return root, assign, walk, stats, deferred
+    return (everyone, (everyone,) * k, (0,) * k), assign, walk, stats, deferred
 
 
 def search(masks, k, preassigned):
     """Depth-first search for a proper k-coloring, branching saturation-first,
     in this process alone.
 
-    The graph is given by its neighbour bitmasks, as for make_search.
+    The graph is given by its neighbour bitmasks, as for make_walk.
     preassigned is a sequence of (vertex, color) pairs applied with full
     propagation before the search.  Returns (colors_or_None,
     (nodes_visited, max_depth, forced, conflicts, backtracks)):
     nodes_visited counts search nodes (calls of the recursive walk),
     max_depth is the largest number of branching decisions on one path,
     forced counts feasible sets narrowed to one color by propagation (see
-    make_search), conflicts counts branching assignments that propagation
+    make_walk), conflicts counts branching assignments that propagation
     refuted, and backtracks counts branching assignments that propagation
     accepted but whose subtree holds no coloring.
     """
@@ -168,26 +152,27 @@ def search(masks, k, preassigned):
     return coloring, counts
 
 
-def split_search(masks, k, preassigned, depth=SPLIT_DEPTH, workers=None,
-                 budget=NODE_BUDGET):
-    """search, with the subtrees depth decisions deep that the walk meets
-    after its first budget nodes searched by a pool of forked processes.
+def split_search(masks, k, preassigned, workers=None):
+    """search, with the subtrees SPLIT_DEPTH decisions deep that the walk
+    meets after its first NODE_BUDGET nodes searched by a pool of forked
+    processes.
 
-    The parent walks the tree as search does until it has visited budget
-    nodes.  From then on it defers each node depth decisions deep, with a
-    snapshot of its counters, and walks on above them (see make_walk).  The
-    deferred subtrees go in depth-first order to min(workers, subtrees)
-    processes; each searches its subtrees with counters of its own.  The
-    serial result is then rebuilt: up to the first deferred subtree that
-    holds a coloring, the counters are the parent's snapshot there plus
-    those of every subtree up to it (max_depth their maximum); when none
-    does, the parent's final counters plus those of every subtree.  So the
-    coloring and counters equal search's exactly.
+    The parent walks the tree as search does until it has visited
+    NODE_BUDGET nodes.  From then on it defers each node SPLIT_DEPTH
+    decisions deep, with a snapshot of its counters, and walks on above
+    them (see make_walk).  The deferred subtrees go in depth-first order to
+    min(workers, subtrees) processes; each searches its subtrees with
+    counters of its own.  The serial result is then rebuilt: up to the
+    first deferred subtree that holds a coloring, the counters are the
+    parent's snapshot there plus those of every subtree up to it
+    (max_depth their maximum); when none does, the parent's final counters
+    plus those of every subtree.  So the coloring and counters equal
+    search's exactly.
 
     workers defaults to the number of CPUs in this process's affinity set,
     1 where the platform reports none.  With one worker, or where the
     platform cannot fork, nothing is deferred; a single deferred subtree is
-    searched in this process.  A search that stays within budget nodes
+    searched in this process.  A search that stays within NODE_BUDGET nodes
     imports no multiprocessing.  Returns (colors_or_None, counters as for
     search, the number of processes that searched at once).  No worker
     outlives the call, on an early coloring or an error too.
@@ -197,7 +182,7 @@ def split_search(masks, k, preassigned, depth=SPLIT_DEPTH, workers=None,
     if not hasattr(os, "fork"):
         workers = 1
     state, assign, walk, stats, deferred = make_walk(
-        masks, k, depth if workers > 1 else -1, budget
+        masks, k, SPLIT_DEPTH if workers > 1 else -1
     )
     for v, color in preassigned:
         state = assign(state, v, color) if 0 <= color < k else None
@@ -327,7 +312,7 @@ def _kernel(k):
     """The kernel for k colors: _render(k), compiled on first use in this
     process, so forked workers inherit it.  Calling it with (masks, bits,
     stats), bits[v] being 1 << v, returns (assign, steps, fewest): assign
-    is make_search's; steps[c](uncolored, feasible, colored, v) is assign
+    is make_walk's; steps[c](uncolored, feasible, colored, v) is assign
     of color c to the uncolored vertex v, where c is feasible, without
     assign's checks; fewest(feasible) is the branching vertex."""
     namespace = {}
@@ -377,7 +362,7 @@ def _render(k):
 
 
 # The rendered kernel; see the module docstring for what propagate does,
-# and make_search for assign.  No vertex of feasible[c] neighbours
+# and make_walk for assign.  No vertex of feasible[c] neighbours
 # colored[c], as coloring a vertex strips its color from its neighbours,
 # so only vertices forced to c together can clash.  A forced vertex has one
 # feasible color, so the batches of one round are disjoint and together

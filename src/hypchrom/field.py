@@ -16,7 +16,7 @@ down to the level at most 1e-18 wide; a query that needs a deeper level
 halves on to it itself, so queries share no state and nothing is written
 after import.  The bisection levels have power-of-two denominators, so
 the evaluation is integer interval Horner, and only the bounds handed out
-by root_bounds and fe_to_interval become Fractions.  Square roots are
+by fe_to_interval become Fractions.  Square roots are
 decided exactly through the tower Q < Q(sqrt5) < Q(c): the quartic factors
 over Q(sqrt5), so a field square root reduces to square roots in Q(sqrt5)
 and ultimately to integer square roots; Q(sqrt5) elements are integer
@@ -25,7 +25,7 @@ triples.  Sign, interval and square-root arithmetic is integer-only.
 Text is parsed into integer (num, den) pairs and elements are built from
 them directly; as_strings writes the reduced pairs back.  Fractions are
 made only where the API returns one: here FieldElement.coeffs,
-root_bounds, fe_to_interval and interval_sqrt (and, in geometry.py,
+fe_to_interval and interval_sqrt (and, in geometry.py,
 ModulePoint.octuple and the bounds of NumericPoint).
 Nothing else on the load, growth or export paths builds one.
 """
@@ -398,14 +398,6 @@ def _root_levels(start: int):
         yield _LOWS[k], 40 << k
     deeper = _bisect(_LOWS[-1], 40 << _FLOAT_ROOT_LEVEL)
     yield from itertools.islice(deeper, max(start - _FLOAT_ROOT_LEVEL, 1), None)
-
-
-def root_bounds(max_width=Fraction(1, 10**12)) -> tuple[Fraction, Fraction]:
-    """Bounds in Q on the generator value, at most max_width wide: the
-    coarsest level of the chain that is narrow enough."""
-    w = Fraction(max_width)
-    lo, den = next(_root_levels(_level(w.numerator, w.denominator)))
-    return Fraction(lo, den), Fraction(lo + 1, den)
 
 
 def _interval_eval(n, lo: int, den: int) -> tuple[int, int]:

@@ -332,35 +332,17 @@ def unit_edges(points: Sequence[ModulePoint], pairs: Sequence[tuple[int, int]]) 
 SCREEN_PRIME = 2147483549
 SCREEN_ROOT = 39333461
 
-_RES_ONE_MINUS_CSQ = (1 - SCREEN_ROOT * SCREEN_ROOT) % SCREEN_PRIME
-_RES_TWO_ONE_MINUS_C = 2 * (1 - SCREEN_ROOT) % SCREEN_PRIME
-_RES_U = 2 * _RES_TWO_ONE_MINUS_C % SCREEN_PRIME
-_RES_V = _RES_U * _RES_ONE_MINUS_CSQ % SCREEN_PRIME
-
 _SCAN_BLOCK = 64  # rows compared at once with every column in screened_pairs
-
-
-def _residue(n) -> int:
-    """n0 + n1 r + n2 r^2 + n3 r^3 for four integers n, not yet reduced mod p."""
-    r = SCREEN_ROOT
-    return n[0] + r * (n[1] + r * (n[2] + r * n[3]))
-
-
-def _screen_row(x: int, y: int, k: int) -> tuple[int, ...]:
-    """The operand row of a point whose X, Y and K have the residues x, y
-    and k mod p: X, Y, K, then A = 2(1-c)(X^2 + (1-c^2)Y^2), U*X and V*Y
-    mod p (U = 4(1-c), V = 4(1-c)(1-c^2)), and last the no-image flag 0."""
-    p = SCREEN_PRIME
-    a = _RES_TWO_ONE_MINUS_C * (x * x + _RES_ONE_MINUS_CSQ * y * y) % p
-    return (x, y, k, a, _RES_U * x % p, _RES_V * y % p, 0)
 
 
 def _screen_rows(points: Sequence[ModulePoint]) -> np.ndarray:
     """One uint64 operand row per point, the image mod p of its exact
-    operand row.  A point whose row denominator is divisible by the prime
-    has no image; its row is zero but for the flag 1, and the screen never
-    rules it out."""
-    p = SCREEN_PRIME
+    operand row: the residues of X, Y, K, A, U*X and V*Y, each
+    n0 + n1 r + n2 r^2 + n3 r^3 over the row's one denominator D, then the
+    no-image flag 0.  A point whose D is divisible by the prime has no
+    image; its row is zero but for the flag 1, and the screen never rules
+    it out."""
+    p, r = SCREEN_PRIME, SCREEN_ROOT
     rows = []
     for pt in points:
         row = pt._operands()
@@ -369,10 +351,12 @@ def _screen_rows(points: Sequence[ModulePoint]) -> np.ndarray:
             rows.append((0, 0, 0, 0, 0, 0, 1))
             continue
         inv = pow(d, -1, p)
-        x = _residue(row[_X : _X + 4]) * inv % p
-        y = _residue(row[_Y : _Y + 4]) * inv % p
-        k = _residue(row[_K : _K + 4]) * inv % p
-        rows.append(_screen_row(x, y, k))
+        # the 24 numerators four at a time; zip stops before D
+        fours = iter(row)
+        rows.append(tuple(
+            (n0 + r * (n1 + r * (n2 + r * n3))) * inv % p
+            for n0, n1, n2, n3 in zip(fours, fours, fours, fours)
+        ) + (0,))
     return np.array(rows, dtype=np.uint64).reshape(len(rows), 7)
 
 

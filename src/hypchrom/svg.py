@@ -13,6 +13,8 @@ NODE_FILL = "#d94040"   # generated vertices
 EDGE_STROKE = "#3a5fa0"
 # radius of the rigorous enclosure each vertex position is read from
 COORD_ERR = 1e-9
+# width and height of the image, in pixels
+SIZE = 800
 
 
 def _geodesic_path(p, q, scale: float, offset: float) -> str:
@@ -54,16 +56,15 @@ def _chord_path(p, q, scale: float, offset: float) -> str:
 def emit_svg(
     g: Graph,
     path: str,
-    size: int = 800,
     vertices_only: bool = False,
     geodesic: bool = True,
 ) -> None:
     """Render the embedding.  Every vertex position comes from a rigorous
     coordinate enclosure, so glyphs are guaranteed to sit strictly inside
     the boundary circle."""
-    margin = 0.04 * size
-    scale = size / 2 - margin
-    offset = size / 2
+    margin = 0.04 * SIZE
+    scale = SIZE / 2 - margin
+    offset = SIZE / 2
     vertex_radius = max(1.5, 9.0 / max(1, g.order) ** 0.3)
 
     coords = []
@@ -74,9 +75,9 @@ def emit_svg(
         coords.append((np_.x, np_.y))
 
     out = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
-        f'viewBox="0 0 {size} {size}">',
-        f'<rect width="{size}" height="{size}" fill="white"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{SIZE}" height="{SIZE}" '
+        f'viewBox="0 0 {SIZE} {SIZE}">',
+        f'<rect width="{SIZE}" height="{SIZE}" fill="white"/>',
         f'<circle cx="{offset}" cy="{offset}" r="{scale:.3f}" fill="none" '
         f'stroke="black" stroke-width="1.5" stroke-dasharray="6 5"/>',
     ]

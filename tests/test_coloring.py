@@ -94,7 +94,8 @@ def neighbor_masks(g):
 def kernel_state(g, k):
     """The pure-Python kernel's root state, assign step and counters for g,
     as search() builds them."""
-    return _colorsearch_py.make_search(neighbor_masks(g), k)
+    state, assign, _, stats, _ = _colorsearch_py.make_walk(neighbor_masks(g), k)
+    return state, assign, stats
 
 
 def feasible_mask(state, v):
@@ -480,7 +481,7 @@ class TestSearchTreePins:
 
 def reference_kernel(masks, k):
     """The kernel's loop form, the reference for the kernel rendered per k:
-    (root, assign, fewest, stats) with make_search's root, assign and stats,
+    (root, assign, fewest, stats) with make_walk's root, assign and stats,
     and fewest(feasible), the branching vertex."""
     if k < 1 or k > 32:
         raise ValueError("color count must be between 1 and 32")
@@ -615,7 +616,7 @@ class TestRenderedKernel:
         for _ in range(30):
             n = rng.randint(1, 12)
             masks = neighbor_masks(random_graph(rng, n, rng.choice([0.3, 0.5, 0.7])))
-            state, assign, stats = _colorsearch_py.make_search(masks, k)
+            state, assign, _, stats, _ = _colorsearch_py.make_walk(masks, k)
             want_state, want_assign, _, want_stats = reference_kernel(masks, k)
             # a random partial coloring, with moves that recolor a colored
             # vertex or take an infeasible color among them
@@ -654,7 +655,7 @@ class TestRenderedKernel:
         monkeypatch.setattr(_colorsearch_py, "_render", lambda k: rendered.append(k) or render(k))
         _colorsearch_py._kernel.cache_clear()
         searches = [(moser_spindle(), 4), (octahedron(), 4), (moser_spindle(), 5)]
-        assigns = [_colorsearch_py.make_search(neighbor_masks(g), k)[1] for g, k in searches]
+        assigns = [_colorsearch_py.make_walk(neighbor_masks(g), k)[1] for g, k in searches]
         assert _colorsearch_py.search(neighbor_masks(octahedron()), 4, [])[0] is not None
         assert rendered == [4, 5]
         assert assigns[1].__code__ is assigns[0].__code__
@@ -706,13 +707,23 @@ class TestSplitSearch:
     """split_search hands subtrees to forked workers and replays their
     counters in depth-first order; its coloring and counters are search's."""
 
-    def test_seeded_instances_equal_serial_search(self):
+    @pytest.fixture
+    def split_at(self, monkeypatch):
+        """Sets the split depth, with a node budget of 0, so that a split
+        search defers every subtree it meets at that depth."""
+
+        def split_at(depth):
+            monkeypatch.setattr(_colorsearch_py, "SPLIT_DEPTH", depth)
+            monkeypatch.setattr(_colorsearch_py, "NODE_BUDGET", 0)
+
+        return split_at
+
+    def test_seeded_instances_equal_serial_search(self, split_at):
+        split_at(2)
         pooled = 0
         for g, k, pre in seeded_instances():
             masks = neighbor_masks(g)
-            *got, workers = _colorsearch_py.split_search(
-                masks, k, pre, depth=2, workers=2, budget=0
-            )
+            *got, workers = _colorsearch_py.split_search(masks, k, pre, workers=2)
             assert tuple(got) == _colorsearch_py.search(masks, k, pre), (g.edges(), k, pre)
             pooled += workers == 2
         # the other 25 end above depth 2 (some in the pre-coloring), or
@@ -720,37 +731,36 @@ class TestSplitSearch:
         assert pooled == 15
         assert multiprocessing.active_children() == []
 
-    def test_prefix_708_stops_at_first_coloring(self, pipeline, caplog):
+    def test_prefix_708_stops_at_first_coloring(self, pipeline, caplog, split_at):
         # at depth 3 the tree has 8 subtrees and the 6th holds the first
         # coloring; the counters stop there, with subtrees still running
         prefix = AdjacencyGraph.from_graph(pipeline[-1]).induced_prefix(708)
         masks, pre = core_kernel_input(prefix, 4)
+        split_at(3)
         with caplog.at_level(logging.INFO, logger="hypchrom"):
-            coloring, counts, workers = _colorsearch_py.split_search(
-                masks, 4, pre, depth=3, workers=2, budget=0
-            )
+            coloring, counts, workers = _colorsearch_py.split_search(masks, 4, pre, workers=2)
         assert multiprocessing.active_children() == []
         assert (coloring, counts) == _colorsearch_py.search(masks, 4, pre)
         assert counts[0] == 11268 and workers == 2
         (record,) = [r for r in caplog.records if r.name == "hypchrom._colorsearch_py"]
         assert record.getMessage().startswith("split search: 8 subtrees on 2 workers, ")
 
-    def test_worker_error_reaches_caller_and_ends_pool(self, monkeypatch):
+    def test_worker_error_reaches_caller_and_ends_pool(self, monkeypatch, split_at):
         g, k, pre = next(
             (g, k, pre) for g, k, pre in seeded_instances() if k == 3 and not pre
         )
         monkeypatch.setattr(_colorsearch_py, "_search_subtree", failing_subtree)
+        split_at(1)
         with pytest.raises(RuntimeError, match="subtree search failed"):
-            _colorsearch_py.split_search(
-                neighbor_masks(g), k, pre, depth=1, workers=2, budget=0
-            )
+            _colorsearch_py.split_search(neighbor_masks(g), k, pre, workers=2)
         assert multiprocessing.active_children() == []
 
-    def test_killed_worker_raises_and_ends_pool(self, monkeypatch, tmp_path):
+    def test_killed_worker_raises_and_ends_pool(self, monkeypatch, tmp_path, split_at):
         # the spindle has no 3-coloring, so the search reads every subtree
         masks = neighbor_masks(moser_spindle())
         monkeypatch.setattr(sys.modules[__name__], "KILL_CLAIM", str(tmp_path / "claim"))
         monkeypatch.setattr(_colorsearch_py, "_search_subtree", killing_subtree)
+        split_at(1)
 
         def hung(signum, frame):
             raise TimeoutError("split search still waiting after 60 s")
@@ -759,7 +769,7 @@ class TestSplitSearch:
         signal.alarm(60)
         try:
             with pytest.raises(RuntimeError, match="worker died"):
-                _colorsearch_py.split_search(masks, 3, (), depth=1, workers=2, budget=0)
+                _colorsearch_py.split_search(masks, 3, (), workers=2)
         finally:
             signal.alarm(0)
             signal.signal(signal.SIGALRM, previous)

@@ -16,11 +16,11 @@ from hypchrom.field import (
     FieldElement,
     _one_root_in,
     _parse_ratio,
+    _root_levels,
     fe_sign,
     fe_sqrt,
     fe_to_interval,
     interval_sqrt,
-    root_bounds,
 )
 
 # value quoted for the designated root and the target distance
@@ -139,9 +139,10 @@ class TestSign:
     def test_sign_refines_below_cached_levels(self):
         # from exp 20 on, c - lo and c - hi are too small for the levels
         # built at import to decide, so fe_sign halves on past them inside
-        # the query, as root_bounds did for its own level
+        # the query, as fe_to_interval does for its own level: GEN's bounds
+        # are the endpoints of the chain's level
         for exp in (20, 40, 80):
-            lo, hi = root_bounds(Fraction(1, 10**exp))
+            lo, hi = fe_to_interval(GEN, Fraction(1, 10**exp))
             assert hi - lo <= Fraction(1, 10**exp)
             assert fe_sign(GEN - lo) == 1
             assert fe_sign(GEN - hi) == -1
@@ -171,6 +172,12 @@ def minpoly_at(x):
     return sum(coef * x**i for i, coef in enumerate(MIN_POLY))
 
 
+def root_level(k):
+    """Level k of the root's bisection chain as bounds in Q."""
+    lo, den = next(_root_levels(k))
+    return Fraction(lo, den), Fraction(lo + 1, den)
+
+
 class TestRootChain:
     def test_one_root_in(self):
         assert _one_root_in(27, 28, 40)
@@ -184,14 +191,22 @@ class TestRootChain:
         # level k is 1/(40 * 2^k) wide, one half of level k - 1, and has
         # endpoints where the minimal polynomial changes sign, on both sides
         # of level 55, the last one built at import
-        prev_lo, prev_hi = root_bounds(Fraction(1, 40 << 51))
+        prev_lo, prev_hi = root_level(51)
         for k in range(52, 61):
-            lo, hi = root_bounds(Fraction(1, 40 << k))
+            lo, hi = root_level(k)
             assert hi - lo == Fraction(1, 40 << k)
             mid = (prev_lo + prev_hi) / 2
             assert (lo, hi) in ((prev_lo, mid), (mid, prev_hi))
             assert minpoly_at(lo) * minpoly_at(hi) < 0
             prev_lo, prev_hi = lo, hi
+
+    def test_levels_nest_from_the_seed(self):
+        # level 0 is the seed bracket; each level down to 51, where the test
+        # above starts, lies inside the one before it
+        bounds = [root_level(k) for k in range(52)]
+        assert bounds[0] == (Fraction(27, 40), Fraction(28, 40))
+        for (lo, hi), (prev_lo, prev_hi) in zip(bounds[1:], bounds):
+            assert prev_lo <= lo < hi <= prev_hi
 
 
 def interval_reference(a, target):
@@ -203,7 +218,7 @@ def interval_reference(a, target):
     while Fraction(1, 40 << k) > min(target, Fraction(1, 10**18)):
         k += 1
     while True:
-        lo, hi = root_bounds(Fraction(1, 40 << k))
+        lo, hi = root_level(k)
         assert hi - lo == Fraction(1, 40 << k)
         acc_lo = acc_hi = Fraction(0)
         for coef in reversed(a.coeffs):
@@ -257,7 +272,7 @@ class TestIntervals:
     def test_bounds_independent_of_root_refinement(self):
         a = FieldElement(1, Fraction(2, 3), Fraction(-1, 5), 2)
         before = [fe_to_interval(a, Fraction(1, 10**exp)) for exp in (6, 30)]
-        root_bounds(Fraction(1, 10**60))
+        fe_to_interval(GEN, Fraction(1, 10**60))
         assert [fe_to_interval(a, Fraction(1, 10**exp)) for exp in (6, 30)] == before
 
     @given(elements)
@@ -380,10 +395,5 @@ class TestConstants:
 
     def test_float_generator_is_the_midpoint_of_the_1e18_enclosure(self):
         assert GEN.to_float() == 0.6778371469890411
-        lo, hi = root_bounds(Fraction(1, 10**18))
+        lo, hi = fe_to_interval(GEN, Fraction(1, 10**18))
         assert GEN.to_float() == float((lo + hi) / 2)
-
-    def test_root_bounds_cache_monotone(self):
-        lo1, hi1 = root_bounds(Fraction(1, 10**6))
-        lo2, hi2 = root_bounds(Fraction(1, 10**12))
-        assert lo1 <= lo2 < hi2 <= hi1

@@ -20,7 +20,6 @@ from hypchrom.field import (
     fe_sign,
     fe_to_interval,
     interval_sqrt,
-    root_bounds,
 )
 from hypchrom.geometry import (
     D_NUMERIC,
@@ -622,7 +621,7 @@ class TestNumericCoords:
         # the enclosure is a function of the point and the width only, not
         # of how far earlier calls refined the root
         before = point_coords_numeric(g9.vertices[5], err_radius=1e-9)
-        root_bounds(Fraction(1, 10**40))
+        fe_to_interval(GEN, Fraction(1, 10**40))
         after = point_coords_numeric(g9.vertices[5], err_radius=1e-9)
         assert (before.x_lo, before.x_hi, before.y_lo, before.y_hi) == (
             after.x_lo, after.x_hi, after.y_lo, after.y_hi
@@ -702,6 +701,24 @@ class TestNumericCoordsReference:
                 point_coords_numeric(g9.vertices[3], err_radius=err)
 
 
+def residue(elem):
+    """The image mod p of a field element, with c sent to r."""
+    p, r = SCREEN_PRIME, SCREEN_ROOT
+    return sum(
+        q.numerator * pow(q.denominator, -1, p) * pow(r, i, p)
+        for i, q in enumerate(elem.coeffs)
+    ) % p
+
+
+def screen_row(x, y, k):
+    """The screen's operand row of a point whose X, Y and K have the
+    residues x, y and k mod p, from the formulas A = 2(1-r)(x^2 + (1-r^2)y^2),
+    U*X = 4(1-r)x and V*Y = 4(1-r)(1-r^2)y, then the no-image flag 0."""
+    p, r = SCREEN_PRIME, SCREEN_ROOT
+    a = 2 * (1 - r) * (x * x + (1 - r * r) * y * y) % p
+    return (x, y, k, a, 4 * (1 - r) * x % p, 4 * (1 - r) * (1 - r * r) * y % p, 0)
+
+
 class TestModularScreen:
     def test_prime_and_root(self):
         p, r = SCREEN_PRIME, SCREEN_ROOT
@@ -728,7 +745,7 @@ class TestModularScreen:
         b[:3, :2] = p - 1
 
         def row(residues):
-            return np.array(geometry._screen_row(*residues), dtype=np.uint64)
+            return np.array(screen_row(*residues), dtype=np.uint64)
 
         for ra, rb in zip(a.tolist(), b.tolist()):
             delta = (ra[0] - rb[0]) ** 2 + (1 - r * r) * (ra[1] - rb[1]) ** 2
@@ -736,6 +753,23 @@ class TestModularScreen:
             on, off, pa = row(rb), row(rb[:2] + [(rb[2] + 1) % p]), row(ra)
             assert geometry._may_be_edge(pa, on) and geometry._may_be_edge(on, pa)
             assert not geometry._may_be_edge(pa, off) and not geometry._may_be_edge(off, pa)
+
+    def test_screen_rows_are_images_of_the_operand_rows(self, screened_graphs):
+        # the screen reads every residue from the exact operand row; they
+        # equal the residues of the formulas, from the point's X and Y
+        p, r = SCREEN_PRIME, SCREEN_ROOT
+        far = on_base_circle(Fraction(3**40, 2**70 + 1))
+        assert isinstance(far._operands(), tuple)
+        no_image = ModulePoint(FieldElement(Fraction(1, p)), FieldElement(0))
+        points = list(screened_graphs[2].vertices) + [far, no_image]
+        assert len(points) == 119 + 2
+        rows = geometry._screen_rows(points)
+        assert rows.dtype == np.uint64 and rows.shape == (len(points), 7)
+        for point, row in zip(points[:-1], rows.tolist()):
+            x, y = residue(point.x_elem), residue(point.y_elem)
+            k = (1 - (2 * r - 1) * (x * x + (1 - r * r) * y * y)) % p
+            assert tuple(row) == screen_row(x, y, k)
+        assert rows[-1].tolist() == [0, 0, 0, 0, 0, 0, 1]
 
     def test_screened_pairs_match_brute_force(self, screened_graphs):
         no_image = ModulePoint(FieldElement(Fraction(1, SCREEN_PRIME)), FieldElement(0))

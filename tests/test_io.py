@@ -440,12 +440,12 @@ class TestSvg:
         import re
 
         path = tmp_path / "g28.svg"
-        emit_svg(g28, str(path), size=1000)
+        emit_svg(g28, str(path))
         text = path.read_text()
         # skip the boundary circle (fill="none")
         glyphs = re.findall(r'<circle cx="([\d.]+)" cy="([\d.]+)" r="[\d.]+" fill="#', text)
         assert len(glyphs) == 28
         for cx, cy in glyphs:
-            dx = float(cx) - 500.0
-            dy = float(cy) - 500.0
-            assert (dx * dx + dy * dy) ** 0.5 < 460.0
+            dx = float(cx) - 400.0
+            dy = float(cy) - 400.0
+            assert (dx * dx + dy * dy) ** 0.5 < 368.0
