@@ -16,17 +16,17 @@ down to the level at most 1e-18 wide; a query that needs a deeper level
 halves on to it itself, so queries share no state and nothing is written
 after import.  The bisection levels have power-of-two denominators, so
 the evaluation is integer interval Horner, and only the bounds handed out
-by fe_to_interval become Fractions.  Square roots are
-decided exactly through the tower Q < Q(sqrt5) < Q(c): the quartic factors
-over Q(sqrt5), so a field square root reduces to square roots in Q(sqrt5)
-and ultimately to integer square roots; Q(sqrt5) elements are integer
-triples.  Sign, interval and square-root arithmetic is integer-only.
+by fe_to_interval become Fractions.  Square roots are decided exactly
+through the tower Q < Q(sqrt5) < Q(c): the quartic factors over Q(sqrt5),
+so a field square root reduces to square roots in Q(sqrt5) and ultimately
+to integer square roots; Q(sqrt5) elements are integer triples.  Sign,
+interval and square-root arithmetic is integer-only.
 
 Text is parsed into integer (num, den) pairs and elements are built from
 them directly; as_strings writes the reduced pairs back.  Fractions are
 made only where the API returns one: here FieldElement.coeffs,
-fe_to_interval and interval_sqrt (and, in geometry.py,
-ModulePoint.octuple and the bounds of NumericPoint).
+fe_to_interval and interval_sqrt (and, in geometry.py, ModulePoint.octuple
+and the bounds of NumericPoint).
 Nothing else on the load, growth or export paths builds one.
 """
 
