@@ -226,11 +226,11 @@ class AugmentConfig:
 # the layers of phase_augment, in order, each the function of that name
 # with a leading underscore and timed as a whole in PhaseReport.timings:
 # float circles and intersections, the float neighbour prefilter, dedup
-# (existing points by common neighbours, repeats by a float grid), exact
-# intersection (circle_of once per vertex, intersect_circles, from the
-# pair's common neighbour when it has exactly one, else by the square
-# root), exact neighbour certification (the modular screen and
-# is_unit_edge), accidental edges
+# (g's neighbour sets, each pair's common neighbours looked up once,
+# existing points by them, repeats by a float grid), exact intersection
+# (circle_of once per vertex, intersect_circles, from the pair's one common
+# neighbour that dedup hands it, else by the square root), exact neighbour
+# certification (the modular screen and is_unit_edge), accidental edges
 PHASE_LAYERS = (
     "float_intersections",
     "prefilter",
@@ -398,34 +398,26 @@ def _prefilter(report: PhaseReport, cands, coords: np.ndarray, min_neighbors: in
     return cands
 
 
-def _neighbor_sets(g: Graph) -> list[set[int]]:
-    """Each vertex's neighbours in g.  When g records every unit pair among
-    its vertices, the common neighbours of i and j are the vertices on both
-    circles of pair (i, j): at most two, as two distinct circles meet in at
-    most two points."""
-    nbrs: list[set[int]] = [set() for _ in range(g.order)]
-    for u, v in g.edges:
-        nbrs[u].add(v)
-        nbrs[v].add(u)
-    return nbrs
-
-
 # the grid cell of a point and its eight neighbours, as offsets
 _NEAR_CELLS = tuple((dx, dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1))
 
 
-def _dedup(
-    report: PhaseReport, g: Graph, nbrs: list[set[int]], cands, coords: np.ndarray
-) -> list[tuple]:
-    """The survivors (i, j, x, y), in the candidates' processing order.
+def _dedup(report: PhaseReport, g: Graph, cands, coords: np.ndarray) -> list[tuple]:
+    """The survivors (i, j, w, x, y), in the candidates' processing order,
+    where w is the one common neighbour of i and j in g, or None.
 
     g must record every unit pair among its vertices, as the seed, every
     growth output, induced subgraphs and any bundle certify passes do.  The
-    vertices on both circles of pair (i, j) are then their common
-    neighbours, read from nbrs, its _neighbor_sets: a candidate is existing
-    when the pair has two, or when it lies within DEDUP_RADIUS of the one.
-    A candidate within DEDUP_RADIUS of an earlier survivor is dropped
-    silently.  _exact_intersection still drops any vertex the rule misses."""
+    common neighbours of i and j are then the vertices on both circles of
+    pair (i, j): at most two, as two distinct circles meet in at most two
+    points.  A candidate is existing when the pair has two, or when it lies
+    within DEDUP_RADIUS of the one.  A candidate within DEDUP_RADIUS of an
+    earlier survivor is dropped silently.  _exact_intersection still drops
+    any vertex the rule misses."""
+    nbrs: list[set[int]] = [set() for _ in range(g.order)]
+    for u, v in g.edges:
+        nbrs[u].add(v)
+        nbrs[v].add(u)
     pts = coords.tolist()
     cell = 1.0 / DEDUP_RADIUS
     seen: dict[tuple[int, int], list[tuple[float, float]]] = {}
@@ -434,9 +426,9 @@ def _dedup(
         if (i, j) != pair:
             # a pair's rows are adjacent: its common neighbours once per pair
             pair, common = (i, j), nbrs[i] & nbrs[j]
-            known = pts[min(common)] if len(common) == 1 else None
+            w = min(common) if len(common) == 1 else None
         if len(common) > 1 or (
-            known is not None and math.dist(known, (x, y)) <= DEDUP_RADIUS
+            w is not None and math.dist(pts[w], (x, y)) <= DEDUP_RADIUS
         ):
             report.dropped_existing += 1
             continue
@@ -447,24 +439,19 @@ def _dedup(
                 break
         else:
             seen.setdefault((cx, cy), []).append((x, y))
-            survivors.append((i, j, x, y))
+            survivors.append((i, j, w, x, y))
     report.distinct = len(survivors)
     return survivors
 
 
 def _exact_intersection(
-    report: PhaseReport,
-    g: Graph,
-    nbrs: list[set[int]],
-    survivors,
-    cfg: AugmentConfig,
-    phase_index: int,
+    report: PhaseReport, g: Graph, survivors, cfg: AugmentConfig, phase_index: int
 ) -> dict[ModulePoint, VertexOrigin]:
     """The distinct exact candidates in processing order, each with its
     origin.  Each pair is intersected once, and each of its survivors takes
-    the exact point nearer its float (x, y).  A pair with one common
-    neighbour in g (nbrs is g's _neighbor_sets) is intersected from that
-    vertex, one of its two points, the others by the square root.  A
+    the exact point nearer its float (x, y).  A pair whose survivors carry
+    its one common neighbour w, looked up by _dedup, is intersected from
+    g.vertices[w], one of its two points, the others by the square root.  A
     survivor of a pair with no module point, or whose point has a
     denominator above cfg.denom_bound or is in cfg.excluded_points, is
     rejected and counted; one on a vertex of g is dropped as existing; the
@@ -474,14 +461,10 @@ def _exact_intersection(
     and so a wrong point, but never a wrong vertex: _exact_neighbors accepts
     only points exactly adjacent to both sources, which are on both circles."""
     old, found, pair = set(g.vertices), {}, None
-    for i, j, x, y in survivors:
+    for i, j, w, x, y in survivors:
         if (i, j) != pair:
             pair, c1, c2 = (i, j), _circle(g.vertices[i]), _circle(g.vertices[j])
-            common = nbrs[i] & nbrs[j]
-            if len(common) == 1:
-                points = intersect_circles(c1, c2, g.vertices[min(common)])
-            else:
-                points = intersect_circles(c1, c2)
+            points = intersect_circles(c1, c2, None if w is None else g.vertices[w])
         branch = _match_exact_candidate(points, x, y)
         if branch is None:
             report.rejected_nonmodule += 1
@@ -580,10 +563,8 @@ def phase_augment(
     if g.order >= 2:
         coords, cands = _timed(report, _float_intersections, g)
         cands = _timed(report, _prefilter, cands, coords, min_neighbors)
-        # read by dedup and exact intersection alike, so built once
-        nbrs = _neighbor_sets(g)
-        survivors = _timed(report, _dedup, g, nbrs, cands, coords)
-        found = _timed(report, _exact_intersection, g, nbrs, survivors, cfg, phase_index)
+        survivors = _timed(report, _dedup, g, cands, coords)
+        found = _timed(report, _exact_intersection, g, survivors, cfg, phase_index)
         accepted, origins, edges = _timed(report, _exact_neighbors, g, found, min_neighbors)
         edges += _timed(report, _accidental_edges, g.order, accepted)
     report.elapsed = time.perf_counter() - started

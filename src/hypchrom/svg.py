@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import math
 
-from .geometry import Graph, point_coords_numeric
+from .geometry import Graph, GraphIntegrityError, point_coords_numeric
 
 SEED_FILL = "#f5d327"   # seed vertices
 NODE_FILL = "#d94040"   # generated vertices
@@ -61,17 +61,18 @@ def emit_svg(
 ) -> None:
     """Render the embedding.  Every vertex position comes from a rigorous
     coordinate enclosure, so glyphs are guaranteed to sit strictly inside
-    the boundary circle."""
+    the boundary circle; a vertex whose float position is not inside the
+    unit disk raises GraphIntegrityError, and nothing is written."""
     margin = 0.04 * SIZE
     scale = SIZE / 2 - margin
     offset = SIZE / 2
     vertex_radius = max(1.5, 9.0 / max(1, g.order) ** 0.3)
 
     coords = []
-    for v in g.vertices:
+    for idx, v in enumerate(g.vertices):
         np_ = point_coords_numeric(v, err_radius=COORD_ERR)
         if np_.x * np_.x + np_.y * np_.y >= 1.0:
-            raise ValueError("vertex outside the unit disk")
+            raise GraphIntegrityError(f"vertex {idx + 1} is not inside the unit disk")
         coords.append((np_.x, np_.y))
 
     out = [

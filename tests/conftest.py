@@ -1,7 +1,11 @@
+import os
 import signal
+import subprocess
+import sys
 
 import pytest
 
+import hypchrom
 from hypchrom.augment import AugmentConfig, grow_pipeline, phase_augment
 from hypchrom.geometry import build_g9
 
@@ -37,6 +41,23 @@ def cpu_guard(cpu_budget):
     finally:
         signal.setitimer(signal.ITIMER_VIRTUAL, 0)
         signal.signal(signal.SIGVTALRM, previous)
+
+
+@pytest.fixture(scope="session")
+def fresh_python():
+    """run(code): the stdout of code run with -W error in a new interpreter
+    that imports hypchrom from this tree, so that nothing done in the test
+    process before can reach it."""
+    src = os.path.dirname(os.path.dirname(hypchrom.__file__))
+
+    def run(code):
+        done = subprocess.run([sys.executable, "-W", "error", "-c", code],
+                              env=dict(os.environ, PYTHONPATH=src),
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        return done.stdout
+
+    return run
 
 
 @pytest.fixture(scope="session")

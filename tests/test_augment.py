@@ -186,13 +186,10 @@ class TestIntersectCircles:
             report = augment.PhaseReport(phase=0, min_neighbors=min_neighbors)
             coords, cands = augment._float_intersections(report, g)
             cands = augment._prefilter(report, cands, coords, min_neighbors)
-            nbrs = augment._neighbor_sets(g)
-            survivors = augment._dedup(report, g, nbrs, cands, coords)
-            for i, j in dict.fromkeys((i, j) for i, j, _, _ in survivors):
-                common = nbrs[i] & nbrs[j]
-                if len(common) != 1:
+            survivors = augment._dedup(report, g, cands, coords)
+            for i, j, w in dict.fromkeys((i, j, w) for i, j, w, _, _ in survivors):
+                if w is None:
                     continue
-                [w] = common
                 c1, c2 = circle_of(g.vertices[i]), circle_of(g.vertices[j])
                 known = intersect_circles(c1, c2, g.vertices[w])
                 assert known == intersect_circles(c1, c2), (g.order, i, j)
@@ -487,10 +484,39 @@ def dedup_reference(cands, coords):
 
 
 def dedup(g, cands, coords):
+    """_dedup's survivors as (i, j, x, y), and its existing count."""
     report = augment.PhaseReport(phase=0, min_neighbors=2)
-    survivors = augment._dedup(report, g, augment._neighbor_sets(g), cands, coords)
+    survivors = augment._dedup(report, g, cands, coords)
     assert report.distinct == len(survivors)
-    return survivors, report.dropped_existing
+    return [(i, j, x, y) for i, j, _, x, y in survivors], report.dropped_existing
+
+
+def edge_neighbors(g):
+    """Each vertex's neighbours, read from g.edges."""
+    near = [set() for _ in g.vertices]
+    for a, b in g.edges:
+        near[a].add(b)
+        near[b].add(a)
+    return near
+
+
+def common_neighbor(g, i, j):
+    """The w _dedup hands on with pair (i, j): the pair's one common
+    neighbour, read from g.edges, or None when it has none or two."""
+    near = edge_neighbors(g)
+    common = near[i] & near[j]
+    return min(common) if len(common) == 1 else None
+
+
+def induced_subgraph(g):
+    """g without every third vertex, numbered in order, as
+    benchmarks/selection_search.py grows such graphs."""
+    keep = [v for v in range(g.order) if v % 3]
+    pos = {v: p for p, v in enumerate(keep)}
+    return Graph(
+        [g.vertices[v] for v in keep],
+        [(pos[a], pos[b]) for a, b in g.edges if a in pos and b in pos],
+    )
 
 
 def rows(cands, keep):
@@ -502,17 +528,25 @@ class TestDedup:
         # on all raw candidates, a superset of the prefiltered ones growth
         # hands to _dedup, so incidences the prefilter drops are covered too;
         # last an induced subgraph, as benchmarks/selection_search.py grows
-        big = pipeline[3]
-        keep = [v for v in range(big.order) if v % 3]
-        pos = {v: p for p, v in enumerate(keep)}
-        induced = Graph(
-            [big.vertices[v] for v in keep],
-            [(pos[a], pos[b]) for a, b in big.edges if a in pos and b in pos],
-        )
-        for g in [g9] + pipeline[:6] + [induced]:
+        for g in [g9] + pipeline[:6] + [induced_subgraph(pipeline[3])]:
             coords = float_coords(g)
             cands = augment._pair_intersections(*augment._euclidean_circles(coords))
             assert dedup(g, cands, coords) == dedup_reference(cands, coords), g.order
+
+    def test_survivors_carry_the_pairs_one_common_neighbour(self, g9, pipeline):
+        # w is the known point exact intersection intersects from: on all
+        # raw candidates of every phase input and of an induced subgraph, a
+        # survivor's pair has at most one common neighbour, read here from
+        # the edge list, and w is that vertex, or None when there is none
+        for g in [g9] + pipeline[:6] + [induced_subgraph(pipeline[3])]:
+            coords = float_coords(g)
+            cands = augment._pair_intersections(*augment._euclidean_circles(coords))
+            report = augment.PhaseReport(phase=0, min_neighbors=2)
+            survivors = augment._dedup(report, g, cands, coords)
+            near = edge_neighbors(g)
+            for i, j, w in dict.fromkeys((i, j, w) for i, j, w, _, _ in survivors):
+                common = near[i] & near[j]
+                assert len(common) <= 1 and w == min(common, default=None), (g.order, i, j)
 
     def test_existing_rows_match_a_vertex_exactly(self, g9, pipeline):
         dropped = 0
@@ -543,7 +577,9 @@ class TestDedup:
             report = augment.PhaseReport(phase=0, min_neighbors=min_neighbors)
             coords, cands = augment._float_intersections(report, g)
             cands = augment._prefilter(report, cands, coords, min_neighbors)
-            survivors = augment._dedup(report, g, augment._neighbor_sets(g), cands, coords)
+            survivors = [
+                (i, j, x, y) for i, j, _, x, y in augment._dedup(report, g, cands, coords)
+            ]
             kept = np.array([(x, y) for _, _, x, y in survivors])
             exact = {}
 
@@ -618,11 +654,10 @@ class TestDedup:
         report = augment.PhaseReport(phase=2, min_neighbors=3)
         coords, cands = augment._float_intersections(report, h)
         cands = augment._prefilter(report, cands, coords, 3)
-        nbrs = augment._neighbor_sets(h)
-        survivors = augment._dedup(report, h, nbrs, cands, coords)
+        survivors = augment._dedup(report, h, cands, coords)
         in_dedup = report.dropped_existing
         assert in_dedup < g42.phase_report.dropped_existing
-        found = augment._exact_intersection(report, h, nbrs, survivors, reference_cfg, 2)
+        found = augment._exact_intersection(report, h, survivors, reference_cfg, 2)
         assert list(found) == g42.vertices[28:]
         extra = len(survivors) - g42.phase_report.distinct
         assert extra > 0 and report.dropped_existing - in_dedup == extra
@@ -635,11 +670,10 @@ class TestPhaseLayers:
         point = g42.vertices[28]
         x, y = point.to_floats()
         apex_x, apex_y = g9.vertices[2].to_floats()
-        survivors = [(1, 9, x, y), (1, 24, x + 1e-7, y), (0, 1, apex_x, apex_y)]
+        pairs = [(1, 9, x, y), (1, 24, x + 1e-7, y), (0, 1, apex_x, apex_y)]
+        survivors = [(i, j, common_neighbor(g28, i, j), *xy) for i, j, *xy in pairs]
         report = augment.PhaseReport(phase=2, min_neighbors=3)
-        found = augment._exact_intersection(
-            report, g28, augment._neighbor_sets(g28), survivors, AugmentConfig.reference(), 2
-        )
+        found = augment._exact_intersection(report, g28, survivors, AugmentConfig.reference(), 2)
         assert list(found) == [point]
         origin = found[point]
         assert origin.source_pair == (1, 9) and origin.phase == 2
@@ -653,7 +687,7 @@ class TestPhaseLayers:
         x, y = point.to_floats()
         report = augment.PhaseReport(phase=2, min_neighbors=3)
         found = augment._exact_intersection(
-            report, g28, augment._neighbor_sets(g28), [(1, 9, x + 2e-5, y)],
+            report, g28, [(1, 9, common_neighbor(g28, 1, 9), x + 2e-5, y)],
             AugmentConfig.reference(), 2,
         )
         assert list(found) == [point]
@@ -664,17 +698,15 @@ class TestPhaseLayers:
         # pair (3, 9) of the seed gives two rows of the phase-1 table
         calls = []
 
-        def counting_intersect(c1, c2):
+        def counting_intersect(c1, c2, known=None):
             calls.append((c1, c2))
-            return intersect_circles(c1, c2)
+            return intersect_circles(c1, c2, known)
 
         monkeypatch.setattr(augment, "intersect_circles", counting_intersect)
         points = [table_point(*row[:2]) for row in TABLE1 if row[2] == (3, 9)]
-        survivors = [(2, 8, *p.to_floats()) for p in points]
+        survivors = [(2, 8, common_neighbor(g9, 2, 8), *p.to_floats()) for p in points]
         report = augment.PhaseReport(phase=1, min_neighbors=2)
-        found = augment._exact_intersection(
-            report, g9, augment._neighbor_sets(g9), survivors, AugmentConfig(), 1
-        )
+        found = augment._exact_intersection(report, g9, survivors, AugmentConfig(), 1)
         assert len(calls) == 1
         assert sorted(found, key=lambda p: p.to_floats()) == sorted(
             points, key=lambda p: p.to_floats()
@@ -825,9 +857,9 @@ class TestPipeline:
             return sqrt(d)
 
         @functools.wraps(exact_intersection)
-        def recording_exact_intersection(report, g, nbrs, survivors, *args):
-            endpoints.update(g.vertices[v] for i, j, _, _ in survivors for v in (i, j))
-            return exact_intersection(report, g, nbrs, survivors, *args)
+        def recording_exact_intersection(report, g, survivors, *args):
+            endpoints.update(g.vertices[v] for i, j, _, _, _ in survivors for v in (i, j))
+            return exact_intersection(report, g, survivors, *args)
 
         monkeypatch.setattr(augment, "circle_of", counting_circle_of)
         monkeypatch.setattr(augment, "_exact_intersection", recording_exact_intersection)

@@ -160,6 +160,20 @@ class TestCli:
         assert "<svg" in svg.read_text()
         assert copy.read_text() == seed_bundle.read_text()
 
+    def test_unverified_svg_export_refuses_vertex_outside_disk(
+        self, seed_bundle, tmp_path, capsys
+    ):
+        lines = seed_bundle.read_text().replace("vertices 9\n", "vertices 10\n").splitlines()
+        lines.append("v 10 0/1 0/1 0/1 5/1 0/1 0/1 0/1 0/1 seed")
+        seed_bundle.write_text("\n".join(lines) + "\n")
+        svg = tmp_path / "g10.svg"
+        argv = ["export", "--in", str(seed_bundle), "--no-verify", "--svg", str(svg)]
+        # an integrity failure, as the verified export reports it, not a usage error
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "integrity failure: vertex 10 is not inside the unit disk" in err
+        assert not svg.exists()
+
     def test_export_requires_target(self, seed_bundle):
         assert main(["export", "--in", str(seed_bundle)]) == 2
 

@@ -5,7 +5,6 @@ import multiprocessing
 import os
 import random
 import signal
-import subprocess
 import sys
 import time
 from itertools import accumulate
@@ -661,17 +660,12 @@ class TestRenderedKernel:
         assert assigns[1].__code__ is assigns[0].__code__
         assert assigns[2].__code__ is not assigns[0].__code__
 
-    def test_import_renders_nothing(self):
-        code = (
+    def test_import_renders_nothing(self, fresh_python):
+        fresh_python(
             "import hypchrom\n"
             "from hypchrom import _colorsearch_py\n"
             "assert _colorsearch_py._kernel.cache_info().currsize == 0\n"
         )
-        src = os.path.dirname(os.path.dirname(_colorsearch_py.__file__))
-        done = subprocess.run([sys.executable, "-W", "error", "-c", code],
-                              env=dict(os.environ, PYTHONPATH=src),
-                              capture_output=True, text=True, timeout=60)
-        assert done.returncode == 0, done.stderr
 
 
 def core_kernel_input(g, k):
@@ -776,9 +770,9 @@ class TestSplitSearch:
         assert (tmp_path / "claim").exists()
         assert multiprocessing.active_children() == []
 
-    def test_search_within_budget_starts_no_process(self):
+    def test_search_within_budget_starts_no_process(self, fresh_python):
         # the order-226 graph's 4-decision: 37 nodes, 36 decisions deep
-        code = (
+        fresh_python(
             "import sys\n"
             "from hypchrom.augment import DEFAULT_SCHEDULE, AugmentConfig, grow_pipeline\n"
             "from hypchrom.coloring import AdjacencyGraph, search_k_coloring\n"
@@ -788,11 +782,6 @@ class TestSplitSearch:
             "assert (g.order, stats.nodes_visited, stats.workers) == (226, 37, 1), stats\n"
             "assert 'multiprocessing' not in sys.modules\n"
         )
-        src = os.path.dirname(os.path.dirname(_colorsearch_py.__file__))
-        done = subprocess.run([sys.executable, "-W", "error", "-c", code],
-                              env=dict(os.environ, PYTHONPATH=src),
-                              capture_output=True, text=True, timeout=60)
-        assert done.returncode == 0, done.stderr
 
 
 def with_pendants(rng, base):

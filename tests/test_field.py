@@ -269,11 +269,19 @@ class TestIntervals:
             assert hi - lo <= Fraction(1, 10**exp)
         assert widths[0] >= widths[1] >= widths[2]
 
-    def test_bounds_independent_of_root_refinement(self):
+    def test_bounds_independent_of_root_refinement(self, fresh_python):
+        # the bounds of an interpreter that makes no other query, and those
+        # of this one after a 1e-60 query
+        before = fresh_python(
+            "from fractions import Fraction\n"
+            "from hypchrom.field import FieldElement, fe_to_interval\n"
+            "a = FieldElement(1, Fraction(2, 3), Fraction(-1, 5), 2)\n"
+            "print([fe_to_interval(a, Fraction(1, 10**exp)) for exp in (6, 30)])\n"
+        )
         a = FieldElement(1, Fraction(2, 3), Fraction(-1, 5), 2)
-        before = [fe_to_interval(a, Fraction(1, 10**exp)) for exp in (6, 30)]
         fe_to_interval(GEN, Fraction(1, 10**60))
-        assert [fe_to_interval(a, Fraction(1, 10**exp)) for exp in (6, 30)] == before
+        after = [fe_to_interval(a, Fraction(1, 10**exp)) for exp in (6, 30)]
+        assert before == f"{after}\n"
 
     @given(elements)
     @settings(max_examples=60, deadline=None)

@@ -617,15 +617,21 @@ class TestNumericCoords:
             assert float(np_.x_lo) - 1e-12 <= x <= float(np_.x_hi) + 1e-12
             assert float(np_.y_lo) - 1e-12 <= y <= float(np_.y_hi) + 1e-12
 
-    def test_bounds_independent_of_root_refinement(self, g9):
+    def test_bounds_independent_of_root_refinement(self, g9, fresh_python):
         # the enclosure is a function of the point and the width only, not
-        # of how far earlier calls refined the root
-        before = point_coords_numeric(g9.vertices[5], err_radius=1e-9)
-        fe_to_interval(GEN, Fraction(1, 10**40))
-        after = point_coords_numeric(g9.vertices[5], err_radius=1e-9)
-        assert (before.x_lo, before.x_hi, before.y_lo, before.y_hi) == (
-            after.x_lo, after.x_hi, after.y_lo, after.y_hi
+        # of what the process asked before: the bounds of an interpreter
+        # that makes no other query, and those of this one after a 1e-60
+        # query
+        before = fresh_python(
+            "from fractions import Fraction\n"
+            "from hypchrom.geometry import ModulePoint, point_coords_numeric\n"
+            f"p = ModulePoint.from_octuple({g9.vertices[5].octuple!r})\n"
+            "q = point_coords_numeric(p, err_radius=1e-9)\n"
+            "print((q.x_lo, q.x_hi, q.y_lo, q.y_hi))\n"
         )
+        fe_to_interval(GEN, Fraction(1, 10**60))
+        q = point_coords_numeric(g9.vertices[5], err_radius=1e-9)
+        assert before == f"{(q.x_lo, q.x_hi, q.y_lo, q.y_hi)}\n"
 
 
 def coords_reference(p, err_radius):
