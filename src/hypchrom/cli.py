@@ -13,6 +13,7 @@ import json
 import os
 import sys
 import time
+from collections import Counter
 
 from .augment import AugmentConfig, grow_pipeline, DEFAULT_SCHEDULE
 from .bundle import BundleFormatError, read_bundle, write_bundle
@@ -196,11 +197,7 @@ def _cmd_export(args) -> int:
 
 def _cmd_stats(args) -> int:
     g = read_bundle(args.input, verify=False)
-    phases: dict[int, int] = {}
-    for origin in g.origins:
-        phases[0 if origin is None else origin.phase] = (
-            phases.get(0 if origin is None else origin.phase, 0) + 1
-        )
+    phases = Counter(0 if origin is None else origin.phase for origin in g.origins)
     degs = [0] * g.order
     for i, j in g.edges:
         degs[i] += 1

@@ -19,8 +19,9 @@ the evaluation is integer interval Horner, and only the bounds handed out
 by fe_to_interval become Fractions.  Square roots are decided exactly
 through the tower Q < Q(sqrt5) < Q(c): the quartic factors over Q(sqrt5),
 so a field square root reduces to square roots in Q(sqrt5) and ultimately
-to integer square roots; Q(sqrt5) elements are integer triples.  Sign,
-interval and square-root arithmetic is integer-only.
+to integer square roots.  Q(sqrt5) is a subfield, sqrt5 = 16c^3 + 8c^2 -
+8c - 1, so its elements are FieldElements and the tower has no arithmetic
+of its own.  Sign, interval and square-root arithmetic is integer-only.
 
 Text is parsed into integer (num, den) pairs and elements are built from
 them directly; as_strings writes the reduced pairs back.  Fractions are
@@ -164,15 +165,8 @@ class FieldElement:
     __slots__ = ("_n", "_d")
 
     def __init__(self, a0=0, a1=0, a2=0, a3=0):
-        f0, f1, f2, f3 = Fraction(a0), Fraction(a1), Fraction(a2), Fraction(a3)
-        den = math.lcm(f0.denominator, f1.denominator, f2.denominator, f3.denominator)
-        n = (
-            int(f0 * den),
-            int(f1 * den),
-            int(f2 * den),
-            int(f3 * den),
-        )
-        self._n, self._d = _normalize(n, den)
+        ratios = [Fraction(a).as_integer_ratio() for a in (a0, a1, a2, a3)]
+        self._n, self._d = _normalize(*_raw_from_ratios(ratios))
 
     @classmethod
     def _from_raw(cls, an, ad) -> "FieldElement":
@@ -484,41 +478,20 @@ def interval_sqrt(lo: Fraction, hi: Fraction, target_width) -> tuple[Fraction, F
 #
 # sqrt5 = 16c^3 + 8c^2 - 8c - 1 lies in Q(c), and the generator satisfies
 # c^2 = u*c + 1/4 over Q(sqrt5) with u = (-1 + sqrt5)/4.  Elements of
-# Q(sqrt5) are integer triples (a, b, d), d > 0, meaning (a + b*sqrt5)/d.
+# Q(sqrt5) are FieldElements like any other; only sqrt5 has a c^3 term, so
+# the c^3 and constant numerators of one give its two coordinates.
 
 SQRT5 = FieldElement(-1, -8, 8, 16)
 
 
-def _q5_reduce(a: int, b: int, d: int):
-    g = math.gcd(a, b, d)
-    return (a // g, b // g, d // g) if g > 1 else (a, b, d)
+def _q5(a: int, b: int, d: int) -> FieldElement:
+    """(a + b*sqrt5)/d, d nonzero."""
+    return FieldElement._from_raw((a - b, -8 * b, 8 * b, 16 * b), d)
 
 
-def _q5_add(x, y):
-    (a, b, d), (e, f, h) = x, y
-    if d == h:
-        return _q5_reduce(a + e, b + f, d)
-    return _q5_reduce(a * h + e * d, b * h + f * d, d * h)
-
-
-def _q5_sub(x, y):
-    return _q5_add(x, (-y[0], -y[1], y[2]))
-
-
-def _q5_mul(x, y):
-    (a, b, d), (e, f, h) = x, y
-    return _q5_reduce(a * e + 5 * b * f, a * f + b * e, d * h)
-
-
-def _q5_div(x, y):
-    # x / y = x * conj(y) / N(y), N(y) = (e^2 - 5f^2) / h^2
-    (a, b, d), (e, f, h) = x, y
-    nrm = e * e - 5 * f * f
-    if nrm == 0:
-        raise ZeroDivisionError("zero element of Q(sqrt5)")
-    if nrm < 0:
-        nrm, h = -nrm, -h
-    return _q5_reduce(h * (a * e - 5 * b * f), h * (b * e - a * f), d * nrm)
+_U = _q5(-1, 1, 4)               # u
+_FOUR_QA = _q5(11, -1, 2)        # 4(u^2 + 1)
+_INV_TWO_QA = _q5(11, 1, 29)     # 1 / (2(u^2 + 1))
 
 
 def _rat_sqrt(n: int, d: int) -> Optional[int]:
@@ -530,16 +503,19 @@ def _rat_sqrt(n: int, d: int) -> Optional[int]:
     return r if r * r == n * d else None
 
 
-def _q5_sqrt(g):
-    """A square root of g in Q(sqrt5), or None when g is not a square."""
-    a, b, d = g
+def _q5_sqrt(g: FieldElement) -> Optional[FieldElement]:
+    """A square root in Q(sqrt5) of g, which lies in Q(sqrt5), or None
+    when g is not a square there."""
+    # g = (a + b sqrt5)/d, read off g's constant and c^3 numerators
+    n0, n3 = g._n[0], g._n[3]
+    a, b, d = 16 * n0 + n3, n3, 16 * g._d
     if b == 0:
         r = _rat_sqrt(a, d)
         if r is not None:
-            return (r, 0, d)
+            return _q5(r, 0, d)
         r = _rat_sqrt(a, 5 * d)  # a/d = 5 (r / 5d)^2
         if r is not None:
-            return (0, r, 5 * d)
+            return _q5(0, r, 5 * d)
         return None
     # a square's norm (a^2 - 5b^2)/d^2 is a rational square m^2/d^2
     m = _rat_sqrt(a * a - 5 * b * b, 1)
@@ -551,28 +527,8 @@ def _q5_sqrt(g):
         if not r:
             continue
         if r**4 + 20 * d * d * b * b == 4 * a * d * r * r:  # t0^2 + 5 t1^2 = a/d
-            return _q5_reduce(r * r, 2 * d * b, 2 * d * r)
+            return _q5(r * r, 2 * d * b, 2 * d * r)
     return None
-
-
-_Q5_U = (-1, 1, 4)               # u
-_Q5_TWO_U = (-1, 1, 2)           # 2u
-_Q5_FOUR_QA = (11, -1, 2)        # 4(u^2 + 1)
-_Q5_INV_TWO_QA = (11, 1, 29)     # 1 / (2(u^2 + 1))
-
-
-def _from_quad_basis(t0, t1) -> FieldElement:
-    # t0 + t1 c, with sqrt5 = -1 - 8c + 8c^2 + 16c^3 and sqrt5 c = -1 + c + 4c^2
-    (a0, b0, e0), (a1, b1, e1) = t0, t1
-    return FieldElement._from_raw(
-        (
-            (a0 - b0) * e1 - b1 * e0,
-            -8 * b0 * e1 + (a1 + b1) * e0,
-            8 * b0 * e1 + 4 * b1 * e0,
-            16 * b0 * e1,
-        ),
-        e0 * e1,
-    )
 
 
 def fe_sqrt(d: FieldElement) -> Optional[FieldElement]:
@@ -587,27 +543,26 @@ def fe_sqrt(d: FieldElement) -> Optional[FieldElement]:
     # c^3 = ((5 - sqrt5)/8) c + (-1 + sqrt5)/16
     n0, n1, n2, n3 = d._n
     den = 16 * d._d
-    d0 = _q5_reduce(16 * n0 + 4 * n2 - n3, n3, den)
-    d1 = _q5_reduce(16 * n1 - 4 * n2 + 10 * n3, 4 * n2 - 2 * n3, den)
+    d0 = _q5(16 * n0 + 4 * n2 - n3, n3, den)
+    d1 = _q5(16 * n1 - 4 * n2 + 10 * n3, 4 * n2 - 2 * n3, den)
     # a root t0 + t1 c has w = t1^2 solving qa w^2 - qb w + qc = 0 with
     # qa = u^2 + 1 = (11 - sqrt5)/8, qb = 2 u d1 + 4 d0, qc = d1^2
-    qb = _q5_add(_q5_mul(_Q5_TWO_U, d1), _q5_mul((4, 0, 1), d0))
-    disc = _q5_sub(_q5_mul(qb, qb), _q5_mul(_Q5_FOUR_QA, _q5_mul(d1, d1)))
-    sq = _q5_sqrt(disc)
+    qb = 2 * _U * d1 + 4 * d0
+    sq = _q5_sqrt(qb * qb - _FOUR_QA * d1 * d1)
     if sq is None:
         return None
-    for qb_pm_sq in (_q5_add(qb, sq), _q5_sub(qb, sq)):
-        t1 = _q5_sqrt(_q5_mul(qb_pm_sq, _Q5_INV_TWO_QA))
+    for qb_pm_sq in (qb + sq, qb - sq):
+        t1 = _q5_sqrt(qb_pm_sq * _INV_TWO_QA)
         if t1 is None:
             continue
-        if t1[0] == 0 and t1[1] == 0:
+        if t1.is_zero():
             t0 = _q5_sqrt(d0)
             if t0 is None:
                 continue
         else:
-            # t0 = (d1/t1 - u t1) / 2
-            t0 = _q5_mul(_q5_sub(_q5_div(d1, t1), _q5_mul(_Q5_U, t1)), (1, 0, 2))
-        t = _from_quad_basis(t0, t1)
+            # the c term of t^2 = d: 2 t0 t1 + u t1^2 = d1
+            t0 = (d1 / t1 - _U * t1) / 2
+        t = t0 + t1 * GEN
         if t * t == d:
             return t if fe_sign(t) >= 0 else -t
     return None

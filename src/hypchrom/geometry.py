@@ -487,8 +487,8 @@ def certify_graph(g: Graph, seed: int = 0) -> CertificationReport:
     call, the batch form of is_unit_edge.  Failures are ("disk", i) for a
     vertex on or outside the unit circle, ("edge", i, j) for a recorded
     pair that is not an edge and ("nonedge", i, j) for an unrecorded pair
-    that is one, sorted by their indices.  seed is accepted for callers that still pass it and has no
-    effect."""
+    that is one, sorted by their indices.  seed is accepted for callers
+    that still pass it and has no effect."""
     v = g.vertices
     maybe = screened_pairs(v)
     # every exact test before any new object, as one batch: building tuples

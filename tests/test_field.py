@@ -342,6 +342,23 @@ class TestSqrt:
         assert root == t or root == -t
         assert fe_sign(root) >= 0
 
+    @given(elements.filter(lambda t: not t.is_zero()))
+    @settings(max_examples=60, deadline=None)
+    def test_generator_times_a_square_is_no_square(self, t):
+        # c is no square in Q(c), so neither is c t^2 for t != 0
+        assert fe_sqrt(GEN * t * t) is None
+
+    @given(small_rationals, small_rationals)
+    @settings(max_examples=60, deadline=None)
+    def test_sqrt_of_a_square_in_q_sqrt5(self, a, b):
+        # s^2 in Q(sqrt5) has a root t0 with t1 = 0: rational, five times
+        # a rational, or irrational, by which of a, b is zero
+        s = a + b * SQRT5
+        root = fe_sqrt(s * s)
+        assert root is not None
+        assert root == s or root == -s
+        assert fe_sign(root) >= 0
+
 
 class TestSerialization:
     def test_rational_strings(self):
