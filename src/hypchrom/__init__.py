@@ -52,13 +52,11 @@ from .geometry import (
     Graph,
     GraphIntegrityError,
     ModulePoint,
-    NumericPoint,
     VertexOrigin,
     build_g9,
     certify_graph,
     f_of,
     is_unit_edge,
-    point_coords_numeric,
     spindle_numeric,
     verify_condition1,
 )

@@ -42,7 +42,6 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field as dc_field
-from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
@@ -76,7 +75,6 @@ class IdenticalCirclesError(Exception):
 _INV_ONE_MINUS_CSQ = ONE / SIN_SQ
 _INV_ONE_MINUS_C = ONE / (ONE - GEN)
 _TWO = FieldElement(2)
-_HALF = FieldElement(Fraction(1, 2))
 
 
 def _q(x: FieldElement, y: FieldElement) -> FieldElement:
@@ -145,7 +143,7 @@ def intersect_circles(
         if c1.rho == c2.rho:
             raise IdenticalCirclesError("circles coincide")
         return []
-    m = (delta + c1.rho - c2.rho) * _HALF
+    m = (delta + c1.rho - c2.rho) / 2
     if known is None:
         disc = SIN_SQ * (c1.rho * delta - m * m)
         sgn = fe_sign(disc)

@@ -13,7 +13,7 @@ Coefficients are read into integer (num, den) pairs and written from the
 reduced integer numerators and denominators of each element; neither
 read_bundle nor write_bundle builds a Fraction.  Fractions appear only
 where the API returns them (FieldElement.coeffs, ModulePoint.octuple,
-fe_to_interval, interval_sqrt and the bounds of NumericPoint).
+fe_to_interval and interval_sqrt).
 """
 
 from __future__ import annotations

@@ -26,8 +26,7 @@ of its own.  Sign, interval and square-root arithmetic is integer-only.
 Text is parsed into integer (num, den) pairs and elements are built from
 them directly; as_strings writes the reduced pairs back.  Fractions are
 made only where the API returns one: here FieldElement.coeffs,
-fe_to_interval and interval_sqrt (and, in geometry.py, ModulePoint.octuple
-and the bounds of NumericPoint).
+fe_to_interval and interval_sqrt (and, in geometry.py, ModulePoint.octuple).
 Nothing else on the load, growth or export paths builds one.
 """
 
@@ -224,6 +223,11 @@ class FieldElement:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
+        if isinstance(other, int):
+            # scale the denominator; no inverse needed
+            if other == 0:
+                raise ZeroDivisionError("division by the zero element of Q(c)")
+            return FieldElement._from_raw(self._n, self._d * other)
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
@@ -429,20 +433,6 @@ def fe_sign(a: FieldElement) -> int:
     raise ArithmeticError("sign refinement failed to terminate")
 
 
-def _interval_raw(a: FieldElement, tn: int, td: int) -> tuple[int, int, int]:
-    """fe_to_interval's bounds as integers (lo, hi, den), den > 0, for a
-    target width tn/td > 0."""
-    n = a._n
-    if _raw_is_zero(n):
-        return 0, 0, 1
-    d = a._d
-    for lo, den in _root_levels(max(_level(tn, td), _FLOAT_ROOT_LEVEL)):
-        vlo, vhi = _interval_eval(n, lo, den)
-        scale = d * den**3
-        if (vhi - vlo) * td <= tn * scale:
-            return vlo, vhi, scale
-
-
 def fe_to_interval(a: FieldElement, target_width) -> tuple[Fraction, Fraction]:
     """Bounds in Q on the value of a at the root, at most target_width
     wide.  Bounds shrink monotonically as target_width decreases, and
@@ -453,8 +443,15 @@ def fe_to_interval(a: FieldElement, target_width) -> tuple[Fraction, Fraction]:
     target = Fraction(target_width)
     if target <= 0:
         raise ValueError("target_width must be positive")
-    lo, hi, den = _interval_raw(a, target.numerator, target.denominator)
-    return Fraction(lo, den), Fraction(hi, den)
+    n = a._n
+    if _raw_is_zero(n):
+        return Fraction(0), Fraction(0)
+    tn, td = target.numerator, target.denominator
+    for lo, den in _root_levels(max(_level(tn, td), _FLOAT_ROOT_LEVEL)):
+        vlo, vhi = _interval_eval(n, lo, den)
+        scale = a._d * den**3
+        if (vhi - vlo) * td <= tn * scale:
+            return Fraction(vlo, scale), Fraction(vhi, scale)
 
 
 def interval_sqrt(lo: Fraction, hi: Fraction, target_width) -> tuple[Fraction, Fraction]:
@@ -563,6 +560,9 @@ def fe_sqrt(d: FieldElement) -> Optional[FieldElement]:
             # the c term of t^2 = d: 2 t0 t1 + u t1^2 = d1
             t0 = (d1 / t1 - _U * t1) / 2
         t = t0 + t1 * GEN
+        # a safety check only: t0 solves the c term of t^2 = d by
+        # construction, and the constant term then holds because t1^2
+        # solves the quadratic, so no root reaching here fails it
         if t * t == d:
             return t if fe_sign(t) >= 0 else -t
     return None

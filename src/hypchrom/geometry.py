@@ -44,7 +44,6 @@ involving a point whose row is not p-integral, go to is_unit_edge.
 
 from __future__ import annotations
 
-import functools
 import math
 from array import array
 from dataclasses import dataclass
@@ -62,8 +61,6 @@ from .field import (
     FieldElement,
     fe_sign,
     fe_to_interval,
-    interval_sqrt,
-    _interval_raw,
 )
 
 
@@ -600,101 +597,3 @@ def spindle_numeric(d: float) -> tuple[list[tuple[float, float]], tuple[tuple[in
         apex(beta, alpha + beta),
     ]
     return pts, SPINDLE_EDGES
-
-
-# ---------------------------------------------------------------------------
-# rigorous numeric coordinates
-# ---------------------------------------------------------------------------
-
-class NumericPoint:
-    """Coordinates with explicit rational bounds (hence an error radius).
-
-    Each coordinate is held as integers (lo, hi, den), den > 0, meaning the
-    interval [lo/den, hi/den]; x_lo ... y_hi give the bounds as Fractions."""
-
-    __slots__ = ("_x", "_y")
-
-    def __init__(self, x: tuple[int, int, int], y: tuple[int, int, int]):
-        if x[0] > x[1] or y[0] > y[1]:
-            raise ValueError("bounds out of order")
-        if x[2] <= 0 or y[2] <= 0:
-            raise ValueError("denominators must be positive")
-        self._x = x
-        self._y = y
-
-    @property
-    def x_lo(self) -> Fraction:
-        return Fraction(self._x[0], self._x[2])
-
-    @property
-    def x_hi(self) -> Fraction:
-        return Fraction(self._x[1], self._x[2])
-
-    @property
-    def y_lo(self) -> Fraction:
-        return Fraction(self._y[0], self._y[2])
-
-    @property
-    def y_hi(self) -> Fraction:
-        return Fraction(self._y[1], self._y[2])
-
-    # int / int is correctly rounded, so these are the nearest doubles to
-    # the midpoints, as float(Fraction) gives them
-
-    @property
-    def x(self) -> float:
-        lo, hi, den = self._x
-        return (lo + hi) / (2 * den)
-
-    @property
-    def y(self) -> float:
-        lo, hi, den = self._y
-        return (lo + hi) / (2 * den)
-
-    def err_radius(self) -> float:
-        return float(max(Fraction(hi - lo, 2 * den) for lo, hi, den in (self._x, self._y)))
-
-    def __repr__(self):
-        return f"NumericPoint(x~{self.x:.12g}, y~{self.y:.12g}, err={self.err_radius():.3g})"
-
-
-def _imul(a: tuple[int, int, int], b: tuple[int, int, int]) -> tuple[int, int, int]:
-    """Product of the intervals [lo/den, hi/den] given as (lo, hi, den)."""
-    alo, ahi, ad = a
-    blo, bhi, bd = b
-    ps = (alo * blo, alo * bhi, ahi * blo, ahi * bhi)
-    return min(ps), max(ps), ad * bd
-
-
-def _as_interval(lo: Fraction, hi: Fraction) -> tuple[int, int, int]:
-    den = math.lcm(lo.denominator, hi.denominator)
-    return lo.numerator * (den // lo.denominator), hi.numerator * (den // hi.denominator), den
-
-
-@functools.lru_cache(maxsize=16)
-def _scale_enclosures(wn: int, wd: int):
-    """Enclosures of R and R*s at width wn/wd; they depend on nothing else."""
-    width = Fraction(wn, wd)
-    r_int = _as_interval(*interval_sqrt(*fe_to_interval(RADIUS_SQ, width), width))
-    s_int = _as_interval(*interval_sqrt(*fe_to_interval(SIN_SQ, width), width))
-    return r_int, _imul(r_int, s_int)
-
-
-def point_coords_numeric(p: ModulePoint, err_radius: float = 1e-12) -> NumericPoint:
-    """Rigorous enclosure of the disk coordinates of a module point, each
-    coordinate at most 2 * err_radius wide (err_radius is a float, an int,
-    a Fraction or a Decimal)."""
-    tn, td = err_radius.as_integer_ratio()  # td > 0
-    if tn <= 0:
-        raise ValueError("err_radius must be positive")
-    # the enclosures are taken at width tn/wd, a quarter of the target and
-    # 16 times narrower per round
-    wd = 4 * td
-    while True:
-        r_int, rs_int = _scale_enclosures(tn, wd)
-        x = _imul(r_int, _interval_raw(p.x_elem, tn, wd))
-        y = _imul(rs_int, _interval_raw(p.y_elem, tn, wd))
-        # both widths at most 2 * err_radius = 2 tn / td
-        if (x[1] - x[0]) * td <= 2 * tn * x[2] and (y[1] - y[0]) * td <= 2 * tn * y[2]:
-            return NumericPoint(x, y)
-        wd *= 16

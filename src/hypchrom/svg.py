@@ -6,15 +6,20 @@ from __future__ import annotations
 
 import math
 
-from .geometry import Graph, GraphIntegrityError, point_coords_numeric
+from .geometry import Graph, GraphIntegrityError, ModulePoint
 
 SEED_FILL = "#f5d327"   # seed vertices
 NODE_FILL = "#d94040"   # generated vertices
 EDGE_STROKE = "#3a5fa0"
-# radius of the rigorous enclosure each vertex position is read from
-COORD_ERR = 1e-9
 # width and height of the image, in pixels
 SIZE = 800
+
+
+def point_coords_numeric(v: ModulePoint) -> tuple[float, float]:
+    """The float disk position of v, v.to_floats().  The name exists only
+    because perfbench's tracer wraps it (svg.point_coords_numeric_s); it
+    goes when the tracer stops reading it (ROADMAP.md, item 7)."""
+    return v.to_floats()
 
 
 def _geodesic_path(p, q, scale: float, offset: float) -> str:
@@ -59,10 +64,10 @@ def emit_svg(
     vertices_only: bool = False,
     geodesic: bool = True,
 ) -> None:
-    """Render the embedding.  Every vertex position comes from a rigorous
-    coordinate enclosure, so glyphs are guaranteed to sit strictly inside
-    the boundary circle; a vertex whose float position is not inside the
-    unit disk raises GraphIntegrityError, and nothing is written."""
+    """Render the embedding.  Every vertex position is its float
+    coordinates, read once through point_coords_numeric; a vertex whose
+    float position is not inside the unit disk raises GraphIntegrityError,
+    and nothing is written."""
     margin = 0.04 * SIZE
     scale = SIZE / 2 - margin
     offset = SIZE / 2
@@ -70,10 +75,10 @@ def emit_svg(
 
     coords = []
     for idx, v in enumerate(g.vertices):
-        np_ = point_coords_numeric(v, err_radius=COORD_ERR)
-        if np_.x * np_.x + np_.y * np_.y >= 1.0:
+        x, y = point_coords_numeric(v)
+        if x * x + y * y >= 1.0:
             raise GraphIntegrityError(f"vertex {idx + 1} is not inside the unit disk")
-        coords.append((np_.x, np_.y))
+        coords.append((x, y))
 
     out = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{SIZE}" height="{SIZE}" '

@@ -91,6 +91,15 @@ class TestArithmetic:
             ONE / ZERO
         with pytest.raises(ZeroDivisionError):
             ZERO.inverse()
+        with pytest.raises(ZeroDivisionError):
+            GEN / 0
+
+    @given(elements, st.integers(-10**6, 10**6).filter(bool))
+    @settings(max_examples=60, deadline=None)
+    def test_division_by_int_is_division_by_its_element(self, a, n):
+        # an int divisor scales the denominator instead of taking an inverse
+        assert a / n == a * FieldElement(n).inverse()
+        assert (a / n) * n == a
 
     @given(elements)
     @settings(max_examples=80, deadline=None)

@@ -36,7 +36,6 @@ from hypchrom.geometry import (
     f_of,
     is_unit_edge,
     lex_less,
-    point_coords_numeric,
     screened_pairs,
     spindle_numeric,
     unit_edges,
@@ -595,50 +594,51 @@ class TestParams:
 
 
 class TestNumericCoords:
+    """The float coordinates the SVG draws, ModulePoint.to_floats()."""
+
     def test_origin(self, g9):
-        np_ = point_coords_numeric(g9.vertices[0])
-        assert np_.x == 0 and np_.y == 0
-        assert np_.err_radius() <= 1e-12
+        assert g9.vertices[0].to_floats() == (0.0, 0.0)
 
     def test_second_vertex_on_axis(self, g9):
-        np_ = point_coords_numeric(g9.vertices[1], err_radius=1e-10)
-        assert np_.x == pytest.approx(RADIUS_APPROX, abs=1e-8)
-        assert np_.y == 0
+        x, y = g9.vertices[1].to_floats()
+        assert x == pytest.approx(RADIUS_APPROX, abs=1e-8)
+        assert y == 0
 
     def test_third_vertex_matches_figure(self, g9):
-        np_ = point_coords_numeric(g9.vertices[2])
-        assert np_.x == pytest.approx(0.4043, abs=5e-5)
-        assert np_.y == pytest.approx(0.4385, abs=5e-5)
+        x, y = g9.vertices[2].to_floats()
+        assert x == pytest.approx(0.4043, abs=5e-5)
+        assert y == pytest.approx(0.4385, abs=5e-5)
 
-    def test_enclosure_contains_float_coords(self, g9):
-        for v in g9.vertices:
-            np_ = point_coords_numeric(v, err_radius=1e-13)
+    def test_enclosure_contains_float_coords(self, pipeline):
+        # every vertex of the order-1378 graph reads within 1e-14 of the
+        # midpoint of its exact enclosure at width 1e-17
+        g = pipeline[-1]
+        assert g.order == 1378
+        for v in g.vertices:
+            x_lo, x_hi, y_lo, y_hi = coords_reference(v, Fraction(1, 10**17))
             x, y = v.to_floats()
-            assert float(np_.x_lo) - 1e-12 <= x <= float(np_.x_hi) + 1e-12
-            assert float(np_.y_lo) - 1e-12 <= y <= float(np_.y_hi) + 1e-12
+            assert abs(Fraction(x) - (x_lo + x_hi) / 2) <= 1e-14
+            assert abs(Fraction(y) - (y_lo + y_hi) / 2) <= 1e-14
 
     def test_bounds_independent_of_root_refinement(self, g9, fresh_python):
-        # the enclosure is a function of the point and the width only, not
-        # of what the process asked before: the bounds of an interpreter
-        # that makes no other query, and those of this one after a 1e-60
-        # query
+        # the coordinates are a function of the point only, not of what the
+        # process asked before: those of an interpreter that makes no other
+        # query, and those of this one after a 1e-60 query
         before = fresh_python(
             "from fractions import Fraction\n"
-            "from hypchrom.geometry import ModulePoint, point_coords_numeric\n"
+            "from hypchrom.geometry import ModulePoint\n"
             f"p = ModulePoint.from_octuple({g9.vertices[5].octuple!r})\n"
-            "q = point_coords_numeric(p, err_radius=1e-9)\n"
-            "print((q.x_lo, q.x_hi, q.y_lo, q.y_hi))\n"
+            "print(p.to_floats())\n"
         )
         fe_to_interval(GEN, Fraction(1, 10**60))
-        q = point_coords_numeric(g9.vertices[5], err_radius=1e-9)
-        assert before == f"{(q.x_lo, q.x_hi, q.y_lo, q.y_hi)}\n"
+        assert before == f"{g9.vertices[5].to_floats()}\n"
 
 
 def coords_reference(p, err_radius):
-    """point_coords_numeric in Fractions, as it was written before its
-    integer form: the scale enclosures and the coordinate enclosures at
-    width target/4, 16 times narrower per round, until both products are
-    at most 2 * target wide.  Returns the bounds (x_lo, x_hi, y_lo, y_hi)."""
+    """Exact enclosures of a point's disk coordinates in Fractions: the
+    scale R and R*s and the coordinates X, Y at width target/4, 16 times
+    narrower per round, until both products are at most 2 * target wide.
+    Returns the bounds (x_lo, x_hi, y_lo, y_hi)."""
 
     def imul(a, b):
         ps = (a[0] * b[0], a[0] * b[1], a[1] * b[0], a[1] * b[1])
@@ -654,57 +654,6 @@ def coords_reference(p, err_radius):
         if x_int[1] - x_int[0] <= 2 * target and y_int[1] - y_int[0] <= 2 * target:
             return x_int + y_int
         width /= 16
-
-
-class TestNumericCoordsReference:
-    @pytest.mark.parametrize("err", [1e-9, 1e-12, 1e-13])
-    def test_equal_to_fraction_reference(self, g9, pipeline, err):
-        for g in (g9, pipeline[4]):
-            for v in g.vertices:
-                got = point_coords_numeric(v, err_radius=err)
-                ref = coords_reference(v, err)
-                assert (got.x_lo, got.x_hi, got.y_lo, got.y_hi) == ref
-                x_lo, x_hi, y_lo, y_hi = ref
-                assert got.x == float((x_lo + x_hi) / 2)
-                assert got.y == float((y_lo + y_hi) / 2)
-                assert got.err_radius() == float(max(x_hi - x_lo, y_hi - y_lo) / 2)
-
-    def test_refinement_rounds_equal_fraction_reference(self, monkeypatch):
-        # every vertex of the default schedule meets the width test in the
-        # first round; points far outside the disk widen the products past
-        # the target there (the scale's own error times the coordinate), so
-        # the later, 16 times narrower rounds run.  x and y take turns
-        # deciding the round count.
-        widths = []
-        scale_enclosures = geometry._scale_enclosures
-
-        def counting(wn, wd):
-            widths.append((wn, wd))
-            return scale_enclosures(wn, wd)
-
-        monkeypatch.setattr(geometry, "_scale_enclosures", counting)
-        mags = [3**e for e in range(13)]
-        points = [ModulePoint(FieldElement(1), FieldElement(m)) for m in mags]
-        points += [ModulePoint(FieldElement(m), FieldElement(1)) for m in mags]
-        points.append(
-            ModulePoint(FieldElement(-500, 77, Fraction(1, 3), 9), FieldElement(0, 0, 0, 999))
-        )
-        rounds = []
-        for err in (1e-9, 1e-12):
-            for p in points:
-                widths.clear()
-                got = point_coords_numeric(p, err_radius=err)
-                assert (got.x_lo, got.x_hi, got.y_lo, got.y_hi) == coords_reference(p, err)
-                # each round takes enclosures 16 times narrower than the last
-                steps = [wd // widths[0][1] for _, wd in widths]
-                assert steps == [16**r for r in range(len(widths))]
-                rounds.append(len(widths))
-        assert min(rounds) == 1 and max(rounds) >= 4
-
-    def test_rejects_nonpositive_radius(self, g9):
-        for err in (0, -1e-9):
-            with pytest.raises(ValueError):
-                point_coords_numeric(g9.vertices[3], err_radius=err)
 
 
 def residue(elem):

@@ -410,6 +410,22 @@ class TestDimacs:
 
 
 class TestSvg:
+    def test_reads_each_vertex_through_traced_name(self, g28, tmp_path, monkeypatch):
+        # perfbench's tracer wraps svg.point_coords_numeric; emit_svg must
+        # reach it through the module global, once per vertex
+        from hypchrom import svg
+
+        calls = []
+        original = svg.point_coords_numeric
+
+        def counting(v):
+            calls.append(v)
+            return original(v)
+
+        monkeypatch.setattr(svg, "point_coords_numeric", counting)
+        emit_svg(g28, str(tmp_path / "g28.svg"))
+        assert calls == list(g28.vertices)
+
     def test_phase_one_graph_renders_all_vertices(self, g28, tmp_path):
         path = tmp_path / "g28.svg"
         emit_svg(g28, str(path))
